@@ -44,13 +44,15 @@ pub struct BatchStats {
     pub cells: u64,
     /// Largest single DP matrix in the batch.
     pub max_cells: u64,
-    /// Pairs whose i16 vector lane saturated and were re-scored through
-    /// the scalar i32 kernel (score-only dispatch). Pair-intrinsic, so
-    /// identical for every backend/width/thread count.
+    /// Pairs the i16 vector lanes could not do exactly and that went
+    /// through the scalar i32 kernel instead: a saturated score (either
+    /// dispatch), or for traceback a reference past the lane counters or a
+    /// scoring model outside the i16 scheme. Pair-intrinsic, so identical
+    /// for every backend/width/thread count.
     pub lane_promotions: u64,
-    /// Vector backend the batch's score-only work dispatched through
-    /// ([`SimdBackend::Scalar`] for traceback/banded batches, which run
-    /// scalar kernels only).
+    /// Vector backend the batch's traceback or score-only work dispatched
+    /// through ([`SimdBackend::Scalar`] for banded batches and the serial
+    /// driver, which run scalar kernels only).
     pub simd: SimdBackend,
     /// CPU seconds: summed busy time of every worker thread (measured).
     pub seconds: f64,

@@ -15,6 +15,10 @@
 //!   advance in lock-step vector lanes (the SeqAn-class vectorized CPU
 //!   backend), one pair per saturating i16 lane with an exact
 //!   promote-to-i32 overflow rescue.
+//! * [`tblanes`] — traceback on the same lanes: one pair at a time, the
+//!   anti-diagonal of its DP matrix in a vector (ADEPT's intra-alignment
+//!   wavefront), bit-identical to [`sw::sw_align`]; reached through
+//!   [`parallel::AlignPool::run_traceback`].
 //! * [`simd`] — the lane substrate: a [`simd::SimdVec`] trait with
 //!   AVX2/SSE2 (`core::arch::x86_64`, runtime-detected), NEON (aarch64)
 //!   and portable scalar-array implementations, plus backend
@@ -25,7 +29,7 @@
 //!   executing batches as atomically-claimed chunks across `t` threads
 //!   (bit-identical to the serial driver for any thread count), with a
 //!   length-bucketing packer dispatching score-only work through the
-//!   multilane kernel.
+//!   multilane kernel and traceback work through the traceback lanes.
 //! * [`batch`] — the batch driver with exact cell-update accounting: the
 //!   paper's load-balance metric (Figure 7b) is the *sum of DP-matrix
 //!   sizes*, and its headline kernel metric is cell updates per second
@@ -58,6 +62,7 @@ pub mod parallel;
 pub mod semiglobal;
 pub mod simd;
 pub mod sw;
+pub mod tblanes;
 
 pub use batch::{AlignTask, BatchAligner, BatchStats};
 pub use device::{host_simd, DeviceModel, HostSimd};

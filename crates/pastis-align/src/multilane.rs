@@ -48,13 +48,13 @@ use crate::simd::{Avx2Vec, Sse2Vec};
 use crate::simd::NeonVec;
 
 /// Table index used to pad ragged lanes (one past the residue codes).
-const PAD_IDX: usize = AA_COUNT;
+pub(crate) const PAD_IDX: usize = AA_COUNT;
 
 /// Width of one score-table row: 21 residue codes + the PAD column.
-const TABLE_DIM: usize = AA_COUNT + 1;
+pub(crate) const TABLE_DIM: usize = AA_COUNT + 1;
 
 /// Score of PAD against anything: below the local-alignment floor.
-const PAD_SCORE: i16 = -100;
+pub(crate) const PAD_SCORE: i16 = -100;
 
 /// Largest |substitution score| the i16 scheme accepts. Leaves headroom so
 /// `diag + score` can only saturate at the top (caught by promotion),
@@ -68,9 +68,9 @@ const MAX_TABLE_SCORE: i32 = 30_000;
 pub struct LaneTable {
     /// `flat[a * TABLE_DIM + b]` = score of codes `a` vs `b`; row/column
     /// [`PAD_IDX`] holds [`PAD_SCORE`].
-    flat: [i16; TABLE_DIM * TABLE_DIM],
-    first: i16,
-    extend: i16,
+    pub(crate) flat: [i16; TABLE_DIM * TABLE_DIM],
+    pub(crate) first: i16,
+    pub(crate) extend: i16,
 }
 
 impl LaneTable {

@@ -1,8 +1,8 @@
 //! Intra-rank parallel batch-alignment engine — the ADEPT driver analog.
 //!
 //! ADEPT feeds a GPU thousands of independent alignments that advance in
-//! lock-step; on the CPU the same inter-task parallelism maps onto two
-//! nested levels, both provided here:
+//! lock-step; on the CPU the same parallelism maps onto nested levels,
+//! all provided here:
 //!
 //! * **A worker pool** ([`AlignPool`]): an `AlignTask` batch is split into
 //!   units that `t` scoped threads claim from a shared atomic counter
@@ -22,11 +22,17 @@
 //!   through scalar i32), so scores stay bit-identical here too — across
 //!   thread counts *and* backends.
 //!
-//! Traceback-requiring work ([`AlignPool::run_traceback`]) and
-//! seed-anchored banded work ([`AlignPool::run_banded`]) parallelize over
-//! scalar kernels only — traceback needs the full matrix per pair, and the
-//! banded kernel's exploration set depends on per-pair seeds, neither of
-//! which fits lock-step lanes.
+//! * **Traceback lanes** ([`AlignPool::run_traceback`]): a traceback
+//!   needs the full direction matrix of its pair, which rules out one pair
+//!   per lane; instead each pair runs alone on the same backend with the
+//!   anti-diagonal of its DP matrix in a vector ([`crate::tblanes`]),
+//!   bit-identical to [`sw_align`](crate::sw::sw_align), which stays the
+//!   per-pair fallback. Traceback bytes live in a per-thread scratch that
+//!   is reused from pair to pair.
+//!
+//! Seed-anchored banded work ([`AlignPool::run_banded`]) parallelizes over
+//! the scalar kernel only — its exploration set depends on per-pair seeds,
+//! which does not fit lock-step lanes.
 //!
 //! Time accounting: the returned [`BatchStats`] carries the wall-vs-CPU
 //! split — `seconds` sums worker busy time, `wall_seconds` is elapsed.
@@ -43,7 +49,8 @@ use crate::batch::{AlignTask, BatchStats};
 use crate::matrices::Scoring;
 use crate::multilane::{sw_score_lanes_prepared, LaneTable};
 use crate::simd::{SimdBackend, MAX_LANES};
-use crate::sw::{sw_align, sw_score_only, AlignmentResult, GapPenalties};
+use crate::sw::{sw_align_in, sw_score_only, with_scratch, AlignmentResult, GapPenalties};
+use crate::tblanes::sw_align_lanes;
 
 /// Scalar tasks claimed per unit of work. Small enough for dynamic load
 /// balance over ragged lengths, large enough to amortize the atomic claim.
@@ -77,8 +84,8 @@ pub struct AlignPool {
 impl AlignPool {
     /// A pool of `threads` workers; `0` means one per available core.
     /// Telemetry is off until [`AlignPool::with_recorder`] attaches a
-    /// sink; the score-only vector backend defaults to the best one the
-    /// host supports ([`SimdBackend::detect`]).
+    /// sink; the vector backend defaults to the best one the host
+    /// supports ([`SimdBackend::detect`]).
     pub fn new(threads: usize) -> AlignPool {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -121,10 +128,10 @@ impl AlignPool {
         self
     }
 
-    /// Select the vector backend for score-only dispatch (an unavailable
-    /// backend degrades to the portable lanes inside the kernel; callers
+    /// Select the vector backend for traceback and score-only dispatch
+    /// (an unavailable backend degrades to the portable lanes; callers
     /// that must reject that case validate through
-    /// [`crate::simd::SimdPolicy::resolve`] first). Scores are
+    /// [`crate::simd::SimdPolicy::resolve`] first). Results are
     /// bit-identical for every choice — only throughput changes.
     pub fn with_simd(mut self, simd: SimdBackend) -> AlignPool {
         self.simd = simd;
@@ -136,13 +143,31 @@ impl AlignPool {
         self.threads
     }
 
-    /// Vector backend score-only batches dispatch through.
+    /// Vector backend traceback and score-only batches dispatch through.
     pub fn simd(&self) -> SimdBackend {
         self.simd
     }
 
+    /// The selected backend, or the portable lanes when the host lacks it.
+    fn available_simd(&self) -> SimdBackend {
+        if self.simd.is_available() {
+            self.simd
+        } else {
+            SimdBackend::Scalar
+        }
+    }
+
     /// Full Smith–Waterman with traceback over every task, in parallel
     /// chunks; results in task order, bit-identical to the serial loop.
+    ///
+    /// Each pair runs on the selected backend's lanes
+    /// ([`crate::tblanes`], one anti-diagonal per vector), whose result
+    /// equals [`sw_align`](crate::sw::sw_align)'s in every field. A pair
+    /// the i16 lanes cannot do exactly — its score reaches `i16::MAX`, its
+    /// reference is longer than the lane counters, or the scoring model
+    /// fails [`LaneTable::build`] — goes through `sw_align` and is counted in
+    /// `lane_promotions`, so results match the serial scalar driver for
+    /// every thread count and every backend.
     pub fn run_traceback<'a, S, L>(
         &self,
         tasks: &[AlignTask],
@@ -154,19 +179,35 @@ impl AlignPool {
         S: Scoring + Sync,
         L: Fn(u32) -> &'a [u8] + Sync,
     {
+        let backend = self.available_simd();
+        let table = LaneTable::build(scoring, gaps);
         let n_units = tasks.len().div_ceil(CHUNK);
-        let (chunks, stats) = self.execute_units(n_units, |u, local| {
+        let (chunks, mut stats) = self.execute_units(n_units, |u, local| {
             let range = chunk_range(u, tasks.len());
             let mut out = Vec::with_capacity(range.len());
-            for t in &tasks[range] {
-                let res = sw_align(lookup(t.query), lookup(t.reference), scoring, gaps);
-                local.pairs += 1;
-                local.cells += res.cells;
-                local.max_cells = local.max_cells.max(res.cells);
-                out.push(res);
-            }
+            with_scratch(|scratch| {
+                for t in &tasks[range] {
+                    let (q, r) = (lookup(t.query), lookup(t.reference));
+                    let on_lanes = table
+                        .as_ref()
+                        .and_then(|table| sw_align_lanes(backend, q, r, table, scratch));
+                    let res = on_lanes.unwrap_or_else(|| {
+                        local.lane_promotions += 1;
+                        sw_align_in(q, r, scoring, gaps, scratch)
+                    });
+                    local.pairs += 1;
+                    local.cells += res.cells;
+                    local.max_cells = local.max_cells.max(res.cells);
+                    out.push(res);
+                }
+            });
             out
         });
+        stats.simd = backend;
+        self.recorder.add_counter(
+            names::CTR_ALIGN_LANE_PROMOTIONS,
+            stats.lane_promotions as f64,
+        );
         (chunks.concat(), stats)
     }
 
@@ -233,11 +274,7 @@ impl AlignPool {
         S: Scoring + Sync,
         L: Fn(u32) -> &'a [u8] + Sync,
     {
-        let backend = if self.simd.is_available() {
-            self.simd
-        } else {
-            SimdBackend::Scalar
-        };
+        let backend = self.available_simd();
         let table = LaneTable::build(scoring, gaps);
         let plan = LanePlan::build(tasks, &lookup, backend.lanes());
         let (unit_results, mut stats) = self.execute_units(plan.units.len(), |u, local| {

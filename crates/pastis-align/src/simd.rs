@@ -1,10 +1,13 @@
-//! Vector-lane abstraction for the inter-sequence alignment kernel.
+//! Vector-lane abstraction for the alignment kernels.
 //!
 //! The multilane kernel ([`crate::multilane`]) advances many independent
-//! alignments in lock-step, one pair per lane, on saturating i16 lanes.
-//! This module supplies the lanes: a [`SimdVec`] trait whose operations are
-//! the complete vocabulary of the kernel (splat/load/store, saturating
-//! add/sub, max), implemented by
+//! alignments in lock-step, one pair per lane, on saturating i16 lanes;
+//! the traceback kernel ([`crate::tblanes`]) advances one alignment's
+//! anti-diagonal, one row per lane. This module supplies the lanes: a
+//! [`SimdVec`] trait whose operations are the complete vocabulary of the
+//! two kernels (splat/load/store, saturating add/sub, max; for traceback
+//! also compare-greater, and/or/select, a one-lane shift and a narrowing
+//! byte store), implemented by
 //!
 //! * `core::arch::x86_64` **SSE2** (8 lanes) and **AVX2** (16 lanes)
 //!   intrinsics, selected at runtime with `is_x86_feature_detected!`;
@@ -56,6 +59,28 @@ pub trait SimdVec: Copy {
 
     /// Lane-wise maximum.
     fn max(self, o: Self) -> Self;
+
+    /// Lane-wise `self > o` as a mask: all bits set where it holds, zero
+    /// where it does not.
+    fn gt(self, o: Self) -> Self;
+
+    /// Bitwise and.
+    fn and(self, o: Self) -> Self;
+
+    /// Bitwise or.
+    fn or(self, o: Self) -> Self;
+
+    /// Lane-wise `if mask { a } else { b }`; every lane of `mask` must be
+    /// all ones or all zeros, as [`SimdVec::gt`] produces.
+    fn select(mask: Self, a: Self, b: Self) -> Self;
+
+    /// Every lane moved up by one (lane `l` takes lane `l - 1`), with
+    /// `low` entering at lane 0 and the top lane dropped.
+    fn shift_in(self, low: i16) -> Self;
+
+    /// Store the low byte of every lane to the front of `dst`
+    /// (`Self::LANES` bytes); lanes must hold values in `0..=255`.
+    fn store_bytes(self, dst: &mut [u8]);
 
     /// All lanes zero.
     #[inline(always)]
@@ -117,6 +142,57 @@ impl<const L: usize> SimdVec for ScalarLanes<L> {
         }
         ScalarLanes(a)
     }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, y) in a.iter_mut().zip(o.0) {
+            *x = -i16::from(*x > y);
+        }
+        ScalarLanes(a)
+    }
+
+    #[inline(always)]
+    fn and(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, y) in a.iter_mut().zip(o.0) {
+            *x &= y;
+        }
+        ScalarLanes(a)
+    }
+
+    #[inline(always)]
+    fn or(self, o: Self) -> Self {
+        let mut a = self.0;
+        for (x, y) in a.iter_mut().zip(o.0) {
+            *x |= y;
+        }
+        ScalarLanes(a)
+    }
+
+    #[inline(always)]
+    fn select(mask: Self, a: Self, b: Self) -> Self {
+        let mut out = b.0;
+        for ((x, y), m) in out.iter_mut().zip(a.0).zip(mask.0) {
+            *x = (y & m) | (*x & !m);
+        }
+        ScalarLanes(out)
+    }
+
+    #[inline(always)]
+    fn shift_in(self, low: i16) -> Self {
+        let mut a = self.0;
+        a.copy_within(..L - 1, 1);
+        a[0] = low;
+        ScalarLanes(a)
+    }
+
+    #[inline(always)]
+    fn store_bytes(self, dst: &mut [u8]) {
+        for (d, x) in dst[..L].iter_mut().zip(self.0) {
+            *d = x as u8;
+        }
+    }
 }
 
 /// SSE2 vector: 8 × i16 in an `__m128i`. SSE2 is a baseline feature of
@@ -160,6 +236,44 @@ impl SimdVec for Sse2Vec {
     #[inline(always)]
     fn max(self, o: Self) -> Self {
         Sse2Vec(unsafe { _mm_max_epi16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        Sse2Vec(unsafe { _mm_cmpgt_epi16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn and(self, o: Self) -> Self {
+        Sse2Vec(unsafe { _mm_and_si128(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn or(self, o: Self) -> Self {
+        Sse2Vec(unsafe { _mm_or_si128(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn select(mask: Self, a: Self, b: Self) -> Self {
+        Sse2Vec(unsafe { _mm_or_si128(_mm_and_si128(mask.0, a.0), _mm_andnot_si128(mask.0, b.0)) })
+    }
+
+    #[inline(always)]
+    fn shift_in(self, low: i16) -> Self {
+        Sse2Vec(unsafe { _mm_insert_epi16::<0>(_mm_slli_si128::<2>(self.0), low as i32) })
+    }
+
+    #[inline(always)]
+    fn store_bytes(self, dst: &mut [u8]) {
+        assert!(dst.len() >= 8);
+        // SAFETY: SSE2 is baseline on x86_64; the assert above covers the
+        // 8 bytes the unaligned store writes.
+        unsafe {
+            _mm_storel_epi64(
+                dst.as_mut_ptr() as *mut __m128i,
+                _mm_packus_epi16(self.0, self.0),
+            )
+        }
     }
 }
 
@@ -210,6 +324,51 @@ impl SimdVec for Avx2Vec {
     fn max(self, o: Self) -> Self {
         Avx2Vec(unsafe { _mm256_max_epi16(self.0, o.0) })
     }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        Avx2Vec(unsafe { _mm256_cmpgt_epi16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn and(self, o: Self) -> Self {
+        Avx2Vec(unsafe { _mm256_and_si256(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn or(self, o: Self) -> Self {
+        Avx2Vec(unsafe { _mm256_or_si256(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn select(mask: Self, a: Self, b: Self) -> Self {
+        Avx2Vec(unsafe { _mm256_blendv_epi8(b.0, a.0, mask.0) })
+    }
+
+    #[inline(always)]
+    fn shift_in(self, low: i16) -> Self {
+        // `alignr` shifts within each 128-bit half, taking the incoming
+        // lane from the top of its second operand's half: `low` for the
+        // low half, the low half's top lane for the high half.
+        Avx2Vec(unsafe {
+            let carry = _mm256_permute2x128_si256::<0x20>(_mm256_set1_epi16(low), self.0);
+            _mm256_alignr_epi8::<14>(self.0, carry)
+        })
+    }
+
+    #[inline(always)]
+    fn store_bytes(self, dst: &mut [u8]) {
+        assert!(dst.len() >= 16);
+        // SAFETY: AVX2 per the type's contract; the assert above covers
+        // the 16 bytes the unaligned store writes.
+        unsafe {
+            let packed = _mm_packus_epi16(
+                _mm256_castsi256_si128(self.0),
+                _mm256_extracti128_si256::<1>(self.0),
+            );
+            _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, packed)
+        }
+    }
 }
 
 /// NEON vector: 8 × i16 in an `int16x8_t`. NEON is a baseline feature of
@@ -252,6 +411,39 @@ impl SimdVec for NeonVec {
     #[inline(always)]
     fn max(self, o: Self) -> Self {
         NeonVec(unsafe { vmaxq_s16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        NeonVec(unsafe { vreinterpretq_s16_u16(vcgtq_s16(self.0, o.0)) })
+    }
+
+    #[inline(always)]
+    fn and(self, o: Self) -> Self {
+        NeonVec(unsafe { vandq_s16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn or(self, o: Self) -> Self {
+        NeonVec(unsafe { vorrq_s16(self.0, o.0) })
+    }
+
+    #[inline(always)]
+    fn select(mask: Self, a: Self, b: Self) -> Self {
+        NeonVec(unsafe { vbslq_s16(vreinterpretq_u16_s16(mask.0), a.0, b.0) })
+    }
+
+    #[inline(always)]
+    fn shift_in(self, low: i16) -> Self {
+        NeonVec(unsafe { vextq_s16::<7>(vdupq_n_s16(low), self.0) })
+    }
+
+    #[inline(always)]
+    fn store_bytes(self, dst: &mut [u8]) {
+        assert!(dst.len() >= 8);
+        // SAFETY: NEON is baseline on aarch64; the assert above covers
+        // the 8 bytes the store writes.
+        unsafe { vst1_u8(dst.as_mut_ptr(), vmovn_u16(vreinterpretq_u16_s16(self.0))) }
     }
 }
 
@@ -429,6 +621,30 @@ mod tests {
         for l in 0..V::LANES {
             assert_eq!(got[l], src[l].max(0), "max lane {l}");
         }
+        a.gt(V::zero()).store(&mut got);
+        for l in 0..V::LANES {
+            assert_eq!(got[l], -i16::from(src[l] > 0), "gt lane {l}");
+        }
+        a.and(V::splat(0x0ff0)).or(V::splat(1)).store(&mut got);
+        for l in 0..V::LANES {
+            assert_eq!(got[l], src[l] & 0x0ff0 | 1, "and/or lane {l}");
+        }
+        V::select(a.gt(V::zero()), a, b).store(&mut got);
+        for l in 0..V::LANES {
+            let want = if src[l] > 0 { src[l] } else { 30000 };
+            assert_eq!(got[l], want, "select lane {l}");
+        }
+        a.shift_in(-7).store(&mut got);
+        assert_eq!(got[0], -7, "shift_in lane 0");
+        for l in 1..V::LANES {
+            assert_eq!(got[l], src[l - 1], "shift_in lane {l}");
+        }
+        let mut bytes = [0xeeu8; MAX_LANES + 1];
+        a.and(V::splat(0xff)).store_bytes(&mut bytes);
+        for l in 0..V::LANES {
+            assert_eq!(bytes[l], src[l] as u8, "store_bytes lane {l}");
+        }
+        assert_eq!(bytes[V::LANES], 0xee, "store_bytes wrote past its lanes");
     }
 
     #[test]

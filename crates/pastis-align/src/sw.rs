@@ -93,7 +93,7 @@ pub struct AlignmentResult {
 }
 
 impl AlignmentResult {
-    fn empty(qlen: usize, rlen: usize) -> AlignmentResult {
+    pub(crate) fn empty(qlen: usize, rlen: usize) -> AlignmentResult {
         AlignmentResult {
             score: 0,
             q_begin: 0,
@@ -200,91 +200,155 @@ pub fn sw_score_only<S: Scoring>(
 // bits 0-1: H source (0 = stop/zero, 1 = diagonal, 2 = E, 3 = F)
 // bit 2: E extends a previous E (otherwise opens from H at (i, j-1))
 // bit 3: F extends a previous F (otherwise opens from H at (i-1, j))
-const H_STOP: u8 = 0;
-const H_DIAG: u8 = 1;
-const H_FROM_E: u8 = 2;
-const H_FROM_F: u8 = 3;
-const E_EXT: u8 = 1 << 2;
-const F_EXT: u8 = 1 << 3;
+pub(crate) const H_STOP: u8 = 0;
+pub(crate) const H_DIAG: u8 = 1;
+pub(crate) const H_FROM_E: u8 = 2;
+pub(crate) const H_FROM_F: u8 = 3;
+pub(crate) const E_EXT: u8 = 1 << 2;
+pub(crate) const F_EXT: u8 = 1 << 3;
+
+/// A traceback matrix larger than this is released after the pair that
+/// needed it, so one giant alignment does not pin its matrix to the
+/// thread for good; everything smaller stays for the next pair.
+const SCRATCH_KEEP_BYTES: usize = 4 << 20;
+
+/// Per-thread buffers of the traceback kernels, reused from pair to pair:
+/// the direction bytes (row-major here, strip-major skewed in
+/// [`crate::tblanes`]), the scalar kernel's `H`/`F` rows, the vector
+/// kernel's i16 profile and strip boundary rows, and the reversed
+/// operation list the walk builds.
+#[derive(Default)]
+pub(crate) struct TbScratch {
+    pub(crate) tb: Vec<u8>,
+    rows: Vec<[i32; 2]>,
+    pub(crate) lanes: Vec<i16>,
+    pub(crate) codes: Vec<u8>,
+    pub(crate) ops_rev: Vec<AlignOp>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<TbScratch> = std::cell::RefCell::default();
+}
+
+/// Run `f` with this thread's [`TbScratch`] (a fresh one if `f` is itself
+/// running inside another `with_scratch` on this thread, which only a
+/// `Scoring` or lookup that aligns could bring about).
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut TbScratch) -> R) -> R {
+    SCRATCH.with(|s| match s.try_borrow_mut() {
+        Ok(mut s) => {
+            let out = f(&mut s);
+            if s.tb.capacity() > SCRATCH_KEEP_BYTES {
+                s.tb = Vec::new();
+            }
+            out
+        }
+        Err(_) => f(&mut TbScratch::default()),
+    })
+}
 
 /// Full Smith–Waterman with traceback and alignment statistics.
 ///
-/// O(m·n) time and memory (one byte per DP cell for the traceback).
+/// O(m·n) time and memory (one byte per DP cell for the traceback, held
+/// in a per-thread buffer that is reused from call to call). This is the
+/// reference every vector traceback backend is pinned against, and the
+/// per-pair fallback of [`crate::parallel::AlignPool::run_traceback`].
 pub fn sw_align<S: Scoring>(
     q: &[u8],
     r: &[u8],
     scoring: &S,
     gaps: GapPenalties,
 ) -> AlignmentResult {
+    with_scratch(|scratch| sw_align_in(q, r, scoring, gaps, scratch))
+}
+
+/// [`sw_align`] on the caller's scratch.
+pub(crate) fn sw_align_in<S: Scoring>(
+    q: &[u8],
+    r: &[u8],
+    scoring: &S,
+    gaps: GapPenalties,
+    scratch: &mut TbScratch,
+) -> AlignmentResult {
     let (m, n) = (q.len(), r.len());
     if m == 0 || n == 0 {
         return AlignmentResult::empty(m, n);
     }
-    let mut tb = vec![0u8; m * n];
-    let mut h_prev = vec![0i32; n + 1];
-    let mut h_cur = vec![0i32; n + 1];
-    let mut f_prev = vec![i32::MIN / 2; n + 1];
-    let mut f_cur = vec![i32::MIN / 2; n + 1];
+    if scratch.tb.len() < m * n {
+        scratch.tb.resize(m * n, 0);
+    }
+    // One row of (H, F) per column, updated in place: entry j holds row
+    // i - 1 until cell (i, j) overwrites it with row i.
+    scratch.rows.clear();
+    scratch.rows.resize(n, [0, i32::MIN / 2]);
+    let (first, extend) = (gaps.first(), gaps.extend);
     let (mut best, mut bi, mut bj) = (0i32, 0usize, 0usize);
-    for i in 1..=m {
-        let qi = q[i - 1];
+    for (i, (&qi, tb_row)) in q.iter().zip(scratch.tb.chunks_exact_mut(n)).enumerate() {
         let mut e = i32::MIN / 2;
-        let row = (i - 1) * n;
-        for j in 1..=n {
-            let mut flags = 0u8;
-            let e_open = h_cur[j - 1] - gaps.first();
-            let e_ext = e - gaps.extend;
-            e = if e_ext > e_open {
-                flags |= E_EXT;
-                e_ext
-            } else {
-                e_open
-            };
-            let f_open = h_prev[j] - gaps.first();
-            let f_ext = f_prev[j] - gaps.extend;
-            let f = if f_ext > f_open {
-                flags |= F_EXT;
-                f_ext
-            } else {
-                f_open
-            };
-            f_cur[j] = f;
-            let diag = h_prev[j - 1] + scoring.score(qi, r[j - 1]);
+        let (mut h_left, mut h_diag) = (0, 0);
+        let (mut row_best, mut row_bj) = (best, 0);
+        let cells = r.iter().zip(scratch.rows.iter_mut()).zip(tb_row.iter_mut());
+        for (j, ((&rj, hf), tb)) in cells.enumerate() {
+            let [h_up, f_up] = *hf;
+            // Every flag is the outcome of a comparison, so the cell has
+            // no data-dependent branch. Extension wins only on strict `>`.
+            let e_open = h_left - first;
+            let e_ext = e - extend;
+            e = e_open.max(e_ext);
+            let f_open = h_up - first;
+            let f_ext = f_up - extend;
+            let f = f_open.max(f_ext);
+            let diag = h_diag + scoring.score(qi, rj);
             // Tie-break preference: diagonal > E > F > stop, which yields
-            // the most "matched" alignment among optimal ones.
-            let mut h = 0;
-            let mut src = H_STOP;
-            if diag > h {
-                h = diag;
-                src = H_DIAG;
-            }
-            if e > h {
-                h = e;
-                src = H_FROM_E;
-            }
-            if f > h {
-                h = f;
-                src = H_FROM_F;
-            }
-            h_cur[j] = h;
-            tb[row + (j - 1)] = flags | src;
-            if h > best {
-                best = h;
-                bi = i;
-                bj = j;
+            // the most "matched" alignment among optimal ones. A later
+            // source replaces an earlier one only when strictly greater,
+            // and its code is larger, so the source is the largest code
+            // whose comparison held.
+            let h_d = diag.max(0);
+            let h_e = e.max(h_d);
+            let h = f.max(h_e);
+            let src = (u8::from(diag > 0) * H_DIAG)
+                .max(u8::from(e > h_d) * H_FROM_E)
+                .max(u8::from(f > h_e) * H_FROM_F);
+            *tb = src | (u8::from(e_ext > e_open) * E_EXT) | (u8::from(f_ext > f_open) * F_EXT);
+            *hf = [h, f];
+            h_diag = h_up;
+            h_left = h;
+            if h > row_best {
+                row_best = h;
+                row_bj = j + 1;
             }
         }
-        std::mem::swap(&mut h_prev, &mut h_cur);
-        std::mem::swap(&mut f_prev, &mut f_cur);
-        h_cur[0] = 0;
+        // The first strict maximum in row-major order: a row takes over
+        // only by beating every earlier row, at its first such column.
+        if row_best > best {
+            best = row_best;
+            bi = i + 1;
+            bj = row_bj;
+        }
     }
+    let tb = &scratch.tb;
+    traceback(q, r, best, bi, bj, &mut scratch.ops_rev, |i, j| {
+        tb[i * n + j]
+    })
+}
 
-    let mut res = AlignmentResult::empty(m, n);
+/// Walk the direction bytes back from the best cell `(bi, bj)` (1-based,
+/// as the fill loops count) and assemble the result. `cell(i, j)` is the
+/// byte of the 0-based cell, which is all a kernel's layout has to supply.
+pub(crate) fn traceback(
+    q: &[u8],
+    r: &[u8],
+    best: i32,
+    bi: usize,
+    bj: usize,
+    ops_rev: &mut Vec<AlignOp>,
+    cell: impl Fn(usize, usize) -> u8,
+) -> AlignmentResult {
+    let mut res = AlignmentResult::empty(q.len(), r.len());
     res.score = best;
     if best == 0 {
         return res;
     }
-    // Traceback from (bi, bj).
     #[derive(Clone, Copy, PartialEq)]
     enum State {
         H,
@@ -293,9 +357,9 @@ pub fn sw_align<S: Scoring>(
     }
     let (mut i, mut j) = (bi, bj);
     let mut state = State::H;
-    let mut ops_rev: Vec<AlignOp> = Vec::new();
+    ops_rev.clear();
     loop {
-        let cell = tb[(i - 1) * n + (j - 1)];
+        let cell = cell(i - 1, j - 1);
         match state {
             State::H => match cell & 0b11 {
                 H_STOP => break,
@@ -349,8 +413,7 @@ pub fn sw_align<S: Scoring>(
     res.q_end = bi;
     res.r_begin = j;
     res.r_end = bj;
-    ops_rev.reverse();
-    res.ops = ops_rev;
+    res.ops = ops_rev.iter().rev().copied().collect();
     res
 }
 
@@ -405,6 +468,153 @@ mod tests {
 
     fn gp(open: i32, extend: i32) -> GapPenalties {
         GapPenalties { open, extend }
+    }
+
+    /// The kernel as it was first written: a branch per decision and fresh
+    /// buffers per pair. Kept as the oracle the branch-free [`sw_align`]
+    /// is pinned against, field for field.
+    fn sw_align_branchy<S: Scoring>(
+        q: &[u8],
+        r: &[u8],
+        scoring: &S,
+        gaps: GapPenalties,
+    ) -> AlignmentResult {
+        let (m, n) = (q.len(), r.len());
+        if m == 0 || n == 0 {
+            return AlignmentResult::empty(m, n);
+        }
+        let mut tb = vec![0u8; m * n];
+        let mut h_prev = vec![0i32; n + 1];
+        let mut h_cur = vec![0i32; n + 1];
+        let mut f_prev = vec![i32::MIN / 2; n + 1];
+        let mut f_cur = vec![i32::MIN / 2; n + 1];
+        let (mut best, mut bi, mut bj) = (0i32, 0usize, 0usize);
+        for i in 1..=m {
+            let qi = q[i - 1];
+            let mut e = i32::MIN / 2;
+            let row = (i - 1) * n;
+            for j in 1..=n {
+                let mut flags = 0u8;
+                let e_open = h_cur[j - 1] - gaps.first();
+                let e_ext = e - gaps.extend;
+                e = if e_ext > e_open {
+                    flags |= E_EXT;
+                    e_ext
+                } else {
+                    e_open
+                };
+                let f_open = h_prev[j] - gaps.first();
+                let f_ext = f_prev[j] - gaps.extend;
+                let f = if f_ext > f_open {
+                    flags |= F_EXT;
+                    f_ext
+                } else {
+                    f_open
+                };
+                f_cur[j] = f;
+                let diag = h_prev[j - 1] + scoring.score(qi, r[j - 1]);
+                // Tie-break preference: diagonal > E > F > stop, which yields
+                // the most "matched" alignment among optimal ones.
+                let mut h = 0;
+                let mut src = H_STOP;
+                if diag > h {
+                    h = diag;
+                    src = H_DIAG;
+                }
+                if e > h {
+                    h = e;
+                    src = H_FROM_E;
+                }
+                if f > h {
+                    h = f;
+                    src = H_FROM_F;
+                }
+                h_cur[j] = h;
+                tb[row + (j - 1)] = flags | src;
+                if h > best {
+                    best = h;
+                    bi = i;
+                    bj = j;
+                }
+            }
+            std::mem::swap(&mut h_prev, &mut h_cur);
+            std::mem::swap(&mut f_prev, &mut f_cur);
+            h_cur[0] = 0;
+        }
+
+        let mut res = AlignmentResult::empty(m, n);
+        res.score = best;
+        if best == 0 {
+            return res;
+        }
+        // Traceback from (bi, bj).
+        #[derive(Clone, Copy, PartialEq)]
+        enum State {
+            H,
+            E,
+            F,
+        }
+        let (mut i, mut j) = (bi, bj);
+        let mut state = State::H;
+        let mut ops_rev: Vec<AlignOp> = Vec::new();
+        loop {
+            let cell = tb[(i - 1) * n + (j - 1)];
+            match state {
+                State::H => match cell & 0b11 {
+                    H_STOP => break,
+                    H_DIAG => {
+                        if q[i - 1] == r[j - 1] {
+                            res.matches += 1;
+                            ops_rev.push(AlignOp::Match);
+                        } else {
+                            res.mismatches += 1;
+                            ops_rev.push(AlignOp::Mismatch);
+                        }
+                        i -= 1;
+                        j -= 1;
+                        if i == 0 || j == 0 {
+                            break;
+                        }
+                    }
+                    H_FROM_E => state = State::E,
+                    H_FROM_F => state = State::F,
+                    _ => unreachable!(),
+                },
+                State::E => {
+                    // Gap in query, consuming r[j-1].
+                    res.q_gaps += 1;
+                    ops_rev.push(AlignOp::GapInQuery);
+                    let ext = cell & E_EXT != 0;
+                    j -= 1;
+                    if j == 0 {
+                        break;
+                    }
+                    if !ext {
+                        state = State::H;
+                    }
+                }
+                State::F => {
+                    // Gap in reference, consuming q[i-1].
+                    res.r_gaps += 1;
+                    ops_rev.push(AlignOp::GapInRef);
+                    let ext = cell & F_EXT != 0;
+                    i -= 1;
+                    if i == 0 {
+                        break;
+                    }
+                    if !ext {
+                        state = State::H;
+                    }
+                }
+            }
+        }
+        res.q_begin = i;
+        res.q_end = bi;
+        res.r_begin = j;
+        res.r_end = bj;
+        ops_rev.reverse();
+        res.ops = ops_rev;
+        res
     }
 
     #[test]
@@ -592,6 +802,29 @@ mod tests {
             let (cheap, ..) = sw_score_only(&a, &b, &Blosum62, gp(5, 1));
             let (pricey, ..) = sw_score_only(&a, &b, &Blosum62, gp(11, 2));
             prop_assert!(pricey <= cheap);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn branch_free_kernel_equals_the_branchy_oracle(
+            a in proptest::collection::vec(0u8..4, 0..40),
+            b in proptest::collection::vec(0u8..4, 0..40),
+            open in 0i32..13,
+            extend in 0i32..4,
+            blosum in 0u8..2,
+        ) {
+            // A four-letter alphabet and small gap costs make ties the
+            // common case, which is where the two could part.
+            let g = gp(open, extend);
+            if blosum == 1 {
+                prop_assert_eq!(sw_align(&a, &b, &Blosum62, g), sw_align_branchy(&a, &b, &Blosum62, g));
+            } else {
+                let sc = MatchMismatch { match_score: 1, mismatch_score: -1 };
+                prop_assert_eq!(sw_align(&a, &b, &sc, g), sw_align_branchy(&a, &b, &sc, g));
+            }
         }
     }
 }

@@ -14,10 +14,81 @@
 //! This binary reports the modeled per-rank peak memory across block
 //! counts and node counts, its composition, and the minimum node count at
 //! which the unblocked search fits a fixed per-rank budget vs the blocked
-//! one.
+//! one. It ends with a measurement: what the runtime accountant's spill
+//! tier costs on the repo benchmark's `search.blocked` input.
+
+use std::time::Instant;
 
 use pastis_bench::*;
+use pastis_core::pipeline::{run_search_serial, run_search_serial_traced};
 use pastis_core::{blocking_for_budget, simulate, LoadBalance};
+use pastis_trace::recorder::TraceSession;
+
+/// The spill tier's measured cost: the repo benchmark's `search.blocked`
+/// configuration (1000 sequences, 3×3 blocks, triangular balance, a
+/// 2-thread pool) under a loose budget and under ¾ of the loose run's
+/// high-water mark, interleaved, with the spill counters of one traced
+/// budgeted run.
+fn measured_spill_overhead() {
+    const REPS: usize = 11;
+    let store = bench_dataset(1000).store;
+    let dir = std::env::temp_dir().join(format!("pastis-memfoot-spill-{}", std::process::id()));
+    let blocked = bench_params()
+        .with_blocking(3, 3)
+        .with_load_balance(LoadBalance::Triangular)
+        .with_threads(2);
+    let loose = blocked
+        .clone()
+        .with_mem_budget(1 << 40)
+        .with_spill_dir(&dir);
+    let high = run_search_serial(&store, &loose)
+        .expect("a loose budget cannot fail")
+        .mem_high_water
+        .expect("budgeted runs report their high water");
+    let tight = blocked.with_mem_budget(high * 3 / 4).with_spill_dir(&dir);
+    let (mut loose_s, mut tight_s) = (Vec::new(), Vec::new());
+    for _ in 0..REPS {
+        for (params, seconds) in [(&loose, &mut loose_s), (&tight, &mut tight_s)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let t0 = Instant::now();
+            std::hint::black_box(run_search_serial(&store, params).expect("budget fits"));
+            seconds.push(t0.elapsed().as_secs_f64());
+        }
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (loose_s, tight_s) = (median(&mut loose_s), median(&mut tight_s));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = TraceSession::new();
+    let rec = session.recorder(0);
+    run_search_serial_traced(&store, &tight, &rec).expect("budget fits");
+    let _ = std::fs::remove_dir_all(&dir);
+    let ctr = rec.counters();
+    let count = |name: &str| ctr.get(name).copied().unwrap_or(0.0) as u64;
+    println!(
+        "\nmeasured spill overhead (search.blocked input: {} seqs, 3x3 blocks, triangular,\n\
+         2-thread pool; median of {REPS} interleaved runs):",
+        store.len()
+    );
+    println!(
+        "  loose budget {loose_s:.4} s   budget {} B (3/4 of high water {high} B) {tight_s:.4} s",
+        high * 3 / 4
+    );
+    println!(
+        "  spill overhead {:.4} s ({:.0}% of the loose run)",
+        tight_s - loose_s,
+        100.0 * (tight_s - loose_s) / loose_s
+    );
+    println!(
+        "  spilled {} blocks / {} B out, {} blocks / {} B back in",
+        count("spill.blocks_out"),
+        fmt_count(count("spill.bytes_out")),
+        count("spill.blocks_in"),
+        fmt_count(count("spill.bytes_in"))
+    );
+}
 
 fn main() {
     let ds = bench_dataset(12_000);
@@ -131,4 +202,6 @@ fn main() {
          below it only the runtime accountant's disk spill helps.",
         floor / 1e6
     );
+
+    measured_spill_overhead();
 }

@@ -35,6 +35,7 @@
 //! `fault.stalls`) so they appear in the metrics JSON next to the span and
 //! comm telemetry.
 
+use std::io::Read;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,15 +83,59 @@ const SALT_SPILL_STALL_FRAC: u64 = 11;
 // CRC framing
 // ---------------------------------------------------------------------------
 
-/// Bitwise CRC-32 (reflected, polynomial 0xEDB88320), the classic IEEE CRC.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE CRC-32 polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `CRC32_TABLES[0]` is the classic byte table, and
+/// `CRC32_TABLES[k][b]` advances the CRC of byte `b` over `k` further zero
+/// bytes, so eight input bytes fold into the register with eight
+/// independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (reflected, polynomial 0xEDB88320), the classic IEEE CRC, eight
+/// bytes per step. Frames every on-disk document and p2p frame, so its
+/// values are part of those formats.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -868,10 +913,10 @@ impl FaultyStore {
     /// *succeed* — the damage is caught by the caller's CRC on readback.
     pub fn write_atomic(&self, path: &Path, content: &str) -> Result<(), String> {
         let op = self.writes.fetch_add(1, Ordering::Relaxed);
-        let mut bytes = content.as_bytes().to_vec();
         if !self.plan.has_spill_faults() {
-            return write_file_atomic(path, &bytes);
+            return write_file_atomic(path, content.as_bytes());
         }
+        let mut bytes = content.as_bytes().to_vec();
         if self.plan.spill_stall_p > 0.0
             && self.plan.spill_stall_us > 0
             && self.draw(op, SALT_SPILL_STALL) < self.plan.spill_stall_p
@@ -923,6 +968,28 @@ impl FaultyStore {
     pub fn read_to_string(&self, path: &Path) -> Result<String, String> {
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
     }
+
+    /// Whether the file at `path` holds exactly `content`: the read-back
+    /// check of a write that must not be lost. Compared a block at a time,
+    /// so verifying a shard costs no allocation of its size. Never
+    /// fault-injected, like [`FaultyStore::read_to_string`]; an I/O error
+    /// is a `false`.
+    pub fn holds(&self, path: &Path, content: &str) -> bool {
+        let Ok(mut file) = std::fs::File::open(path) else {
+            return false;
+        };
+        let mut want = content.as_bytes();
+        let mut block = [0u8; 1 << 16];
+        loop {
+            match file.read(&mut block) {
+                Ok(0) => return want.is_empty(),
+                Ok(n) if want.len() >= n && want[..n] == block[..n] => want = &want[n..],
+                Ok(_) => return false,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+    }
 }
 
 /// Write `bytes` to `path` via a sibling `.tmp` + rename, creating parent
@@ -948,10 +1015,50 @@ mod tests {
     use crate::local::SelfComm;
     use crate::threaded::{run_threaded, run_threaded_with, CommConfig, ThreadedComm};
 
+    /// The bit-at-a-time definition the table-driven [`crc32`] must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_tables_equal_the_bitwise_definition() {
+        // Every length around the eight-byte step, at every alignment of
+        // the tail, plus long random buffers.
+        let mut state = 0x5C22u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as u8
+        };
+        for len in (0..=64).chain([255, 256, 1000, 4097, 65_543]) {
+            let buf: Vec<u8> = (0..len).map(|_| next()).collect();
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {len}");
+        }
+        let buf: Vec<u8> = (0..300).map(|_| next()).collect();
+        for start in 0..16 {
+            assert_eq!(
+                crc32(&buf[start..]),
+                crc32_bitwise(&buf[start..]),
+                "offset {start}"
+            );
+        }
     }
 
     #[test]

@@ -51,6 +51,169 @@ use crate::stats::SearchStats;
 /// Version stamp of the on-disk checkpoint format.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 
+// ---------------------------------------------------------------------------
+// Number fields
+// ---------------------------------------------------------------------------
+//
+// The bulk of a spill shard is numbers: a k-mer index stripe is three
+// long lists of them, an output block one `edge` line per edge. They are
+// written and read here without `fmt` or `FromStr`, digit by digit. The
+// reader is stricter than `str::parse`, never laxer: ASCII digits only
+// (no sign on unsigned fields, no `+` anywhere), fields separated by
+// exactly one ASCII space.
+
+/// "00" "01" … "99": two digits per division when formatting.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
+
+/// Most decimal digits of a u64.
+const MAX_DECIMAL_LEN: usize = 20;
+
+/// Write `v` in decimal to the front of `out` (at least
+/// [`MAX_DECIMAL_LEN`] long); returns the number of digits written.
+fn write_decimal(out: &mut [u8], mut v: u64) -> usize {
+    let len = v.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let mut at = len;
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        out[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        out[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        out[0] = b'0' + v as u8;
+    }
+    len
+}
+
+/// Append `v` in decimal.
+fn push_decimal(s: &mut String, v: u64) {
+    let mut buf = [0u8; MAX_DECIMAL_LEN];
+    let len = write_decimal(&mut buf, v);
+    s.push_str(std::str::from_utf8(&buf[..len]).expect("ASCII digits"));
+}
+
+/// Append `v` as eight lower-case hex digits.
+fn push_hex32(s: &mut String, v: u32) {
+    for shift in (0..8).rev() {
+        let nibble = (v >> (shift * 4)) & 0xF;
+        s.push(char::from_digit(nibble, 16).expect("a nibble is a hex digit"));
+    }
+}
+
+/// Append a ` <v>` field per value: the body of a number-list line.
+/// Values are formatted a batch at a time into a stack buffer sized for
+/// the worst case, so the string is touched once per batch, not per value.
+fn push_decimal_list<T: Copy + TryInto<u64>>(s: &mut String, values: &[T]) {
+    const BATCH: usize = 64;
+    let mut buf = [0u8; BATCH * (1 + MAX_DECIMAL_LEN)];
+    for batch in values.chunks(BATCH) {
+        let mut at = 0;
+        for &v in batch {
+            buf[at] = b' ';
+            let v = v.try_into().ok().expect("list values are unsigned");
+            at += 1 + write_decimal(&mut buf[at + 1..], v);
+        }
+        s.push_str(std::str::from_utf8(&buf[..at]).expect("ASCII digits and spaces"));
+    }
+}
+
+/// Append one `edge <i> <j> <score> <ani_bits> <cov_bits> <common>` line.
+fn push_edge_line(s: &mut String, e: &SimilarityEdge) {
+    s.push_str("edge ");
+    push_decimal(s, e.i.into());
+    s.push(' ');
+    push_decimal(s, e.j.into());
+    s.push(' ');
+    if e.score < 0 {
+        s.push('-');
+    }
+    push_decimal(s, e.score.unsigned_abs().into());
+    s.push(' ');
+    push_hex32(s, e.ani.to_bits());
+    s.push(' ');
+    push_hex32(s, e.coverage.to_bits());
+    s.push(' ');
+    push_decimal(s, e.common_kmers.into());
+    s.push('\n');
+}
+
+/// Longest run of digits read as one number: nineteen cannot overflow a
+/// u64, so digits are folded unchecked and counted once per field.
+const MAX_DIGITS: usize = 19;
+
+/// A field of one to [`MAX_DIGITS`] ASCII digits as a number; `None` for
+/// anything else, or a value that does not fit `T`.
+fn parse_decimal<T: TryFrom<u64>>(field: &str) -> Option<T> {
+    if field.is_empty() || field.len() > MAX_DIGITS || !field.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let v = field
+        .bytes()
+        .fold(0u64, |v, b| v * 10 + u64::from(b - b'0'));
+    T::try_from(v).ok()
+}
+
+/// The body of a number-list line (what follows its key): a ` <v>` field
+/// per value. `expect` sizes the result and is itself bounded by what the
+/// line could hold, so a forged count cannot force an allocation.
+fn parse_decimal_list<T: TryFrom<u64>>(body: &str, expect: usize) -> Option<Vec<T>> {
+    let mut out = Vec::with_capacity(expect.min(body.len() / 2));
+    let mut bytes = body.bytes();
+    let mut next = bytes.next();
+    while let Some(b' ') = next {
+        let (mut v, mut digits) = (0u64, 0);
+        loop {
+            next = bytes.next();
+            match next {
+                Some(d @ b'0'..=b'9') => {
+                    v = v.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                    digits += 1;
+                }
+                _ => break,
+            }
+        }
+        if digits == 0 || digits > MAX_DIGITS {
+            return None;
+        }
+        out.push(T::try_from(v).ok()?);
+    }
+    next.is_none().then_some(out)
+}
+
+/// The fields of an `edge` line (what follows `edge `).
+fn parse_edge(body: &str) -> Option<SimilarityEdge> {
+    let mut fields = body.split(' ');
+    let i = parse_decimal(fields.next()?)?;
+    let j = parse_decimal(fields.next()?)?;
+    let score = fields.next()?;
+    let score = match score.strip_prefix('-') {
+        Some(magnitude) => 0i64.checked_sub(parse_decimal(magnitude)?)?,
+        None => parse_decimal(score)?,
+    };
+    let bits = |field: &str| u32::from_str_radix(field, 16).ok().map(f32::from_bits);
+    let edge = SimilarityEdge {
+        i,
+        j,
+        score: i32::try_from(score).ok()?,
+        ani: bits(fields.next()?)?,
+        coverage: bits(fields.next()?)?,
+        common_kmers: parse_decimal(fields.next()?)?,
+    };
+    fields.next().is_none().then_some(edge)
+}
+
 /// Mix one 64-bit value into a running digest (splitmix64 finalizer).
 /// Building block of [`run_fingerprint`]; exported so other layers (the
 /// baseline searches) can fingerprint their own runs the same way.
@@ -174,16 +337,7 @@ impl Checkpoint {
             );
         }
         for e in &self.edges {
-            let _ = writeln!(
-                s,
-                "edge {} {} {} {:08x} {:08x} {}",
-                e.i,
-                e.j,
-                e.score,
-                e.ani.to_bits(),
-                e.coverage.to_bits(),
-                e.common_kmers
-            );
+            push_edge_line(&mut s, e);
         }
         let crc = crc32(s.as_bytes());
         let _ = writeln!(s, "end {crc:08x}");
@@ -308,27 +462,9 @@ impl Checkpoint {
                     aligned_pairs: next_num(&mut it, "block aligned_pairs")?,
                 });
             } else if let Some(rest) = line.strip_prefix("edge ") {
-                let mut it = rest.split_whitespace();
-                let i: u32 = next_num(&mut it, "edge i")?;
-                let j: u32 = next_num(&mut it, "edge j")?;
-                let score: i32 = next_num(&mut it, "edge score")?;
-                let ani_tok = it.next().ok_or("edge line missing ani")?;
-                let cov_tok = it.next().ok_or("edge line missing coverage")?;
-                let ani = u32::from_str_radix(ani_tok, 16)
-                    .map(f32::from_bits)
-                    .map_err(|_| "bad ani bits in checkpoint".to_string())?;
-                let coverage = u32::from_str_radix(cov_tok, 16)
-                    .map(f32::from_bits)
-                    .map_err(|_| "bad coverage bits in checkpoint".to_string())?;
-                let common_kmers: u32 = next_num(&mut it, "edge common_kmers")?;
-                edges.push(SimilarityEdge {
-                    i,
-                    j,
-                    score,
-                    ani,
-                    coverage,
-                    common_kmers,
-                });
+                edges.push(
+                    parse_edge(rest).ok_or_else(|| format!("bad checkpoint line: {line:?}"))?,
+                );
             } else {
                 return Err(format!("unexpected checkpoint line: {line:?}"));
             }
@@ -486,16 +622,7 @@ impl SpillShard {
         let _ = writeln!(s, "rank {}", self.rank);
         let _ = writeln!(s, "block {}", self.block);
         for e in &self.edges {
-            let _ = writeln!(
-                s,
-                "edge {} {} {} {:08x} {:08x} {}",
-                e.i,
-                e.j,
-                e.score,
-                e.ani.to_bits(),
-                e.coverage.to_bits(),
-                e.common_kmers
-            );
+            push_edge_line(&mut s, e);
         }
         let crc = crc32(s.as_bytes());
         let _ = writeln!(s, "end {crc:08x}");
@@ -554,40 +681,11 @@ impl SpillShard {
 
         let mut edges = Vec::new();
         for line in lines {
-            let rest = line
+            let edge = line
                 .strip_prefix("edge ")
-                .ok_or_else(|| format!("unexpected spill shard line: {line:?}"))?;
-            let mut it = rest.split_whitespace();
-            let mut num = |what: &str| -> Result<&str, String> {
-                it.next()
-                    .ok_or_else(|| format!("spill edge line missing {what}"))
-            };
-            let i: u32 = num("i")?
-                .parse()
-                .map_err(|_| "bad edge i in spill shard".to_string())?;
-            let j: u32 = num("j")?
-                .parse()
-                .map_err(|_| "bad edge j in spill shard".to_string())?;
-            let score: i32 = num("score")?
-                .parse()
-                .map_err(|_| "bad edge score in spill shard".to_string())?;
-            let ani = u32::from_str_radix(num("ani")?, 16)
-                .map(f32::from_bits)
-                .map_err(|_| "bad ani bits in spill shard".to_string())?;
-            let coverage = u32::from_str_radix(num("coverage")?, 16)
-                .map(f32::from_bits)
-                .map_err(|_| "bad coverage bits in spill shard".to_string())?;
-            let common_kmers: u32 = num("common_kmers")?
-                .parse()
-                .map_err(|_| "bad edge common_kmers in spill shard".to_string())?;
-            edges.push(SimilarityEdge {
-                i,
-                j,
-                score,
-                ani,
-                coverage,
-                common_kmers,
-            });
+                .and_then(parse_edge)
+                .ok_or_else(|| format!("bad spill shard line: {line:?}"))?;
+            edges.push(edge);
         }
         Ok(SpillShard {
             fingerprint,
@@ -664,19 +762,11 @@ impl IndexShard {
         );
         let _ = writeln!(s, "dims {} {} {}", self.nrows, self.ncols, self.cols.len());
         s.push_str("rowptr");
-        for v in &self.rowptr {
-            let _ = write!(s, " {v}");
-        }
-        s.push('\n');
-        s.push_str("cols");
-        for v in &self.cols {
-            let _ = write!(s, " {v}");
-        }
-        s.push('\n');
-        s.push_str("vals");
-        for v in &self.vals {
-            let _ = write!(s, " {v}");
-        }
+        push_decimal_list(&mut s, &self.rowptr);
+        s.push_str("\ncols");
+        push_decimal_list(&mut s, &self.cols);
+        s.push_str("\nvals");
+        push_decimal_list(&mut s, &self.vals);
         s.push('\n');
         let crc = crc32(s.as_bytes());
         let _ = writeln!(s, "end {crc:08x}");
@@ -724,13 +814,13 @@ impl IndexShard {
             line.strip_prefix(key)
                 .ok_or_else(|| format!("expected {key:?} line, got {line:?}"))
         }
-        fn vec_of<T: std::str::FromStr>(rest: &str, what: &str) -> Result<Vec<T>, String> {
-            rest.split_whitespace()
-                .map(|t| {
-                    t.parse()
-                        .map_err(|_| format!("bad {what} entry in index shard: {t:?}"))
-                })
-                .collect()
+        fn list_of<T: TryFrom<u64>>(
+            line: Option<&str>,
+            key: &str,
+            expect: usize,
+        ) -> Result<Vec<T>, String> {
+            parse_decimal_list(keyed(line, key)?, expect)
+                .ok_or_else(|| format!("bad {key} entry in index shard"))
         }
 
         let fingerprint = u64::from_str_radix(keyed(lines.next(), "fingerprint ")?.trim(), 16)
@@ -761,9 +851,9 @@ impl IndexShard {
         let ncols = dim("ncols")?;
         let nnz = dim("nnz")?;
 
-        let rowptr: Vec<usize> = vec_of(keyed(lines.next(), "rowptr")?, "rowptr")?;
-        let cols: Vec<u32> = vec_of(keyed(lines.next(), "cols")?, "cols")?;
-        let vals: Vec<u32> = vec_of(keyed(lines.next(), "vals")?, "vals")?;
+        let rowptr: Vec<usize> = list_of(lines.next(), "rowptr", nrows.saturating_add(1))?;
+        let cols: Vec<u32> = list_of(lines.next(), "cols", nnz)?;
+        let vals: Vec<u32> = list_of(lines.next(), "vals", nnz)?;
         if lines.next().is_some() {
             return Err("trailing lines in index shard".to_string());
         }
@@ -788,9 +878,13 @@ impl IndexShard {
         if rowptr.windows(2).any(|w| w[0] > w[1]) {
             return Err("index shard rowptr not monotone".to_string());
         }
-        for i in 0..nrows {
-            let r = &cols[rowptr[i]..rowptr[i + 1]];
-            if r.windows(2).any(|w| w[0] >= w[1]) || r.iter().any(|&c| (c as usize) >= ncols) {
+        if cols.iter().any(|&c| c as usize >= ncols) {
+            return Err("index shard columns not sorted/in-bounds".to_string());
+        }
+        // Most rows of a transposed k-mer stripe hold at most one entry;
+        // only longer ones have an order to check.
+        for (i, w) in rowptr.windows(2).enumerate() {
+            if w[1] - w[0] > 1 && cols[w[0]..w[1]].windows(2).any(|c| c[0] >= c[1]) {
                 return Err(format!("index shard row {i} columns not sorted/in-bounds"));
             }
         }

@@ -59,8 +59,8 @@ pub struct SearchParams {
     /// `0` uses one worker per available core. The similarity graph is
     /// bit-identical for every value — only wall time changes.
     pub align_threads: usize,
-    /// Vector backend of the score-only alignment kernel (`--simd`).
-    /// `Auto` picks the best the host supports; forcing an unavailable
+    /// Vector backend of the traceback and score-only alignment kernels
+    /// (`--simd`). `Auto` picks the best the host supports; forcing an unavailable
     /// backend fails validation. Like `align_threads`, the similarity
     /// graph is bit-identical for every choice — only throughput changes.
     pub simd: SimdPolicy,

@@ -23,6 +23,7 @@
 //! load-balancing scheme — the determinism property PASTIS holds over
 //! DIAMOND/MMseqs2 (verified by `tests/determinism.rs`).
 
+use std::cell::{Cell, RefCell};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -203,6 +204,14 @@ struct SpillCtx<'a> {
     fingerprint: u64,
     rank: usize,
     recorder: &'a Recorder,
+    /// Per index stripe (A stripes, then B stripes): a verified shard of
+    /// it is on disk. Stripes never change after construction, so such a
+    /// stripe is evicted by dropping it; no stripe is written twice.
+    stripe_on_disk: RefCell<Vec<bool>>,
+    /// The block schedule and the index of the block the drive loop is
+    /// at: stripes are evicted farthest next use first.
+    schedule: &'a [BlockTask],
+    cursor: Cell<usize>,
 }
 
 impl SpillCtx<'_> {
@@ -294,23 +303,54 @@ impl SpillCtx<'_> {
         protect: &[BlockTask],
         need: u64,
     ) {
-        for r in 0..bs.br() {
-            if self.accountant.would_fit(need) {
-                return;
-            }
-            if a_evicted[r] || protect.iter().any(|t| t.r == r) || bs.a_stripe_bytes(r) == 0 {
-                continue;
-            }
-            self.try_evict_stripe(bs, true, r, a_evicted);
+        // Candidates, farthest next use in the block schedule first (a
+        // stripe no upcoming block reads goes before all others).
+        let upcoming = &self.schedule[self.cursor.get().min(self.schedule.len())..];
+        let next_use = |is_a: bool, i: usize| {
+            upcoming
+                .iter()
+                .position(|t| if is_a { t.r == i } else { t.c == i })
+                .unwrap_or(usize::MAX)
+        };
+        let a_side = (0..bs.br())
+            .filter(|&r| !a_evicted[r] && !protect.iter().any(|t| t.r == r))
+            .map(|r| (true, r, bs.a_stripe_bytes(r)));
+        let b_side = (0..bs.bc())
+            .filter(|&c| !b_evicted[c] && !protect.iter().any(|t| t.c == c))
+            .map(|c| (false, c, bs.b_stripe_bytes(c)));
+        let mut victims: Vec<(bool, usize, u64)> =
+            a_side.chain(b_side).filter(|v| v.2 > 0).collect();
+        victims.sort_by_key(|&(is_a, i, _)| std::cmp::Reverse(next_use(is_a, i)));
+        // Stripes differ in size (an Aᵀ stripe carries a row pointer per
+        // k-mer), so taking victims in that order until the reservation
+        // fits can take more than it needs. Go back over the ones taken,
+        // soonest needed first, and keep resident every one the
+        // reservation fits without.
+        let short = (self.accountant.live() + need)
+            .saturating_sub(self.accountant.budget().unwrap_or(u64::MAX));
+        let mut taken = 0;
+        let mut freed = 0u64;
+        while taken < victims.len() && freed < short {
+            freed += victims[taken].2;
+            taken += 1;
         }
-        for c in 0..bs.bc() {
+        let mut spared = vec![false; victims.len()];
+        for k in (0..taken).rev() {
+            if freed - victims[k].2 >= short {
+                freed -= victims[k].2;
+                spared[k] = true;
+            }
+        }
+        // An eviction that cannot be verified keeps its stripe, so the
+        // spared ones are tried last rather than never.
+        let planned = (0..victims.len()).filter(|&k| !spared[k]);
+        let fallback = (0..victims.len()).filter(|&k| spared[k]);
+        for k in planned.chain(fallback) {
             if self.accountant.would_fit(need) {
                 return;
             }
-            if b_evicted[c] || protect.iter().any(|t| t.c == c) || bs.b_stripe_bytes(c) == 0 {
-                continue;
-            }
-            self.try_evict_stripe(bs, false, c, b_evicted);
+            let (is_a, i, _) = victims[k];
+            self.try_evict_stripe(bs, is_a, i, if is_a { a_evicted } else { b_evicted });
         }
     }
 
@@ -320,11 +360,18 @@ impl SpillCtx<'_> {
         } else {
             bs.b_stripe_bytes(i)
         };
+        let slot = if is_a { i } else { bs.br() + i };
         let block = if is_a {
             bs.evict_a_stripe(i)
         } else {
             bs.evict_b_stripe(i)
         };
+        if self.stripe_on_disk.borrow()[slot] {
+            evicted[i] = true;
+            self.accountant.release(bytes);
+            self.recorder.add_counter(names::CTR_SPILL_BLOCKS_OUT, 1.0);
+            return;
+        }
         let (nrows, ncols, rowptr, cols, vals) = block.into_parts();
         let shard = IndexShard {
             fingerprint: self.fingerprint,
@@ -339,23 +386,20 @@ impl SpillCtx<'_> {
         };
         let text = shard.to_text();
         let path = checkpoint::index_spill_path(self.dir, self.rank, is_a, i);
+        // The file must hold exactly the bytes just formatted: that catches
+        // every injected or real write fault, and what `to_text` produces
+        // `parse` accepts (pinned by the shard round-trip tests).
         let committed = {
             let _sp = span!(self.recorder, Component::SparseOther, names::SPAN_SPILL_WRITE, {
                 stripe: i as u64,
+                a_side: u64::from(is_a),
                 bytes: text.len() as u64,
             });
-            self.io.write_atomic(&path, &text).is_ok()
-                && match self
-                    .io
-                    .read_to_string(&path)
-                    .and_then(|t| IndexShard::parse(&t))
-                {
-                    Ok(back) => back == shard,
-                    Err(_) => false,
-                }
+            self.io.write_atomic(&path, &text).is_ok() && self.io.holds(&path, &text)
         };
         if committed {
             evicted[i] = true;
+            self.stripe_on_disk.borrow_mut()[slot] = true;
             self.accountant.release(bytes);
             self.recorder.add_counter(names::CTR_SPILL_BLOCKS_OUT, 1.0);
             self.recorder
@@ -621,6 +665,9 @@ pub fn run_search_traced<C: Communicator + Sync>(
         fingerprint,
         rank,
         recorder,
+        stripe_on_disk: RefCell::new(vec![false; bs.br() + bs.bc()]),
+        schedule: &plan.tasks,
+        cursor: Cell::new(0),
     });
     // Exact staging bound per stripe: each SUMMA stage holds the *received*
     // broadcast pair — some peer's block of the A/B stripe — so the bound
@@ -919,9 +966,10 @@ pub fn run_search_traced<C: Communicator + Sync>(
     // with results in task order — output is bit-identical for every
     // worker count. Workers never touch the communicator, so under
     // pre-blocking the concurrent sparse thread remains the only thread
-    // issuing collectives. Score-only batches dispatch through the
-    // `--simd`-selected vector backend; like the thread count, the choice
-    // never changes the graph (the kernel is bit-identical to scalar).
+    // issuing collectives. Traceback and score-only batches dispatch
+    // through the `--simd`-selected vector backend; like the thread count,
+    // the choice never changes the graph (both kernels are bit-identical
+    // to their scalar references).
     let simd_backend = params
         .simd
         .resolve()
@@ -958,9 +1006,13 @@ pub fn run_search_traced<C: Communicator + Sync>(
         let cpu_seconds;
         match params.align_kind {
             AlignKind::FullSw => {
+                // Traceback on the `--simd` lanes, one anti-diagonal per
+                // vector; results equal the scalar kernel's in every field.
                 let (results, stats) = pool.run_traceback(&tasks, lookup, &Blosum62, params.gaps);
                 cells = stats.cells;
                 cpu_seconds = stats.seconds;
+                batch_span.push_arg("simd", stats.simd.id());
+                batch_span.push_arg("lane_promotions", stats.lane_promotions);
                 for (pt, res) in pairs.iter().zip(&results) {
                     let (qlen, rlen) = (seqs[pt.i as usize].len(), seqs[pt.j as usize].len());
                     if filter.passes(res, qlen, rlen) {
@@ -1160,6 +1212,9 @@ pub fn run_search_traced<C: Communicator + Sync>(
     let mut deferred_oom: Option<String> = None;
     let mut pressure_hint = false;
     for idx in start_idx..stop_idx {
+        if let Some(ctx) = &spill_ctx {
+            ctx.cursor.set(idx);
+        }
         if budgeted {
             let flags = [u64::from(deferred_oom.is_some()), u64::from(pressure_hint)];
             let flags = if p > 1 {
@@ -1334,6 +1389,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
     // normalize makes the graph bit-identical to an unbudgeted run
     // either way.
     if let Some(ctx) = &spill_ctx {
+        ctx.cursor.set(tasks.len());
         let mut failed: Vec<usize> = Vec::new();
         // A charge that failed at the tail of the block loop (or fails
         // while merging below) aborts at the vote before the collective
@@ -1526,9 +1582,9 @@ pub fn run_search_traced<C: Communicator + Sync>(
         // pool recovers over the old static thread split.
         recorder.add_counter(names::CTR_POOL_STEALS, wp.steals() as f64);
     }
-    if params.align_kind == AlignKind::ScoreOnly {
-        // Which vector backend the score-only batches ran on (stable id:
-        // scalar 0, sse2 1, avx2 2, neon 3). Recorded once per run.
+    if !matches!(params.align_kind, AlignKind::Banded(_)) {
+        // Which vector backend the traceback or score-only batches ran on
+        // (stable id: scalar 0, sse2 1, avx2 2, neon 3). Once per run.
         recorder.add_counter(names::CTR_ALIGN_SIMD_BACKEND, simd_backend.id() as f64);
     }
     Ok(SearchResult {
@@ -2157,6 +2213,108 @@ mod tests {
             spilled_and_passed,
             "no tested budget both spilled and completed"
         );
+    }
+
+    #[test]
+    fn budgeted_run_writes_each_stripe_once_and_keeps_what_it_cannot_verify() {
+        use pastis_trace::TraceSession;
+        let store = tiny_store();
+        let base_params = SearchParams::test_defaults().with_blocking(3, 3);
+        let base = run_search_serial(&store, &base_params).unwrap();
+        let dir = spill_dir("once-loose");
+        let high = run_search_serial(
+            &store,
+            &base_params
+                .clone()
+                .with_mem_budget(1 << 30)
+                .with_spill_dir(&dir),
+        )
+        .unwrap()
+        .mem_high_water
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let arg = |s: &pastis_trace::SpanEvent, k: &str| {
+            s.args.iter().find(|(n, _)| *n == k).map(|(_, v)| *v)
+        };
+
+        // Index stripes never change, so a stripe that is evicted, restored
+        // and evicted again is written the first time only. Tighter budgets
+        // evict more often; at least one of them must re-evict.
+        let mut re_evicted = false;
+        for denom in [4u64, 5, 6, 8] {
+            let dir = spill_dir(&format!("once{denom}"));
+            let params = base_params
+                .clone()
+                .with_mem_budget(high * 3 / denom)
+                .with_spill_dir(&dir);
+            let session = TraceSession::new();
+            let rec = session.recorder(0);
+            match run_search_serial_traced(&store, &params, &rec) {
+                Ok(res) => assert_eq!(graph_bits(&res), graph_bits(&base), "3/{denom}"),
+                Err(e) => {
+                    assert!(e.contains("out of memory in phase"), "{e}");
+                    continue;
+                }
+            }
+            let spans = rec.snapshot_spans();
+            let mut written: Vec<(u64, u64)> = spans
+                .iter()
+                .filter(|s| s.name == names::SPAN_SPILL_WRITE)
+                .filter_map(|s| Some((arg(s, "a_side")?, arg(s, "stripe")?)))
+                .collect();
+            let stripe_writes = written.len();
+            written.sort_unstable();
+            written.dedup();
+            assert_eq!(
+                written.len(),
+                stripe_writes,
+                "3/{denom}: a stripe was written twice"
+            );
+            let block_writes = spans
+                .iter()
+                .filter(|s| s.name == names::SPAN_SPILL_WRITE && arg(s, "block").is_some())
+                .count();
+            let evictions = rec.counters()[names::CTR_SPILL_BLOCKS_OUT] as usize;
+            re_evicted |= evictions > stripe_writes + block_writes;
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(re_evicted, "no tested budget evicted a stripe twice");
+
+        // Every write damaged in flight: comparing the file with the bytes
+        // just formatted catches each one, so no stripe eviction commits and
+        // no stripe is ever read back.
+        let dir = spill_dir("once-corrupt");
+        let params = base_params
+            .clone()
+            .with_mem_budget(high * 3 / 4)
+            .with_spill_dir(&dir)
+            .with_spill_faults(pastis_comm::FaultPlan::parse("seed=3,spill_corrupt=1.0").unwrap());
+        let session = TraceSession::new();
+        let rec = session.recorder(0);
+        match run_search_serial_traced(&store, &params, &rec) {
+            Ok(res) => assert_eq!(graph_bits(&res), graph_bits(&base)),
+            Err(e) => assert!(e.contains("out of memory in phase"), "{e}"),
+        }
+        let spans = rec.snapshot_spans();
+        let attempted = spans
+            .iter()
+            .filter(|s| s.name == names::SPAN_SPILL_WRITE && arg(s, "stripe").is_some())
+            .count();
+        assert!(
+            attempted > 0,
+            "the corrupt plan never tried to evict a stripe"
+        );
+        assert!(
+            rec.counters()[names::CTR_SPILL_CRC_REJECTS] >= attempted as f64,
+            "a damaged stripe write was not caught"
+        );
+        assert!(
+            !spans
+                .iter()
+                .any(|s| s.name == names::SPAN_SPILL_READ && arg(s, "stripe").is_some()),
+            "a stripe was restored although no eviction could commit"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

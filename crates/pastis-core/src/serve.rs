@@ -352,6 +352,9 @@ struct BatchEngine<'a> {
     recorder: &'a Recorder,
     stripes: Vec<Option<CsrMatrix<u32>>>,
     stripes_loaded: u64,
+    /// The query stream is the reference set: only pairs with
+    /// `reference id > query id` are ever emitted.
+    self_mode: bool,
 }
 
 impl BatchEngine<'_> {
@@ -433,10 +436,19 @@ impl BatchEngine<'_> {
         // Candidate selection + seed extraction, shared predicates.
         let mut tasks: Vec<AlignTask> = Vec::new();
         let mut owners: Vec<(usize, u32, u32)> = Vec::new();
-        for li in 0..bn {
+        for (li, &qid) in qids.iter().enumerate() {
             let (cols, vals) = c.row(li);
             stats.candidates += cols.len() as u64;
             for (lj, ck) in cols.iter().zip(vals) {
+                // Self mode emits each unordered pair once, from its
+                // smaller id, so the other orientation is never aligned.
+                // A hit vector shared through the cache or coalescing was
+                // computed for a smaller query id (requests are answered
+                // in ascending order), so it still holds every reference
+                // above the sharing query's own id.
+                if self.self_mode && *lj <= qid {
+                    continue;
+                }
                 if !candidate_passes(ck, p.common_kmer_threshold) {
                     continue;
                 }
@@ -470,6 +482,7 @@ impl BatchEngine<'_> {
             AlignKind::FullSw => {
                 let (results, bstats) = self.align.run_traceback(&tasks, lookup, &Blosum62, p.gaps);
                 stats.cells += bstats.cells;
+                bspan.push_arg("simd", bstats.simd.id());
                 for (&(li, j, count), res) in owners.iter().zip(&results) {
                     let (qlen, rlen) = (bstore.seq(li).len(), refs.seq(j as usize).len());
                     if self.filter.passes(res, qlen, rlen) {
@@ -628,6 +641,7 @@ pub fn serve_queries_traced(
     if let Some(wp) = &unified {
         align = align.with_workers(wp.clone());
     }
+    let self_mode = store_digest(queries) == index.manifest.refs_digest;
     let mut engine = BatchEngine {
         index,
         queries,
@@ -638,10 +652,10 @@ pub fn serve_queries_traced(
         recorder,
         stripes: (0..index.manifest.n_stripes).map(|_| None).collect(),
         stripes_loaded: 0,
+        self_mode,
     };
 
     let nq = queries.len();
-    let self_mode = store_digest(queries) == index.manifest.refs_digest;
     let mut stats = ServeStats {
         self_mode,
         ..ServeStats::default()

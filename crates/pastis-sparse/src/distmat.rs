@@ -69,8 +69,21 @@ impl<T: DistElem> DistSparseMatrix<T> {
         let shape = grid.shape();
         let row_dist = BlockDist1D::new(nrows, shape.rows);
         let col_dist = BlockDist1D::new(ncols, shape.cols);
-        // Route each entry to its owner.
         let p = grid.world().size();
+        if p == 1 {
+            // One rank owns everything at offset (0, 0): the entries are
+            // the local block as they stand, no routing copies needed.
+            return DistSparseMatrix {
+                nrows,
+                ncols,
+                row_dist,
+                col_dist,
+                my_row: grid.my_row(),
+                my_col: grid.my_col(),
+                local: Arc::new(CsrMatrix::from_triples_combining(entries, combine)),
+            };
+        }
+        // Route each entry to its owner.
         let mut parts: Vec<Vec<(Index, Index, T)>> = (0..p).map(|_| Vec::new()).collect();
         for e in entries.entries {
             let owner_row = row_dist.owner(e.row as usize);

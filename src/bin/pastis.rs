@@ -73,8 +73,9 @@ SEARCH/CLUSTER OPTIONS:
     --banded <WIDTH>          banded kernel with half-width WIDTH
     --score-only              full-matrix score-only kernel (multilane SIMD)
     --simd <NAME>             auto | avx2 | sse2 | neon | scalar — vector
-                              backend of the score-only kernel; output is
-                              identical for any choice       [default: auto]
+                              backend of the traceback (default) and
+                              score-only kernels; output is identical
+                              for any choice                 [default: auto]
     --align-threads <INT>     intra-rank alignment workers; 0 = one per
                               core; output is identical for any value [default: 1]
     --spgemm <NAME>           auto | hash | heap | parallel — local SpGEMM
@@ -613,11 +614,16 @@ fn do_search(
         result.stats.aligned_pairs,
         result.stats.similar_pairs
     );
-    if params.align_kind == AlignKind::ScoreOnly {
+    let lane_kernel = match params.align_kind {
+        AlignKind::FullSw => Some("traceback"),
+        AlignKind::ScoreOnly => Some("score-only"),
+        AlignKind::Banded(_) => None,
+    };
+    if let Some(kernel) = lane_kernel {
         // validate() (inside the pipeline) already resolved the policy.
         let backend = params.simd.resolve()?;
         eprintln!(
-            "simd backend: {} ({} × i16 lanes; scores identical to scalar)",
+            "simd backend: {} ({} × i16 lanes, {kernel} kernel; results identical to scalar)",
             backend,
             backend.lanes()
         );
@@ -1346,8 +1352,8 @@ mod tests {
             "23",
         ]))
         .unwrap();
-        let run_with = |simd: &str, out: &Path| {
-            run(&s(&[
+        let run_with = |kernel: &[&str], simd: &str, out: &Path| {
+            let mut args = s(&[
                 "search",
                 fa.to_str().unwrap(),
                 out.to_str().unwrap(),
@@ -1359,19 +1365,29 @@ mod tests {
                 "0.4",
                 "--coverage",
                 "0.5",
-                "--score-only",
                 "--simd",
                 simd,
                 "--align-threads",
                 "2",
-            ]))
-            .unwrap();
+            ]);
+            args.extend(s(kernel));
+            run(&args).unwrap();
             std::fs::read(out).unwrap()
         };
-        let scalar = run_with("scalar", &dir.join("scalar.tsv"));
-        let auto = run_with("auto", &dir.join("auto.tsv"));
-        assert!(!scalar.is_empty(), "scalar run produced no edges");
-        assert_eq!(scalar, auto, "--simd auto diverged from --simd scalar");
+        // The default path (traceback Smith–Waterman) and the score-only
+        // one both dispatch through the `--simd` backend.
+        for kernel in [&[][..], &["--score-only"][..]] {
+            let scalar = run_with(kernel, "scalar", &dir.join("scalar.tsv"));
+            let auto = run_with(kernel, "auto", &dir.join("auto.tsv"));
+            assert!(
+                !scalar.is_empty(),
+                "{kernel:?}: scalar run produced no edges"
+            );
+            assert_eq!(
+                scalar, auto,
+                "{kernel:?}: --simd auto diverged from --simd scalar"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,8 @@
 //! Differential kernel-equivalence harness: every compiled SIMD backend of
 //! the score-only multilane kernel must be **bit-identical** to the scalar
-//! i32 kernel — scores and batch counters alike.
+//! i32 kernel — scores and batch counters alike — and every backend of the
+//! traceback kernel behind `AlignPool::run_traceback` must equal
+//! `sw_align` in every field of every result, operations included.
 //!
 //! The paper's headline determinism claim ("the output is identical for
 //! every process count / blocking factor") only survives a vectorized
@@ -15,8 +17,11 @@
 
 use pastis::align::matrices::AA_COUNT;
 use pastis::align::parallel::AlignPool;
-use pastis::align::sw::{sw_score_only, GapPenalties};
-use pastis::align::{sw_score_batch_simd, AlignTask, Blosum62, Scoring, SimdBackend};
+use pastis::align::sw::{sw_align, sw_score_only, GapPenalties};
+use pastis::align::{
+    sw_score_batch_simd, AlignTask, AlignmentResult, BatchStats, Blosum62, MatchMismatch, Scoring,
+    SimdBackend,
+};
 use pastis::core::pipeline::{run_search_serial, SearchResult};
 use pastis::core::SearchParams;
 use pastis::seqio::{SyntheticConfig, SyntheticDataset};
@@ -317,6 +322,303 @@ fn lane_promotions_surface_in_stats_and_telemetry() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Traceback lanes: `AlignPool::run_traceback` against `sw_align`
+// ---------------------------------------------------------------------------
+
+/// `run_traceback` over `pairs` on one backend.
+fn traceback_on<S: Scoring + Sync>(
+    backend: SimdBackend,
+    threads: usize,
+    pairs: &[(Vec<u8>, Vec<u8>)],
+    scoring: &S,
+    g: GapPenalties,
+) -> (Vec<AlignmentResult>, BatchStats) {
+    let tasks: Vec<AlignTask> = (0..pairs.len() as u32)
+        .map(|k| AlignTask {
+            query: 2 * k,
+            reference: 2 * k + 1,
+            seed_q: 0,
+            seed_r: 0,
+        })
+        .collect();
+    let lookup = |id: u32| -> &[u8] {
+        let (q, r) = &pairs[id as usize / 2];
+        if id % 2 == 0 {
+            q
+        } else {
+            r
+        }
+    };
+    AlignPool::new(threads)
+        .with_simd(backend)
+        .run_traceback(&tasks, lookup, scoring, g)
+}
+
+/// Every available backend (the portable `ScalarLanes` always among them)
+/// returns `sw_align`'s result for every pair — score, end cell, spans,
+/// counts and `ops` — without falling back.
+fn assert_traceback_equals_sw_align<S: Scoring + Sync>(
+    pairs: &[(Vec<u8>, Vec<u8>)],
+    scoring: &S,
+    g: GapPenalties,
+    what: &str,
+) {
+    let want: Vec<AlignmentResult> = pairs
+        .iter()
+        .map(|(q, r)| sw_align(q, r, scoring, g))
+        .collect();
+    for backend in SimdBackend::available() {
+        let (got, stats) = traceback_on(backend, 1, pairs, scoring, g);
+        for (k, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got,
+                want,
+                "{what}: {backend} pair {k} ({}x{}) under {g:?}",
+                pairs[k].0.len(),
+                pairs[k].1.len()
+            );
+        }
+        assert_eq!(stats.lane_promotions, 0, "{what}: {backend} fell back");
+        assert_eq!(stats.simd, backend, "{what}");
+    }
+}
+
+/// The gap models the suite crosses everything with: the production
+/// 11/2, a cheap 1/1 under which gaps are everywhere, and free extension,
+/// where a gap run of any length ties with its first character.
+fn gap_models() -> [GapPenalties; 3] {
+    [
+        GapPenalties::pastis_defaults(),
+        GapPenalties { open: 1, extend: 1 },
+        GapPenalties { open: 3, extend: 0 },
+    ]
+}
+
+/// Tie-heavy inputs: homopolymers, tandem repeats (against themselves, a
+/// shifted copy and a copy with one unit dropped) and a two-letter
+/// alphabet, where many alignments share the optimal score and only the
+/// tie-break order picks one.
+fn tie_heavy_pairs(seed: u64, n_pairs: usize, max_len: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pairs = Vec::with_capacity(n_pairs);
+    for k in 0..n_pairs {
+        let la = rng.gen_range(0..=max_len);
+        let lb = rng.gen_range(0..=max_len);
+        pairs.push(match k % 4 {
+            0 => {
+                let c = rng.gen_range(0..AA_COUNT as u8);
+                (vec![c; la], vec![c; lb])
+            }
+            1 => {
+                let unit_len = rng.gen_range(1..=4);
+                let unit = biased_seq(&mut rng, unit_len);
+                let shift = rng.gen_range(0..unit_len);
+                let a: Vec<u8> = unit.iter().cycle().take(la).copied().collect();
+                let b: Vec<u8> = unit.iter().cycle().skip(shift).take(lb).copied().collect();
+                (a, b)
+            }
+            2 => {
+                let unit = biased_seq(&mut rng, 3);
+                let a: Vec<u8> = unit.iter().cycle().take(la).copied().collect();
+                let mut b = a.clone();
+                if b.len() > 6 {
+                    let at = rng.gen_range(0..b.len() - 3);
+                    b.drain(at..at + 3);
+                }
+                (a, b)
+            }
+            _ => (
+                (0..la).map(|_| rng.gen_range(0..2u8)).collect(),
+                (0..lb).map(|_| rng.gen_range(0..2u8)).collect(),
+            ),
+        });
+    }
+    pairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The tentpole contract on the generators the score-only suite uses
+    /// (biased, homologous, adversarial, degenerate lengths) plus the
+    /// tie-heavy ones, under BLOSUM62 and under a match/mismatch model
+    /// whose two values make equal scores the rule.
+    #[test]
+    fn traceback_lanes_equal_sw_align(
+        seed in 0u64..1_000_000_000,
+        n_pairs in 1usize..24,
+        max_len in 1usize..72,
+    ) {
+        let unit = MatchMismatch { match_score: 1, mismatch_score: -1 };
+        let steep = MatchMismatch { match_score: 2, mismatch_score: -3 };
+        for g in gap_models() {
+            let pairs = gen_pairs(seed, n_pairs, max_len);
+            assert_traceback_equals_sw_align(&pairs, &Blosum62, g, "generated/blosum62");
+            assert_traceback_equals_sw_align(&pairs, &unit, g, "generated/+1-1");
+            let pairs = tie_heavy_pairs(seed, n_pairs, max_len);
+            assert_traceback_equals_sw_align(&pairs, &Blosum62, g, "ties/blosum62");
+            assert_traceback_equals_sw_align(&pairs, &unit, g, "ties/+1-1");
+            assert_traceback_equals_sw_align(&pairs, &steep, g, "ties/+2-3");
+        }
+    }
+}
+
+/// Every shape around the strip and step boundaries of both lane widths
+/// (8 and 16): L−1, L, L+1, 2L+1 rows and columns, single rows and
+/// columns, and empty sequences, for identical, homologous and unrelated
+/// content.
+#[test]
+fn traceback_lanes_handle_every_length_around_the_lane_width() {
+    let lens = [0usize, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40];
+    let mut rng = StdRng::seed_from_u64(0x5C22);
+    let parent = biased_seq(&mut rng, 48);
+    let child = mutate(&mut rng, &parent, 0.15);
+    let other = biased_seq(&mut rng, 48);
+    let mut pairs = Vec::new();
+    for &m in &lens {
+        for &n in &lens {
+            pairs.push((parent[..m].to_vec(), parent[..n].to_vec()));
+            pairs.push((parent[..m].to_vec(), child[child.len() - n..].to_vec()));
+            pairs.push((parent[..m].to_vec(), other[..n].to_vec()));
+            pairs.push((vec![W; m], vec![W; n]));
+        }
+    }
+    for g in gap_models() {
+        assert_traceback_equals_sw_align(&pairs, &Blosum62, g, "lengths");
+    }
+}
+
+/// The pool face of the contract: results and every counter are the same
+/// for every backend and thread count, chunk boundaries included.
+#[test]
+fn traceback_pool_is_identical_across_backends_and_threads() {
+    let g = GapPenalties::pastis_defaults();
+    let mut pairs = gen_pairs(7, 90, 120);
+    pairs.extend(tie_heavy_pairs(8, 40, 90));
+    let (want, want_stats) = traceback_on(SimdBackend::Scalar, 1, &pairs, &Blosum62, g);
+    for (k, (q, r)) in pairs.iter().enumerate() {
+        assert_eq!(want[k], sw_align(q, r, &Blosum62, g), "pair {k}");
+    }
+    for backend in SimdBackend::available() {
+        for threads in [1usize, 2, 3] {
+            let (got, stats) = traceback_on(backend, threads, &pairs, &Blosum62, g);
+            assert_eq!(got, want, "{backend} t{threads}");
+            assert_eq!(stats.pairs, want_stats.pairs);
+            assert_eq!(stats.cells, want_stats.cells);
+            assert_eq!(stats.max_cells, want_stats.max_cells);
+            assert_eq!(stats.lane_promotions, 0);
+            assert_eq!(stats.simd, backend);
+        }
+    }
+}
+
+/// Self-alignments at i16 saturation ±1 with traceback: 32766 stays on
+/// the lanes, 32767 and 32768 go through `sw_align` and are counted, and
+/// all three results equal the reference on every backend.
+#[test]
+fn traceback_promotes_exactly_at_saturation() {
+    let g = GapPenalties::pastis_defaults();
+    let compose = |w: usize, a: usize| -> Vec<u8> {
+        let mut s = vec![W; w];
+        s.extend(std::iter::repeat_n(A, a));
+        s
+    };
+    let cases = [
+        (compose(2978, 2), 32766i32, 0u64),
+        (compose(2977, 5), 32767i32, 1u64),
+        (compose(2976, 8), 32768i32, 1u64),
+    ];
+    for (seq, want_score, want_promotions) in cases {
+        let want = sw_align(&seq, &seq, &Blosum62, g);
+        assert_eq!(want.score, want_score, "construction is off");
+        assert_eq!(want.matches, seq.len());
+        let pairs = [(seq.clone(), seq)];
+        for backend in SimdBackend::available() {
+            let (got, stats) = traceback_on(backend, 1, &pairs, &Blosum62, g);
+            assert_eq!(got[0], want, "{backend} at score {want_score}");
+            assert_eq!(
+                stats.lane_promotions, want_promotions,
+                "{backend} promotions at score {want_score}"
+            );
+        }
+    }
+}
+
+/// Every way off the lanes is counted and exact: a scoring model outside
+/// the i16 scheme sends every pair through `sw_align`, a reference longer
+/// than the lanes' column counter sends that pair, and the
+/// `align.lane_promotions` counter reports the total.
+#[test]
+fn traceback_fallbacks_are_counted_and_exact() {
+    use pastis::trace::TraceSession;
+    let g = GapPenalties::pastis_defaults();
+    let pairs = gen_pairs(11, 24, 40);
+    let all = pairs.len() as u64;
+    let big = MatchMismatch {
+        match_score: 100_000,
+        mismatch_score: -100_000,
+    };
+    let huge_gap = GapPenalties {
+        open: i16::MAX as i32,
+        extend: 10,
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let (short_q, long_r) = (
+        biased_seq(&mut rng, 3),
+        biased_seq(&mut rng, i16::MAX as usize),
+    );
+    for backend in SimdBackend::available() {
+        let (got, stats) = traceback_on(backend, 2, &pairs, &big, g);
+        for (k, (q, r)) in pairs.iter().enumerate() {
+            assert_eq!(got[k], sw_align(q, r, &big, g), "{backend} pair {k}");
+        }
+        assert_eq!(stats.lane_promotions, all, "{backend}: scoring");
+
+        let (got, stats) = traceback_on(backend, 2, &pairs, &Blosum62, huge_gap);
+        for (k, (q, r)) in pairs.iter().enumerate() {
+            assert_eq!(
+                got[k],
+                sw_align(q, r, &Blosum62, huge_gap),
+                "{backend} pair {k}"
+            );
+        }
+        assert_eq!(stats.lane_promotions, all, "{backend}: gap costs");
+
+        let session = TraceSession::new();
+        let rec = session.recorder(0);
+        let tasks = [AlignTask {
+            query: 0,
+            reference: 1,
+            seed_q: 0,
+            seed_r: 0,
+        }];
+        let (q, r) = (&short_q, &long_r);
+        let lookup = |id: u32| -> &[u8] {
+            if id == 0 {
+                q
+            } else {
+                r
+            }
+        };
+        let (got, stats) = AlignPool::new(1)
+            .with_simd(backend)
+            .with_recorder(rec.clone())
+            .run_traceback(&tasks, lookup, &Blosum62, g);
+        assert_eq!(
+            got[0],
+            sw_align(q, r, &Blosum62, g),
+            "{backend}: long reference"
+        );
+        assert_eq!(stats.lane_promotions, 1, "{backend}: long reference");
+        assert_eq!(
+            rec.counters().get("align.lane_promotions").copied(),
+            Some(1.0),
+            "{backend}: counter missing or wrong"
+        );
+    }
+}
+
 /// Bit-level identity of a similarity graph (the `tests/chaos.rs` pattern):
 /// every field of every edge, floats by their exact bit patterns.
 fn graph_bits(res: &SearchResult) -> Vec<(u32, u32, i32, u32, u32, u32)> {
@@ -336,10 +638,10 @@ fn graph_bits(res: &SearchResult) -> Vec<(u32, u32, i32, u32, u32, u32)> {
         .collect()
 }
 
-/// Whole-pipeline face of the contract on the chaos-test corpus: a
-/// score-only search run under every backend (forced scalar, forced each
-/// available backend, and auto) produces the bit-identical similarity
-/// graph.
+/// Whole-pipeline face of the contract on the chaos-test corpus: a search
+/// on the default traceback path and on the score-only path, run under
+/// every backend (forced scalar, forced each available backend, and
+/// auto), produces the bit-identical similarity graph.
 #[test]
 fn pipeline_graph_is_bit_identical_across_backends() {
     use pastis::align::SimdPolicy;
@@ -352,27 +654,32 @@ fn pipeline_graph_is_bit_identical_across_backends() {
         seed: 42,
         ..SyntheticConfig::small(40, 42)
     });
-    let base = SearchParams {
-        align_kind: AlignKind::ScoreOnly,
-        ..SearchParams::test_defaults()
-    }
-    .with_blocking(2, 2)
-    .with_align_threads(2);
-    let want = {
-        let params = base
-            .clone()
-            .with_simd(SimdPolicy::Force(SimdBackend::Scalar));
-        graph_bits(&run_search_serial(&ds.store, &params).unwrap())
-    };
-    assert!(
-        !want.is_empty(),
-        "reference graph is empty; test is vacuous"
-    );
-    let mut policies = vec![SimdPolicy::Auto];
-    policies.extend(SimdBackend::available().into_iter().map(SimdPolicy::Force));
-    for policy in policies {
-        let params = base.clone().with_simd(policy);
-        let got = graph_bits(&run_search_serial(&ds.store, &params).unwrap());
-        assert_eq!(got, want, "policy {policy:?} changed the graph");
+    for align_kind in [AlignKind::FullSw, AlignKind::ScoreOnly] {
+        let base = SearchParams {
+            align_kind,
+            ..SearchParams::test_defaults()
+        }
+        .with_blocking(2, 2)
+        .with_align_threads(2);
+        let want = {
+            let params = base
+                .clone()
+                .with_simd(SimdPolicy::Force(SimdBackend::Scalar));
+            graph_bits(&run_search_serial(&ds.store, &params).unwrap())
+        };
+        assert!(
+            !want.is_empty(),
+            "{align_kind:?}: reference graph is empty; test is vacuous"
+        );
+        let mut policies = vec![SimdPolicy::Auto];
+        policies.extend(SimdBackend::available().into_iter().map(SimdPolicy::Force));
+        for policy in policies {
+            let params = base.clone().with_simd(policy);
+            let got = graph_bits(&run_search_serial(&ds.store, &params).unwrap());
+            assert_eq!(
+                got, want,
+                "{align_kind:?}: policy {policy:?} changed the graph"
+            );
+        }
     }
 }

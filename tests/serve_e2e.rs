@@ -113,6 +113,58 @@ fn self_serve_is_byte_identical_across_splits_threads_and_cache() {
 }
 
 #[test]
+fn self_serve_aligns_each_pair_once_even_with_duplicate_sequences() {
+    // Self mode aligns only (query, reference) pairs with reference id >
+    // query id. A duplicated sequence is the case that could break it:
+    // with the cache on, the later copy is answered from the earlier
+    // copy's hit vector (cached or coalesced), which must still hold
+    // every reference above the later copy's own id.
+    let base = dataset().store;
+    let mut store = SeqStore::new();
+    for i in 0..base.len() {
+        store.push(base.id(i).to_owned(), base.seq(i).to_vec());
+        if i % 7 == 0 {
+            // A copy right behind the original (same admission batch) ...
+            store.push(format!("{}_again", base.id(i)), base.seq(i).to_vec());
+        }
+    }
+    for i in (0..base.len()).step_by(11) {
+        // ... and copies a whole run later.
+        store.push(format!("{}_late", base.id(i)), base.seq(i).to_vec());
+    }
+    let p = params();
+    let batch = run_search_serial(&store, &p).unwrap();
+    let want = batch.graph.to_tsv_lines();
+    assert!(want.len() > 10, "{} edges", want.len());
+
+    let idx = build(&store, &p, 64, "dups");
+    for cache_entries in [0usize, 4, 256] {
+        for max_batch in [5usize, 64] {
+            let cfg = ServeConfig {
+                params: p.clone(),
+                max_batch,
+                max_wait_us: 1_000_000,
+                cache_entries,
+            };
+            let out = serve_queries(&idx, &store, &cfg).unwrap();
+            assert!(out.stats.self_mode);
+            assert_eq!(
+                out.lines, want,
+                "cache={cache_entries} max_batch={max_batch}"
+            );
+            if cache_entries == 0 {
+                // Nothing shared: exactly the batch run's alignments.
+                assert_eq!(out.stats.aligned_pairs, batch.stats.aligned_pairs);
+                assert_eq!(out.stats.cells, batch.stats.cells);
+            } else {
+                assert!(out.stats.cache_hits > 0, "duplicates never hit");
+                assert!(out.stats.aligned_pairs <= batch.stats.aligned_pairs);
+            }
+        }
+    }
+}
+
+#[test]
 fn self_serve_score_only_matches_batch_for_scalar_and_auto_simd() {
     use pastis::align::SimdPolicy;
     use pastis::core::params::AlignKind;
