@@ -13,11 +13,12 @@
 //!   candidate-discovery loops.
 //! * [`spgemm_parallel`] — Gustavson's algorithm row-partitioned into
 //!   fixed-size chunks executed through [`run_units`]. Every chunk runs
-//!   the *same* per-row hash-accumulator kernel as [`crate::spgemm_hash`]
-//!   (literally the same function), and chunks are stitched back in
-//!   ascending row order, so the output — values *and* combine order — is
-//!   bit-identical to the serial kernel for any thread count and any
-//!   semiring, including non-commutative ones.
+//!   the *same* row kernel as [`crate::spgemm_hash`] (literally the same
+//!   function, on a scratch the claiming worker keeps for the whole
+//!   multiply), and chunks are stitched back in ascending row order, so
+//!   the output — values *and* combine order — is bit-identical to the
+//!   serial kernel for any thread count and any semiring, including
+//!   non-commutative ones.
 //!
 //! [`SpGemmPool`] wraps kernel selection ([`SpGemmKind`]) around them: the
 //! `auto` policy picks the parallel kernel when the pool has >1 worker and
@@ -30,6 +31,7 @@
 //! compression-factor discussion).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use pastis_pool::{Engine, WorkPool};
 use pastis_trace::{names, Component, Recorder, Track};
@@ -37,7 +39,7 @@ use pastis_trace::{names, Component, Recorder, Track};
 use crate::csr::CsrMatrix;
 use crate::semiring::Semiring;
 use crate::spgemm::{
-    hash_row_into, spgemm_hash, spgemm_heap, HashAccumulator, SpGemmKind, SpGemmStats,
+    spgemm_heap, spgemm_rows, AccStats, RowScratch, SpGemmKind, SpGemmStats, DENSE_ACC_LIMIT_BYTES,
 };
 use crate::triples::Index;
 
@@ -154,21 +156,9 @@ where
     S::B: Sync,
     S::C: Send,
 {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "SpGEMM dimension mismatch: {}x{} · {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let threads = resolve_threads(threads);
-    let n_units = a.nrows().div_ceil(ROWS_PER_CHUNK);
-    let chunks: Vec<Chunk<S::C>> = run_units(threads, n_units, |w, u| {
-        row_chunk(sr, a, b, u, Track::SpGemmWorker(w as u32), rec)
-    });
-    stitch_chunks(a, b, chunks)
+    let exec = Exec::Scoped(resolve_threads(threads));
+    let (c, stats, _) = spgemm_chunked(sr, a, b, exec, rec, DENSE_ACC_LIMIT_BYTES);
+    (c, stats)
 }
 
 /// [`spgemm_parallel_traced`] executing on the unified [`WorkPool`] instead
@@ -189,6 +179,40 @@ where
     S::B: Sync,
     S::C: Send,
 {
+    let (c, stats, _) = spgemm_chunked(sr, a, b, Exec::Pool(workers), rec, DENSE_ACC_LIMIT_BYTES);
+    (c, stats)
+}
+
+/// Where the row chunks of one parallel multiply execute.
+#[derive(Clone, Copy)]
+enum Exec<'a> {
+    /// This many scoped threads through [`run_units`].
+    Scoped(usize),
+    /// The unified pool, as [`Engine::Sparse`] units.
+    Pool(&'a WorkPool),
+}
+
+/// One chunk's output: per-row lengths plus the concatenated row data.
+type Chunk<C> = (Vec<usize>, Vec<Index>, Vec<C>, SpGemmStats);
+
+/// The row-partitioned kernel behind both parallel entry points: row
+/// chunks of [`ROWS_PER_CHUNK`] run the shared row kernel on `exec`, each
+/// worker keeping one [`RowScratch`] for every chunk it claims, and are
+/// stitched in ascending row order.
+fn spgemm_chunked<S>(
+    sr: &S,
+    a: &CsrMatrix<S::A>,
+    b: &CsrMatrix<S::B>,
+    exec: Exec<'_>,
+    rec: &Recorder,
+    dense_limit: usize,
+) -> (CsrMatrix<S::C>, SpGemmStats, AccStats)
+where
+    S: Semiring + Sync,
+    S::A: Sync,
+    S::B: Sync,
+    S::C: Send,
+{
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -199,23 +223,67 @@ where
         b.ncols()
     );
     let n_units = a.nrows().div_ceil(ROWS_PER_CHUNK);
-    let chunks: Vec<Chunk<S::C>> = workers.run(Engine::Sparse, n_units, |u, slot| {
-        row_chunk(sr, a, b, u, Track::PoolWorker(slot as u32), rec)
-    });
-    stitch_chunks(a, b, chunks)
+    // One scratch per worker slot, built by the first chunk the worker
+    // claims. A slot belongs to one thread, so the locks never contend.
+    let n_slots = match exec {
+        Exec::Scoped(threads) => threads.max(1),
+        Exec::Pool(wp) => wp.caller_slot(Engine::Sparse) + 1,
+    };
+    let scratches: Vec<Mutex<Option<RowScratch<S::C>>>> =
+        (0..n_slots).map(|_| Mutex::new(None)).collect();
+    let chunk = |u: usize, slot: usize, track: Track| -> Chunk<S::C> {
+        let mut guard = scratches[slot].lock().expect("a row chunk panicked");
+        let scratch = guard.get_or_insert_with(|| RowScratch::new(b.ncols(), dense_limit));
+        row_chunk(sr, a, b, u, scratch, track, rec)
+    };
+    let chunks: Vec<Chunk<S::C>> = match exec {
+        Exec::Scoped(threads) => run_units(threads, n_units, |w, u| {
+            chunk(u, w, Track::SpGemmWorker(w as u32))
+        }),
+        Exec::Pool(wp) => wp.run(Engine::Sparse, n_units, |u, slot| {
+            chunk(u, slot, Track::PoolWorker(slot as u32))
+        }),
+    };
+
+    let total: usize = chunks.iter().map(|c| c.1.len()).sum();
+    let mut rowptr = Vec::with_capacity(a.nrows() + 1);
+    rowptr.push(0usize);
+    let mut colind: Vec<Index> = Vec::with_capacity(total);
+    let mut vals: Vec<S::C> = Vec::with_capacity(total);
+    let mut stats = SpGemmStats::default();
+    let mut end = 0usize;
+    for (lens, ccols, cvals, cstats) in chunks {
+        for l in lens {
+            end += l;
+            rowptr.push(end);
+        }
+        colind.extend(ccols);
+        vals.extend(cvals);
+        stats.merge(cstats);
+    }
+    let mut acc = AccStats::default();
+    for scratch in scratches {
+        if let Some(s) = scratch.into_inner().expect("a row chunk panicked") {
+            acc.merge(s.acc);
+        }
+    }
+    (
+        CsrMatrix::from_parts(a.nrows(), b.ncols(), rowptr, colind, vals),
+        stats,
+        acc,
+    )
 }
 
-/// One chunk's output: per-row lengths plus the concatenated row data.
-type Chunk<C> = (Vec<usize>, Vec<Index>, Vec<C>, SpGemmStats);
-
-/// Compute row chunk `u` with the shared per-row hash kernel, emitting its
-/// `spgemm.row_chunk` span on `track` when telemetry is on. Depends only
-/// on `u` — the determinism requirement of both execution backends.
+/// Compute row chunk `u` with the shared row kernel on the claiming
+/// worker's `scratch`, emitting its `spgemm.row_chunk` span on `track`
+/// when telemetry is on. The rows depend only on `u` — the determinism
+/// requirement of both execution backends.
 fn row_chunk<S>(
     sr: &S,
     a: &CsrMatrix<S::A>,
     b: &CsrMatrix<S::B>,
     u: usize,
+    scratch: &mut RowScratch<S::C>,
     track: Track,
     rec: &Recorder,
 ) -> Chunk<S::C>
@@ -229,14 +297,13 @@ where
             .on_track(track)
             .arg("rows", (end - start) as u64)
     });
-    let mut acc = HashAccumulator::<S::C>::with_capacity(16);
     let mut lens = Vec::with_capacity(end - start);
     let mut colind: Vec<Index> = Vec::new();
     let mut vals: Vec<S::C> = Vec::new();
     let mut stats = SpGemmStats::default();
     for i in start..end {
         let before = colind.len();
-        hash_row_into(sr, a, b, i, &mut acc, &mut colind, &mut vals, &mut stats);
+        scratch.row_into(sr, a, b, i, &mut colind, &mut vals, &mut stats);
         lens.push(colind.len() - before);
     }
     if let Some(sp) = span.as_mut() {
@@ -244,34 +311,6 @@ where
         sp.push_arg("products", stats.products);
     }
     (lens, colind, vals, stats)
-}
-
-/// Stitch chunk outputs (already in ascending unit = row order) into CSR.
-fn stitch_chunks<A, B, C>(
-    a: &CsrMatrix<A>,
-    b: &CsrMatrix<B>,
-    chunks: Vec<Chunk<C>>,
-) -> (CsrMatrix<C>, SpGemmStats) {
-    let total: usize = chunks.iter().map(|c| c.1.len()).sum();
-    let mut rowptr = Vec::with_capacity(a.nrows() + 1);
-    rowptr.push(0usize);
-    let mut colind: Vec<Index> = Vec::with_capacity(total);
-    let mut vals: Vec<C> = Vec::with_capacity(total);
-    let mut stats = SpGemmStats::default();
-    let mut end = 0usize;
-    for (lens, ccols, cvals, cstats) in chunks {
-        for l in lens {
-            end += l;
-            rowptr.push(end);
-        }
-        colind.extend(ccols);
-        vals.extend(cvals);
-        stats.merge(cstats);
-    }
-    (
-        CsrMatrix::from_parts(a.nrows(), b.ncols(), rowptr, colind, vals),
-        stats,
-    )
 }
 
 /// Kernel-selection wrapper around the local SpGEMM kernels: holds the
@@ -411,15 +450,33 @@ impl SpGemmPool {
     {
         let kind = self.select(a, b);
         self.recorder.add_counter(kind.counter_name(), 1.0);
-        match kind {
-            SpGemmKind::Hash => spgemm_hash(sr, a, b),
-            SpGemmKind::Heap => spgemm_heap(sr, a, b),
-            SpGemmKind::Parallel => match &self.workers {
-                Some(wp) => spgemm_parallel_pooled(sr, a, b, wp, &self.recorder),
-                None => spgemm_parallel_traced(sr, a, b, self.threads, &self.recorder),
-            },
+        let limit = DENSE_ACC_LIMIT_BYTES;
+        let (c, stats, acc) = match kind {
+            SpGemmKind::Hash => spgemm_rows(sr, a, b, limit),
+            SpGemmKind::Heap => {
+                let (c, stats) = spgemm_heap(sr, a, b);
+                (c, stats, AccStats::default())
+            }
+            SpGemmKind::Parallel => {
+                let exec = match &self.workers {
+                    Some(wp) => Exec::Pool(wp),
+                    None => Exec::Scoped(self.threads),
+                };
+                spgemm_chunked(sr, a, b, exec, &self.recorder, limit)
+            }
             SpGemmKind::Auto => unreachable!("select() never returns Auto"),
+        };
+        // Which accumulator the row kernel ran, once per multiply.
+        for (name, rows) in [
+            (names::CTR_SPGEMM_ACC_DENSE_ROWS, acc.dense_rows),
+            (names::CTR_SPGEMM_ACC_SCAN_ROWS, acc.scan_rows),
+            (names::CTR_SPGEMM_ACC_TABLE_ROWS, acc.table_rows),
+        ] {
+            if rows > 0 {
+                self.recorder.add_counter(name, rows as f64);
+            }
         }
+        (c, stats)
     }
 
     /// The serving path's transpose-product entry point: multiply one
@@ -503,23 +560,9 @@ impl Default for SpGemmPool {
 mod tests {
     use super::*;
     use crate::semiring::PlusTimes;
-    use crate::triples::Triples;
+    use crate::spgemm::oracle::{random_matrix, spgemm_table_oracle, Concat};
+    use crate::spgemm::{spgemm_dense_ref, spgemm_hash};
     use pastis_trace::TraceSession;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_matrix(nrows: usize, ncols: usize, density: f64, seed: u64) -> CsrMatrix<u32> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Triples::new(nrows, ncols);
-        for i in 0..nrows as Index {
-            for j in 0..ncols as Index {
-                if rng.gen_bool(density) {
-                    t.push(i, j, rng.gen_range(1u32..100));
-                }
-            }
-        }
-        CsrMatrix::from_triples(t)
-    }
 
     #[test]
     fn run_units_preserves_unit_order() {
@@ -594,21 +637,6 @@ mod tests {
         let a: CsrMatrix<u32> = CsrMatrix::empty(2, 3);
         let b: CsrMatrix<u32> = CsrMatrix::empty(2, 2);
         let _ = spgemm_parallel(&PlusTimes::new(), &a, &b, 2);
-    }
-
-    /// Order-sensitive semiring: combine concatenates, exposing any
-    /// difference in accumulation order between kernels or thread counts.
-    struct Concat;
-    impl Semiring for Concat {
-        type A = u32;
-        type B = u32;
-        type C = Vec<u32>;
-        fn multiply(&self, a: &u32, b: &u32) -> Vec<u32> {
-            vec![a * 100 + b]
-        }
-        fn combine(&self, acc: &mut Vec<u32>, mut incoming: Vec<u32>) {
-            acc.append(&mut incoming);
-        }
     }
 
     #[test]
@@ -812,9 +840,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The tentpole contract: all three kernels agree — values and
-        /// combine order — for every thread count, on both a commutative
-        /// and an order-revealing non-commutative semiring.
+        /// The tentpole contract: every kernel agrees — values and
+        /// combine order — for every thread count and on either side of
+        /// the dense limit, on both a commutative and an order-revealing
+        /// non-commutative semiring. The yardsticks are the kernel the row
+        /// kernel replaced and the dense reference.
         #[test]
         fn kernels_agree_for_every_thread_count(
             seed in 0u64..1_000_000,
@@ -826,20 +856,45 @@ mod tests {
             let a = random_matrix(nrows, inner, density, seed);
             let b = random_matrix(inner, ncols, density, seed ^ 0x9e37_79b9);
             let sr = PlusTimes::<u32>::new();
-            let (want, want_stats) = spgemm_hash(&sr, &a, &b);
+            let (want, want_stats) = spgemm_table_oracle(&sr, &a, &b);
+            prop_assert_eq!(&spgemm_dense_ref(&sr, &a, &b), &want);
             let (heap, heap_stats) = spgemm_heap(&sr, &a, &b);
             prop_assert_eq!(&heap, &want);
             prop_assert_eq!(heap_stats, want_stats);
-            let (cat_want, _) = spgemm_hash(&Concat, &a, &b);
+            let (cat_want, _) = spgemm_table_oracle(&Concat, &a, &b);
+            prop_assert_eq!(&spgemm_dense_ref(&Concat, &a, &b), &cat_want);
             let (cat_heap, _) = spgemm_heap(&Concat, &a, &b);
             prop_assert_eq!(&cat_heap, &cat_want);
-            for t in [1usize, 2, 3, 8] {
-                let (got, stats) = spgemm_parallel(&sr, &a, &b, t);
+            // Slots of `ncols − 1` columns (the table runs), of exactly
+            // `ncols` (the dense array just fits) and the shipped limit.
+            let slot = std::mem::size_of::<Option<u32>>();
+            let cat_slot = std::mem::size_of::<Option<Vec<u32>>>();
+            for cols in [ncols - 1, ncols, DENSE_ACC_LIMIT_BYTES] {
+                let (got, stats, acc) = spgemm_rows(&sr, &a, &b, cols * slot);
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(stats, want_stats);
-                let (cat_got, _) = spgemm_parallel(&Concat, &a, &b, t);
+                prop_assert_eq!(acc.dense_rows + acc.table_rows, nrows as u64);
+                prop_assert_eq!(acc.table_rows > 0, cols < ncols);
+                let (cat_got, _, _) = spgemm_rows(&Concat, &a, &b, cols * cat_slot);
                 prop_assert_eq!(&cat_got, &cat_want);
+                let rec = Recorder::disabled();
+                for t in [1usize, 2, 3, 8] {
+                    let (got, stats, par_acc) =
+                        spgemm_chunked(&sr, &a, &b, Exec::Scoped(t), &rec, cols * slot);
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(stats, want_stats);
+                    prop_assert_eq!(par_acc, acc);
+                    let (cat_got, _, _) =
+                        spgemm_chunked(&Concat, &a, &b, Exec::Scoped(t), &rec, cols * cat_slot);
+                    prop_assert_eq!(&cat_got, &cat_want);
+                }
             }
+            let (hash, hash_stats) = spgemm_hash(&sr, &a, &b);
+            prop_assert_eq!(&hash, &want);
+            prop_assert_eq!(hash_stats, want_stats);
+            let (par, par_stats) = spgemm_parallel(&sr, &a, &b, 3);
+            prop_assert_eq!(&par, &want);
+            prop_assert_eq!(par_stats, want_stats);
         }
     }
 }

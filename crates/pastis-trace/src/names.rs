@@ -163,6 +163,13 @@ pub const CTR_SPGEMM_KERNEL_HASH: &str = "spgemm.kernel.hash";
 pub const CTR_SPGEMM_KERNEL_HEAP: &str = "spgemm.kernel.heap";
 /// SpGEMM kernel dispatches: parallel row-partitioned kernel.
 pub const CTR_SPGEMM_KERNEL_PARALLEL: &str = "spgemm.kernel.parallel";
+/// Output rows the SpGEMM row kernel accumulated in its dense array.
+pub const CTR_SPGEMM_ACC_DENSE_ROWS: &str = "spgemm.acc.dense_rows";
+/// Of the dense rows, those drained by the in-order scan (the rest sort
+/// their touched-column list).
+pub const CTR_SPGEMM_ACC_SCAN_ROWS: &str = "spgemm.acc.scan_rows";
+/// Output rows the SpGEMM row kernel accumulated in its hash table.
+pub const CTR_SPGEMM_ACC_TABLE_ROWS: &str = "spgemm.acc.table_rows";
 
 // --- Checkpoint / resume counters. ---
 
@@ -277,6 +284,9 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     CTR_SPGEMM_KERNEL_HASH,
     CTR_SPGEMM_KERNEL_HEAP,
     CTR_SPGEMM_KERNEL_PARALLEL,
+    CTR_SPGEMM_ACC_DENSE_ROWS,
+    CTR_SPGEMM_ACC_SCAN_ROWS,
+    CTR_SPGEMM_ACC_TABLE_ROWS,
     CTR_RESUME_FROM_BLOCK,
     CTR_CHECKPOINT_BLOCKS_WRITTEN,
     CTR_CHECKPOINT_UNITS_WRITTEN,
