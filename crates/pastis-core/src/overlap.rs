@@ -127,6 +127,51 @@ mod tests {
         assert_eq!(left, right);
     }
 
+    /// Every value shape `combine` tells apart: no seed, one, two (filled
+    /// left to right), at several counts.
+    fn left_filled_values() -> Vec<CommonKmers> {
+        let seeds = [(1, 2), (3, 4), (5, 6)];
+        let mut vals = vec![CommonKmers {
+            count: 0,
+            seeds: [NO_SEED; 2],
+        }];
+        for count in [1, 2, 7] {
+            for s0 in seeds {
+                vals.push(CommonKmers {
+                    count,
+                    seeds: [s0, NO_SEED],
+                });
+                for s1 in seeds {
+                    vals.push(CommonKmers {
+                        count,
+                        seeds: [s0, s1],
+                    });
+                }
+            }
+        }
+        vals
+    }
+
+    #[test]
+    fn combine_is_associative_on_every_value_shape() {
+        let sr = OverlapSemiring;
+        let vals = left_filled_values();
+        for &a in &vals {
+            for &b in &vals {
+                for &c in &vals {
+                    let mut left = a;
+                    sr.combine(&mut left, b);
+                    sr.combine(&mut left, c);
+                    let mut bc = b;
+                    sr.combine(&mut bc, c);
+                    let mut right = a;
+                    sr.combine(&mut right, bc);
+                    assert_eq!(left, right, "{a:?} {b:?} {c:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn overlap_spgemm_counts_shared_kmers() {
         // 3 sequences × 5 k-mers; values are positions.
