@@ -503,42 +503,44 @@ impl SpGemmPool {
         S::B: Sync + 'b,
         S::C: Send,
     {
-        // (global column offset, rowptr, colind, vals) of one stripe product.
-        type StripePart<V> = (usize, Vec<usize>, Vec<Index>, Vec<V>);
+        // One stripe product, its values and columns as cursors: the
+        // row-major stitch consumes each in storage order.
+        struct Part<V> {
+            offset: Index,
+            rowptr: Vec<usize>,
+            cols: std::vec::IntoIter<Index>,
+            vals: std::vec::IntoIter<V>,
+        }
         let nrows = a.nrows();
         let mut stats = SpGemmStats::default();
-        let mut parts: Vec<StripePart<S::C>> = Vec::new();
-        let mut total_cols = 0usize;
+        let mut parts: Vec<Part<S::C>> = Vec::new();
+        let (mut total_cols, mut total_nnz) = (0usize, 0usize);
         for b in stripes {
             let (c, st) = self.multiply(sr, a, b);
-            stats.products += st.products;
-            stats.merged_nnz += st.merged_nnz;
+            stats.merge(st);
             let (_, ncols, rowptr, colind, vals) = c.into_parts();
-            parts.push((total_cols, rowptr, colind, vals));
+            total_nnz += colind.len();
+            parts.push(Part {
+                offset: total_cols as Index,
+                rowptr,
+                cols: colind.into_iter(),
+                vals: vals.into_iter(),
+            });
             total_cols += ncols;
         }
-        let total_nnz: usize = parts.iter().map(|p| p.2.len()).sum();
+        // Row i of the result is the parts' rows i end to end, each shifted
+        // by its stripe's global offset; stripes ascend, so the row stays
+        // sorted and `rowptr` is the sum of the parts' row pointers. Every
+        // value moves once, into its final place.
         let mut rowptr = Vec::with_capacity(nrows + 1);
         rowptr.push(0usize);
         let mut colind: Vec<Index> = Vec::with_capacity(total_nnz);
         let mut vals: Vec<S::C> = Vec::with_capacity(total_nnz);
-        // Stitch row-major: per output row, each stripe's run of columns is
-        // shifted by the stripe's global offset; stripe order is ascending,
-        // so each stitched row stays sorted.
-        let mut out: Vec<Vec<(Index, S::C)>> = (0..nrows).map(|_| Vec::new()).collect();
-        for (offset, p_rowptr, p_colind, p_vals) in parts {
-            let mut entries = p_colind.into_iter().zip(p_vals);
-            for (i, w) in p_rowptr.windows(2).enumerate() {
-                for _ in w[0]..w[1] {
-                    let (c, v) = entries.next().expect("rowptr spans nnz");
-                    out[i].push((c + offset as Index, v));
-                }
-            }
-        }
-        for row in out {
-            for (c, v) in row {
-                colind.push(c);
-                vals.push(v);
+        for i in 0..nrows {
+            for p in &mut parts {
+                let len = p.rowptr[i + 1] - p.rowptr[i];
+                colind.extend(p.cols.by_ref().take(len).map(|c| c + p.offset));
+                vals.extend(p.vals.by_ref().take(len));
             }
             rowptr.push(colind.len());
         }
