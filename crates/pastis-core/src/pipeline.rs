@@ -896,10 +896,23 @@ pub fn run_search_traced<C: Communicator + Sync>(
             r: task.r as u64,
             c: task.c as u64,
         });
+        // The block's share of the `spgemm.acc.*` counters its multiplies
+        // add to: which accumulator the row kernel ran.
+        let acc_rows = || {
+            let counters = recorder.counters();
+            names::SPGEMM_ACC_COUNTERS.map(|name| counters.get(name).copied().unwrap_or(0.0))
+        };
+        let acc_before = recorder.is_enabled().then(acc_rows);
         let t_mult = Instant::now();
         let (cblock, gemm_stats) =
             bs.multiply_block_hooked(grid, &sr, task.r, task.c, &spgemm_pool, overlap_on, None);
         let spgemm_seconds = t_mult.elapsed().as_secs_f64();
+        if let Some(before) = acc_before {
+            let after = acc_rows();
+            for (k, name) in names::SPGEMM_ACC_COUNTERS.into_iter().enumerate() {
+                block_span.push_arg(name, (after[k] - before[k]) as u64);
+            }
+        }
 
         let t_other = Instant::now();
         let row_offset = bs.row_range(task.r).0 + cblock.row_offset();

@@ -467,11 +467,8 @@ impl SpGemmPool {
             SpGemmKind::Auto => unreachable!("select() never returns Auto"),
         };
         // Which accumulator the row kernel ran, once per multiply.
-        for (name, rows) in [
-            (names::CTR_SPGEMM_ACC_DENSE_ROWS, acc.dense_rows),
-            (names::CTR_SPGEMM_ACC_SCAN_ROWS, acc.scan_rows),
-            (names::CTR_SPGEMM_ACC_TABLE_ROWS, acc.table_rows),
-        ] {
+        let rows = [acc.dense_rows, acc.scan_rows, acc.table_rows];
+        for (name, rows) in names::SPGEMM_ACC_COUNTERS.into_iter().zip(rows) {
             if rows > 0 {
                 self.recorder.add_counter(name, rows as f64);
             }
@@ -748,6 +745,10 @@ mod tests {
         }
         assert_eq!(rows_total, 100);
         assert_eq!(rec.counters().get("spgemm.kernel.parallel"), Some(&1.0));
+        // 40 columns: every row went through the dense accumulator, summed
+        // over both workers' scratches.
+        assert_eq!(rec.counters().get("spgemm.acc.dense_rows"), Some(&100.0));
+        assert_eq!(rec.counters().get("spgemm.acc.table_rows"), None);
 
         // The serial kernels bump their own counters and emit no spans.
         let rec2 = session.recorder(1);
@@ -761,6 +762,8 @@ mod tests {
         assert!(rec2.snapshot_spans().is_empty());
         assert_eq!(rec2.counters().get("spgemm.kernel.hash"), Some(&1.0));
         assert_eq!(rec2.counters().get("spgemm.kernel.heap"), Some(&1.0));
+        // The heap kernel has no accumulator: only the hash multiply counts.
+        assert_eq!(rec2.counters().get("spgemm.acc.dense_rows"), Some(&100.0));
     }
 
     #[test]

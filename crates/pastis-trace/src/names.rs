@@ -170,6 +170,12 @@ pub const CTR_SPGEMM_ACC_DENSE_ROWS: &str = "spgemm.acc.dense_rows";
 pub const CTR_SPGEMM_ACC_SCAN_ROWS: &str = "spgemm.acc.scan_rows";
 /// Output rows the SpGEMM row kernel accumulated in its hash table.
 pub const CTR_SPGEMM_ACC_TABLE_ROWS: &str = "spgemm.acc.table_rows";
+/// The three `spgemm.acc.*` counters, in the order dense, scan, table.
+pub const SPGEMM_ACC_COUNTERS: [&str; 3] = [
+    CTR_SPGEMM_ACC_DENSE_ROWS,
+    CTR_SPGEMM_ACC_SCAN_ROWS,
+    CTR_SPGEMM_ACC_TABLE_ROWS,
+];
 
 // --- Checkpoint / resume counters. ---
 
