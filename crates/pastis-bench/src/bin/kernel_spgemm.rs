@@ -1,42 +1,281 @@
-//! Local SpGEMM kernel gate: hash vs heap vs the row-partitioned parallel
-//! kernel, on the paper's own workload shape (`C = A·Aᵀ` over a
-//! sequences-by-k-mers matrix).
+//! Local SpGEMM kernel gate: the row kernel vs the table-with-tuple-sort
+//! kernel it replaced, vs heap, vs the row-partitioned parallel kernel, on
+//! the paper's own workload shape (`C = A·Aᵀ` over a sequences-by-k-mers
+//! matrix) in the two regimes the row kernel's drain rule separates:
 //!
-//! Prints a side-by-side throughput table and **fails (exit 1)** if
+//! * **sparse rows** — 20-letter alphabet, k = 6, the whole product: a few
+//!   of the `n` columns per output row (family members only), drained by
+//!   sorting the touched-column list;
+//! * **near-dense rows** — Murphy-10, k = 5, one block pair of a 4×4
+//!   blocking under the overlap semiring (the `search.sparse` benchmark
+//!   workload): about three quarters of a row's columns at a compression
+//!   factor near 3, drained by the in-order scan.
+//!
+//! Prints a side-by-side throughput table per regime and **fails (exit 1)**
+//! if, on either,
 //! * any kernel/thread-count combination diverges bit-for-bit from the
-//!   serial hash kernel (the determinism contract), or
+//!   reference kernel (the determinism contract), or
+//! * the row kernel is slower than the reference it replaced, or
 //! * auto kernel selection is slower than always-hash (the selection
 //!   heuristic must never cost anything), or
 //! * on a multi-core host, the parallel kernel at ≥2 threads is slower
-//!   than the serial hash kernel.
+//!   than the serial row kernel.
 //!
 //! On a single-core host (`available_parallelism() == 1`) the wall-clock
 //! speedup gate is relaxed to an oversubscription-overhead bound — extra
-//! workers cannot beat serial without extra cores — while the bit-identity
-//! and auto-vs-hash gates stay hard. The printed table records whichever
-//! regime it measured; never quote the 1-core numbers as parallel speedup.
+//! workers cannot beat serial without extra cores — while the other gates
+//! stay hard.
 //!
 //! Usage: `kernel_spgemm [n_seqs] [reps]` (defaults 1200, 3).
 
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::time::Instant;
 
 use pastis_bench::{bench_dataset, fmt_count, rule};
 use pastis_core::kmer::distinct_kmers;
+use pastis_core::{kmer_matrix_triples, OverlapSemiring};
 use pastis_seqio::ReducedAlphabet;
 use pastis_sparse::{
-    spgemm_hash, spgemm_heap, CsrMatrix, PlusTimes, SpGemmKind, SpGemmPool, Triples,
+    spgemm_hash, spgemm_heap, CsrMatrix, Index, PlusTimes, Semiring, SpGemmKind, SpGemmPool,
+    Triples,
 };
+
+/// Timing noise two runs of the same code show on a shared host.
+const NOISE: f64 = 1.10;
+
+/// Untimed runs of a kernel before each timed one.
+const WARM_UPS: usize = 3;
+
+/// The kernel `spgemm_hash` was before the row kernel: an open-addressing
+/// table per output row, drained into a `Vec<(Index, C)>` and
+/// comparison-sorted. Kept here as the clock and the bits to beat.
+fn spgemm_table_reference<S: Semiring>(
+    sr: &S,
+    a: &CsrMatrix<S::A>,
+    b: &CsrMatrix<S::B>,
+) -> CsrMatrix<S::C> {
+    const EMPTY: Index = Index::MAX;
+    let hash =
+        |key: Index, mask: usize| (key as u64).wrapping_mul(0x9E3779B97F4A7C15) as usize & mask;
+    let mut keys: Vec<Index> = vec![EMPTY; 32];
+    let mut slots: Vec<Option<S::C>> = (0..32).map(|_| None).collect();
+    let mut occupied: Vec<usize> = Vec::new();
+    let mut rowptr = vec![0usize];
+    let (mut colind, mut vals) = (Vec::new(), Vec::new());
+    for i in 0..a.nrows() {
+        let (acols, avals) = a.row(i);
+        for (&k, av) in acols.iter().zip(avals) {
+            let (bcols, bvals) = b.row(k as usize);
+            for (&j, bv) in bcols.iter().zip(bvals) {
+                if occupied.len() * 2 > keys.len() {
+                    let cap = keys.len() * 2;
+                    let mut new_keys = vec![EMPTY; cap];
+                    let mut new_slots: Vec<Option<S::C>> = (0..cap).map(|_| None).collect();
+                    for at in occupied.iter_mut() {
+                        let mut to = hash(keys[*at], cap - 1);
+                        while new_keys[to] != EMPTY {
+                            to = (to + 1) & (cap - 1);
+                        }
+                        new_keys[to] = keys[*at];
+                        new_slots[to] = slots[*at].take();
+                        *at = to;
+                    }
+                    (keys, slots) = (new_keys, new_slots);
+                }
+                let mask = keys.len() - 1;
+                let mut at = hash(j, mask);
+                while keys[at] != j && keys[at] != EMPTY {
+                    at = (at + 1) & mask;
+                }
+                let product = sr.multiply(av, bv);
+                match &mut slots[at] {
+                    Some(acc) => sr.combine(acc, product),
+                    slot => {
+                        keys[at] = j;
+                        *slot = Some(product);
+                        occupied.push(at);
+                    }
+                }
+            }
+        }
+        let mut entries: Vec<(Index, S::C)> = occupied
+            .drain(..)
+            .map(|at| {
+                let key = std::mem::replace(&mut keys[at], EMPTY);
+                (key, slots[at].take().expect("occupied slot"))
+            })
+            .collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        for (c, v) in entries {
+            colind.push(c);
+            vals.push(v);
+        }
+        rowptr.push(colind.len());
+    }
+    CsrMatrix::from_parts(a.nrows(), b.ncols(), rowptr, colind, vals)
+}
+
+/// Time every kernel on one operand pair, print the table and the gate
+/// verdicts; `false` when a gate failed.
+fn gate<S>(regime: &str, sr: &S, a: &CsrMatrix<S::A>, b: &CsrMatrix<S::B>, reps: usize) -> bool
+where
+    S: Semiring + Sync,
+    S::A: Sync,
+    S::B: Sync,
+    S::C: Send + PartialEq + Debug,
+{
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let reference = spgemm_table_reference(sr, a, b);
+    let (_, stats) = spgemm_hash(sr, a, b);
+    let products = stats.products;
+    println!(
+        "{regime}: {} x {} · {} x {}, {} + {} nnz, {} products, {} output nnz (compression {:.2}, {:.1}% of a row's columns), best of {reps} reps, {cores} core(s)",
+        a.nrows(),
+        a.ncols(),
+        b.nrows(),
+        b.ncols(),
+        fmt_count(a.nnz() as u64),
+        fmt_count(b.nnz() as u64),
+        fmt_count(products),
+        fmt_count(stats.merged_nnz),
+        stats.compression_factor(),
+        100.0 * stats.merged_nnz as f64 / (a.nrows() * b.ncols()).max(1) as f64,
+    );
+    rule(86);
+    println!(
+        "{:<22} {:>8} {:>12} {:>12} {:>12} {:>12}",
+        "kernel", "threads", "seconds", "Mprod/s", "ns/product", "vs hash/1"
+    );
+    rule(86);
+    // Every kernel once per round, best round kept: this host's speed
+    // steps by 10-20% for seconds at a time, and a round-robin puts every
+    // kernel in every phase, where back-to-back blocks would not. Each
+    // timed run follows `WARM_UPS` untimed ones of the same kernel, for it
+    // to find the machine as that kernel leaves it: the allocator (a 22 MB
+    // output faults in again after another kernel's frees) and, on a
+    // virtual machine, the second core, which takes tens of milliseconds
+    // to come back after idling through the serial kernels. Timed cold,
+    // the parallel kernel reads 0.9x here; warm, 1.6x.
+    let pools = [
+        SpGemmPool::new(1).with_kind(SpGemmKind::Auto),
+        SpGemmPool::new(2).with_kind(SpGemmKind::Parallel),
+        SpGemmPool::new(4).with_kind(SpGemmKind::Parallel),
+    ];
+    type Kernel<'a, C> = (&'a str, usize, Box<dyn Fn() -> CsrMatrix<C> + 'a>);
+    let mut kernels: Vec<Kernel<'_, S::C>> = vec![
+        (
+            "reference (table+sort)",
+            1,
+            Box::new(|| spgemm_table_reference(sr, a, b)),
+        ),
+        ("hash (row kernel)", 1, Box::new(|| spgemm_hash(sr, a, b).0)),
+        ("heap (serial)", 1, Box::new(|| spgemm_heap(sr, a, b).0)),
+    ];
+    for (pool, label) in pools
+        .iter()
+        .zip(["auto (selected)", "parallel", "parallel"])
+    {
+        kernels.push((
+            label,
+            pool.threads(),
+            Box::new(|| pool.multiply(sr, a, b).0),
+        ));
+    }
+    let mut best = vec![f64::INFINITY; kernels.len()];
+    for (label, threads, run) in &kernels {
+        assert_eq!(
+            run(),
+            reference,
+            "{label} @{threads}t diverged from the reference"
+        );
+    }
+    for _ in 0..reps {
+        for (best, (_, _, run)) in best.iter_mut().zip(&kernels) {
+            for _ in 0..WARM_UPS {
+                std::hint::black_box(run());
+            }
+            let t0 = Instant::now();
+            let out = run();
+            *best = best.min(t0.elapsed().as_secs_f64());
+            std::hint::black_box(out);
+        }
+    }
+    let [ref_best, hash_best, _, auto_best, par2, par4] = best[..] else {
+        unreachable!("six kernels are timed")
+    };
+    for (secs, (label, threads, _)) in best.iter().zip(&kernels) {
+        println!(
+            "{:<22} {:>8} {:>12.4} {:>12.1} {:>12.2} {:>11.2}x",
+            label,
+            threads,
+            secs,
+            products as f64 / secs / 1e6,
+            secs * 1e9 / products as f64,
+            hash_best / secs
+        );
+    }
+    rule(86);
+
+    let mut ok = true;
+    // Bit-identity is enforced by the asserts above.
+    if hash_best > ref_best * NOISE {
+        eprintln!(
+            "FAIL: the row kernel is {:.2}x slower than the kernel it replaced",
+            hash_best / ref_best
+        );
+        ok = false;
+    } else {
+        println!(
+            "PASS: row kernel vs the table+sort reference: {:.2}x",
+            ref_best / hash_best
+        );
+    }
+    // The policy itself costs two field reads.
+    if auto_best > hash_best * NOISE {
+        eprintln!(
+            "FAIL: auto kernel selection is {:.2}x slower than always-hash",
+            auto_best / hash_best
+        );
+        ok = false;
+    } else {
+        println!(
+            "PASS: auto selection within noise of always-hash ({:.2}x)",
+            hash_best / auto_best
+        );
+    }
+    // Extra workers need extra cores: with one core the gate only bounds
+    // the oversubscription overhead (chunk claims plus thread spawn).
+    let (s2, s4) = (hash_best / par2, hash_best / par4);
+    if cores >= 2 {
+        if s2 < 1.0 || s4 < 1.0 {
+            eprintln!("FAIL: parallel kernel loses to serial on {cores} cores ({s2:.2}x @2t, {s4:.2}x @4t)");
+            ok = false;
+        } else {
+            println!(
+                "PASS: parallel kernel beats serial on {cores} cores ({s2:.2}x @2t, {s4:.2}x @4t)"
+            );
+        }
+    } else if s4 < 0.5 {
+        eprintln!("FAIL: parallel kernel overhead exceeds 2x on a single core ({s4:.2}x @4t)");
+        ok = false;
+    } else {
+        println!(
+            "PASS (1-core host): speedup gate relaxed to overhead bound ({s2:.2}x @2t, {s4:.2}x @4t)"
+        );
+    }
+    println!();
+    ok
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let n_seqs: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1200);
     let reps: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
-
-    // The overlap workload: A is the sequences-by-k-mers indicator matrix
-    // of a synthetic protein set (k = 6, the paper's production k), and
-    // the product is A·Aᵀ — exactly what every SUMMA stage multiplies.
     let ds = bench_dataset(n_seqs);
+
+    // Sparse rows: the sequences-by-k-mers indicator matrix at k = 6 (the
+    // paper's production k) over the full alphabet, times its transpose.
     let mut cols: HashMap<u32, u32> = HashMap::new();
     let mut entries: Vec<(u32, u32, f64)> = Vec::new();
     for i in 0..ds.store.len() {
@@ -46,142 +285,33 @@ fn main() {
             entries.push((i as u32, c, 1.0));
         }
     }
-    let ncols = cols.len();
     let a = CsrMatrix::from_triples_combining(
-        Triples::from_entries(ds.store.len(), ncols, entries),
+        Triples::from_entries(ds.store.len(), cols.len(), entries),
         |_, _| {},
     );
     let at = a.transpose();
-    let sr = PlusTimes::new();
+    let mut ok = gate("sparse rows", &PlusTimes::new(), &a, &at, reps);
 
-    // Serial hash reference: the baseline every variant must match
-    // bit-for-bit and the clock every gate compares against.
-    let (reference, ref_stats) = spgemm_hash(&sr, &a, &at);
-    let mut hash_best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = spgemm_hash(&sr, &a, &at);
-        hash_best = hash_best.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(out);
-    }
-    let products = ref_stats.products;
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "local SpGEMM kernels: {} x {} k-mer matrix, {} nnz, {} products, best of {reps} reps, {cores} core(s)",
-        a.nrows(),
-        ncols,
-        fmt_count(a.nnz() as u64),
-        fmt_count(products),
-    );
-    rule(78);
-    println!(
-        "{:<22} {:>8} {:>12} {:>12} {:>12}",
-        "kernel", "threads", "seconds", "Mprod/s", "vs hash/1"
-    );
-    rule(78);
-    println!(
-        "{:<22} {:>8} {:>12.4} {:>12.1} {:>12}",
-        "hash (serial)",
-        1,
-        hash_best,
-        products as f64 / hash_best / 1e6,
-        "1.00x"
+    // Near-dense rows: the `search.sparse` regime. Murphy-10 at k = 5
+    // leaves 10⁵ possible k-mers, so sequences share many; block (0, 1)
+    // of a 4×4 blocking is what one `summa.block` multiplies there.
+    let n = ds.store.len();
+    let t = kmer_matrix_triples(&ds.store, 0, n, 5, ReducedAlphabet::Murphy10);
+    let a = CsrMatrix::from_triples_combining(t, |acc, inc| *acc = (*acc).min(inc));
+    let at = a.transpose();
+    let quarter = n.div_ceil(4);
+    let a_block = a.extract_rows(0, quarter.min(n));
+    let at_block = at.extract_cols(quarter.min(n), (2 * quarter).min(n));
+    ok &= gate(
+        "near-dense rows",
+        &OverlapSemiring,
+        &a_block,
+        &at_block,
+        reps,
     );
 
-    let bench = |label: &str, kind: SpGemmKind, threads: usize| -> f64 {
-        let pool = SpGemmPool::new(threads).with_kind(kind);
-        let (got, _) = pool.multiply(&sr, &a, &at);
-        assert_eq!(
-            got.to_triples().to_sorted_tuples(),
-            reference.to_triples().to_sorted_tuples(),
-            "{label} diverged from serial hash — determinism bug"
-        );
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let out = pool.multiply(&sr, &a, &at);
-            best = best.min(t0.elapsed().as_secs_f64());
-            std::hint::black_box(out);
-        }
-        println!(
-            "{:<22} {:>8} {:>12.4} {:>12.1} {:>11.2}x",
-            label,
-            threads,
-            best,
-            products as f64 / best / 1e6,
-            hash_best / best
-        );
-        best
-    };
-
-    let mut heap_best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = spgemm_heap(&sr, &a, &at);
-        heap_best = heap_best.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(out);
-    }
-    let (heap_out, _) = spgemm_heap(&sr, &a, &at);
-    assert_eq!(
-        heap_out.to_triples().to_sorted_tuples(),
-        reference.to_triples().to_sorted_tuples(),
-        "heap diverged from serial hash — determinism bug"
-    );
-    println!(
-        "{:<22} {:>8} {:>12.4} {:>12.1} {:>11.2}x",
-        "heap (serial)",
-        1,
-        heap_best,
-        products as f64 / heap_best / 1e6,
-        hash_best / heap_best
-    );
-
-    let auto_best = bench("auto (selected)", SpGemmKind::Auto, 1);
-    let par2 = bench("parallel", SpGemmKind::Parallel, 2);
-    let par4 = bench("parallel", SpGemmKind::Parallel, 4);
-    rule(78);
-
-    let mut failed = false;
-    // Gate 1 (bit-identity) already enforced by the asserts above.
-    // Gate 2: auto selection must never lose to always-hash (10% noise
-    // tolerance — the policy itself costs two field reads).
-    if auto_best > hash_best * 1.10 {
-        eprintln!(
-            "FAIL: auto kernel selection is {:.2}x slower than always-hash",
-            auto_best / hash_best
-        );
-        failed = true;
-    } else {
-        println!(
-            "PASS: auto selection within noise of always-hash ({:.2}x)",
-            hash_best / auto_best
-        );
-    }
-    // Gate 3: the parallel kernel vs serial. Target is >1.5x at 4
-    // threads on a multi-core host; a single-core host cannot exhibit
-    // wall-clock speedup, so there the gate only bounds oversubscription
-    // overhead (the chunk-claim loop plus thread spawn must stay cheap).
-    let (s2, s4) = (hash_best / par2, hash_best / par4);
-    if cores >= 2 {
-        if s2 < 1.0 || s4 < 1.0 {
-            eprintln!("FAIL: parallel kernel loses to serial on {cores} cores ({s2:.2}x @2t, {s4:.2}x @4t)");
-            failed = true;
-        } else {
-            println!(
-                "PASS: parallel kernel beats serial ({s2:.2}x @2t, {s4:.2}x @4t; target 1.5x @4t)"
-            );
-        }
-    } else if s4 < 0.5 {
-        eprintln!("FAIL: parallel kernel overhead exceeds 2x on a single core ({s4:.2}x @4t)");
-        failed = true;
-    } else {
-        println!(
-            "PASS (1-core host): speedup gate relaxed to overhead bound ({s2:.2}x @2t, {s4:.2}x @4t); rerun on a multi-core runner for the 1.5x target"
-        );
-    }
-    if failed {
+    if !ok {
         std::process::exit(1);
     }
-    println!("PASS: all kernels bit-identical to serial hash");
+    println!("PASS: all kernels bit-identical to the reference on both regimes");
 }
