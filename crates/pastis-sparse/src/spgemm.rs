@@ -263,54 +263,47 @@ impl<C> HashAccumulator<C> {
     }
 }
 
-/// One worker's state for the row kernel, reused across rows, chunks and
-/// multiplies: the dense accumulator (sized on first use, grown only when
-/// a wider `B` arrives) and the table for a `B` too wide for it.
+/// One worker's state for the row kernel, kept for every row and chunk of
+/// a multiply: the dense accumulator, or the table for a `B` too wide for
+/// it.
 ///
 /// The dense accumulator is one `Option` slot per column of `B`; the
 /// option's tag is the liveness mark, and draining a row `take`s every
 /// live slot, so all slots are `None` between rows and nothing is cleared.
 /// `touched` lists the row's live columns in discovery order.
 pub(crate) struct RowScratch<C> {
-    slots: Vec<Option<C>>,
+    accumulator: Accumulator<C>,
     touched: Vec<Index>,
-    table: HashAccumulator<C>,
-    /// Columns of the `B` this scratch was last fitted to.
-    ncols: usize,
-    dense: bool,
     /// Rows per accumulator since this scratch was created.
     pub(crate) acc: AccStats,
 }
 
-impl<C> RowScratch<C> {
-    /// A scratch fitted to a `B` of `ncols` columns; see [`RowScratch::fit`].
-    pub(crate) fn new(ncols: usize, dense_limit: usize) -> Self {
-        let mut scratch = RowScratch {
-            slots: Vec::new(),
-            touched: Vec::new(),
-            table: HashAccumulator::with_capacity(16),
-            ncols: 0,
-            dense: false,
-            acc: AccStats::default(),
-        };
-        scratch.fit(ncols, dense_limit);
-        scratch
-    }
+enum Accumulator<C> {
+    /// One slot per column of `B`.
+    Dense(Vec<Option<C>>),
+    Table(HashAccumulator<C>),
+}
 
-    /// Choose the accumulator for a `B` of `ncols` columns — dense iff its
-    /// slots fit `dense_limit` bytes — and size it. A property of the
-    /// operand alone, so every worker and every entry point agree on it.
-    pub(crate) fn fit(&mut self, ncols: usize, dense_limit: usize) {
-        self.ncols = ncols;
-        self.dense = ncols.saturating_mul(std::mem::size_of::<Option<C>>()) <= dense_limit;
-        if self.dense && self.slots.len() < ncols {
-            self.slots.resize_with(ncols, || None);
+impl<C> RowScratch<C> {
+    /// A scratch for products with a `B` of `ncols` columns: the dense
+    /// accumulator iff its slots fit `dense_limit` bytes. A property of
+    /// the operand alone, so every worker and every entry point agree.
+    pub(crate) fn new(ncols: usize, dense_limit: usize) -> Self {
+        let dense = ncols.saturating_mul(std::mem::size_of::<Option<C>>()) <= dense_limit;
+        RowScratch {
+            accumulator: if dense {
+                Accumulator::Dense((0..ncols).map(|_| None).collect())
+            } else {
+                Accumulator::Table(HashAccumulator::with_capacity(16))
+            },
+            touched: Vec::new(),
+            acc: AccStats::default(),
         }
     }
 
     /// Compute output row `i` of `A ⊗ B`, appending the sorted row to
-    /// `colind`/`vals` and updating `stats`. The scratch must be fitted to
-    /// `b.ncols()`.
+    /// `colind`/`vals` and updating `stats`. The scratch must have been
+    /// built for `b.ncols()`.
     ///
     /// Gustavson order: `A`'s row in ascending `k`, each `B` row in
     /// ascending `j`, so every output coordinate sees its products in
@@ -327,23 +320,25 @@ impl<C> RowScratch<C> {
         vals: &mut Vec<C>,
         stats: &mut SpGemmStats,
     ) {
-        debug_assert_eq!(self.ncols, b.ncols(), "scratch fitted to another B");
         let (acols, avals) = a.row(i);
-        if !self.dense {
-            self.acc.table_rows += 1;
-            for (&k, av) in acols.iter().zip(avals) {
-                let (bcols, bvals) = b.row(k as usize);
-                stats.products += bcols.len() as u64;
-                for (&j, bv) in bcols.iter().zip(bvals) {
-                    self.table.upsert(sr, j, sr.multiply(av, bv));
+        let slots = match &mut self.accumulator {
+            Accumulator::Dense(slots) => &mut slots[..],
+            Accumulator::Table(table) => {
+                self.acc.table_rows += 1;
+                for (&k, av) in acols.iter().zip(avals) {
+                    let (bcols, bvals) = b.row(k as usize);
+                    stats.products += bcols.len() as u64;
+                    for (&j, bv) in bcols.iter().zip(bvals) {
+                        table.upsert(sr, j, sr.multiply(av, bv));
+                    }
                 }
+                stats.merged_nnz += table.occupied.len() as u64;
+                table.drain_sorted(colind, vals);
+                return;
             }
-            stats.merged_nnz += self.table.occupied.len() as u64;
-            self.table.drain_sorted(colind, vals);
-            return;
-        }
+        };
+        debug_assert_eq!(slots.len(), b.ncols(), "scratch built for another B");
         self.acc.dense_rows += 1;
-        let slots = &mut self.slots[..self.ncols];
         for (&k, av) in acols.iter().zip(avals) {
             let (bcols, bvals) = b.row(k as usize);
             stats.products += bcols.len() as u64;
@@ -360,7 +355,7 @@ impl<C> RowScratch<C> {
         }
         let n = self.touched.len();
         stats.merged_nnz += n as u64;
-        if n * 4 >= self.ncols {
+        if n * 4 >= slots.len() {
             // A dense row: reading the slots in column order costs less
             // than sorting. `touched` is rewritten with the live columns,
             // ascending; the write is unconditional and only the cursor
@@ -923,35 +918,6 @@ mod tests {
                 assert_eq!(acc.dense_rows + acc.table_rows, a.nrows() as u64);
             }
         }
-    }
-
-    #[test]
-    fn one_scratch_serves_multiplies_of_different_widths() {
-        // A worker's scratch outlives the multiply it was built for: wider,
-        // narrower and table-bound operands in turn, each row compared with
-        // the oracle's.
-        let mut scratch = RowScratch::<Vec<u32>>::new(8, 64 * SLOT);
-        for (ncols, limit, seed) in [
-            (8usize, 64 * SLOT, 41u64),
-            (20, 64 * SLOT, 42),
-            (5, 64 * SLOT, 43),
-            (20, 19 * SLOT, 44), // the same width, now over the limit
-            (12, 64 * SLOT, 45),
-        ] {
-            let a = random_matrix(11, 9, 0.4, seed);
-            let b = random_matrix(9, ncols, 0.5, seed + 100);
-            let (want, want_stats) = expect(&a, &b);
-            scratch.fit(ncols, limit);
-            let mut stats = SpGemmStats::default();
-            let (mut rowptr, mut colind, mut vals) = (vec![0usize], Vec::new(), Vec::new());
-            for i in 0..a.nrows() {
-                scratch.row_into(&Concat, &a, &b, i, &mut colind, &mut vals, &mut stats);
-                rowptr.push(colind.len());
-            }
-            let got = CsrMatrix::from_parts(11, ncols, rowptr, colind, vals);
-            assert_eq!((got, stats), (want, want_stats), "ncols={ncols}");
-        }
-        assert_eq!((scratch.acc.dense_rows, scratch.acc.table_rows), (44, 11));
     }
 
     #[test]
