@@ -15,8 +15,9 @@
 //!   discovery "multiplication" of the paper is SpGEMM over a custom
 //!   semiring whose values carry k-mer seed positions.
 //! * [`spgemm_hash`] / [`spgemm_heap`] / [`spgemm_parallel`] — Gustavson
-//!   row-wise kernels (hash and heap accumulators, plus the row-partitioned
-//!   multithreaded kernel), all semiring-generic and bit-identical to each
+//!   row-wise kernels (the row kernel with its operand-chosen accumulator,
+//!   the heap merge, and the row-partitioned multithreaded kernel), all
+//!   semiring-generic and bit-identical to each
 //!   other; [`SpGemmPool`] selects between them per multiplication
 //!   ([`SpGemmKind`]).
 //! * [`spgemm_esc`] — the outer-product expand–sort–compress kernel over

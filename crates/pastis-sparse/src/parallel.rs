@@ -116,7 +116,7 @@ fn resolve_threads(threads: usize) -> usize {
 /// computed by `threads` workers (`0` = one per core) claiming
 /// fixed-size row chunks and stitched in ascending row order.
 ///
-/// Bit-identical to [`spgemm_hash`] — same values, same combine order —
+/// Bit-identical to [`crate::spgemm_hash`] — same values, same combine order —
 /// for any thread count and any semiring, because each row runs the same
 /// per-row kernel and the stitch preserves row order. Stats are summed
 /// over chunks, matching the serial counters exactly.
