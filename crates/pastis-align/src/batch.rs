@@ -50,6 +50,12 @@ pub struct BatchStats {
     /// scoring model outside the i16 scheme. Pair-intrinsic, so identical
     /// for every backend/width/thread count.
     pub lane_promotions: u64,
+    /// DP cells the score-only lanes updated, padding included: per lane
+    /// chunk, lane width × longest query × longest reference rounded up
+    /// to the score tile. [`cells`](BatchStats::cells) over this is the
+    /// useful share of the vector work, which tells a packing change from
+    /// a kernel change. Zero for traceback, banded and scalar work.
+    pub padded_cells: u64,
     /// Vector backend the batch's traceback or score-only work dispatched
     /// through ([`SimdBackend::Scalar`] for banded batches and the serial
     /// driver, which run scalar kernels only).
@@ -99,6 +105,7 @@ impl BatchStats {
         self.cells += other.cells;
         self.max_cells = self.max_cells.max(other.max_cells);
         self.lane_promotions += other.lane_promotions;
+        self.padded_cells += other.padded_cells;
         if other.simd != SimdBackend::Scalar {
             self.simd = other.simd;
         }
@@ -256,6 +263,7 @@ mod tests {
             cells: 1000,
             max_cells: 400,
             lane_promotions: 2,
+            padded_cells: 1500,
             simd: SimdBackend::Scalar,
             seconds: 2.0,
             wall_seconds: 2.0,
@@ -265,6 +273,7 @@ mod tests {
             cells: 500,
             max_cells: 450,
             lane_promotions: 1,
+            padded_cells: 600,
             simd: SimdBackend::detect(),
             seconds: 1.0,
             wall_seconds: 1.0,
@@ -273,6 +282,7 @@ mod tests {
         assert_eq!(a.pairs, 15);
         assert_eq!(a.max_cells, 450);
         assert_eq!(a.lane_promotions, 3);
+        assert_eq!(a.padded_cells, 2100);
         assert_eq!(a.simd, SimdBackend::detect());
         assert!((a.alignments_per_sec() - 5.0).abs() < 1e-12);
         assert!((a.cups() - 500.0).abs() < 1e-12);
@@ -290,6 +300,7 @@ mod tests {
             cells: 4000,
             max_cells: 1000,
             lane_promotions: 0,
+            padded_cells: 0,
             simd: SimdBackend::default(),
             seconds: 4.0,
             wall_seconds: 1.25,

@@ -14,7 +14,8 @@
 //! * [`multilane`] — ADEPT-style inter-task batching: many alignments
 //!   advance in lock-step vector lanes (the SeqAn-class vectorized CPU
 //!   backend), one pair per saturating i16 lane with an exact
-//!   promote-to-i32 overflow rescue.
+//!   promote-to-i32 overflow rescue; substitution scores arrive in tiles
+//!   of 16 columns built with byte shuffles and a transpose, not gathers.
 //! * [`tblanes`] — traceback on the same lanes: one pair at a time, the
 //!   anti-diagonal of its DP matrix in a vector (ADEPT's intra-alignment
 //!   wavefront), bit-identical to [`sw::sw_align`]; reached through
@@ -67,9 +68,7 @@ pub mod tblanes;
 pub use batch::{AlignTask, BatchAligner, BatchStats};
 pub use device::{host_simd, DeviceModel, HostSimd};
 pub use matrices::{encode, Blosum62, MatchMismatch, Scoring, AA_ALPHABET};
-pub use multilane::{
-    sw_score_batch, sw_score_batch_simd, sw_score_lanes, sw_score_multi, LaneScores, LaneTable,
-};
+pub use multilane::{sw_score_batch_simd, sw_score_lanes, LaneScores, LaneTable};
 pub use parallel::{AlignPool, ScoreResult};
 pub use semiglobal::{semiglobal_score, SemiGlobalResult};
 pub use simd::{SimdBackend, SimdPolicy};

@@ -8,6 +8,27 @@
 //! arithmetic comes from the [`crate::simd`] backends (AVX2/SSE2/NEON, or
 //! the portable scalar-array fallback) selected by [`SimdBackend`].
 //!
+//! # Score tiles
+//!
+//! A cell needs `score(q, r)` in every lane, and each lane has its own
+//! query *and* its own reference, so there is no query profile to share
+//! (SWIPE's, one query against a database, is 16 lookups with one index).
+//! Filling the score vector with a table load per lane costs more than the
+//! recurrence it feeds. Instead the scores of a DP row arrive in **tiles
+//! of 16 reference columns** ([`SimdVec::score_tile`]): per lane, its
+//! query residue's substitution row as 32 bytes of i8 and its 16 reference
+//! codes as byte-shuffle indices give 16 scores in two shuffles; a byte
+//! transpose turns the lanes × columns block into one vector per column;
+//! a sign extension widens it to i16. The indices are laid down once per
+//! chunk (PAD where a lane has run out), the rows once per DP row. The
+//! recurrence then runs over the tile's 16 columns, and its saturation
+//! rule, PAD handling and results are what they were with one lookup per
+//! cell. The rows are i8: a model with a score outside i8 runs scalar
+//! (see [`LaneTable`]).
+//!
+//! Reference codes are residue codes (`< 21`, or PAD); the shuffles need
+//! them below 32, which the alphabet guarantees.
+//!
 //! # Exactness
 //!
 //! The kernel is *bit-identical* to the scalar i32 kernel
@@ -27,19 +48,22 @@
 //!   counter). A true score of exactly `i16::MAX` is indistinguishable
 //!   from saturation and takes the (equally exact) rescue path too.
 //!
-//! Scoring models whose table or gap penalties do not fit the i16 scheme
+//! Scoring models whose table or gap penalties do not fit the scheme
 //! (see [`LaneTable::build`]) bypass the lanes entirely and run scalar —
 //! exactness is never traded for speed.
 //!
-//! Lanes are padded to the chunk's maximum dimensions with a PAD residue
-//! scoring −100 against everything: padded cells can never climb above the
-//! local-alignment floor of zero, so padding cannot influence any lane's
-//! optimum (property-tested), and promotion is a property of the pair
-//! alone, not of its lane companions.
+//! Lanes are padded to the chunk's maximum dimensions, the reference side
+//! up to a whole tile, with a PAD residue scoring −100 against everything.
+//! A path that steps into padding only loses score and cannot come back
+//! (padding lies to the right of and below a lane's own matrix), so every
+//! padded cell stays below some real cell of its lane: padding cannot
+//! influence any lane's optimum (property-tested), and promotion is a
+//! property of the pair alone, not of its lane companions. What padding
+//! costs is counted (`BatchStats::padded_cells`).
 
 use crate::matrices::{Scoring, AA_COUNT};
-use crate::simd::{ScalarLanes, SimdBackend, SimdVec, MAX_LANES};
-use crate::sw::{sw_score_only, GapPenalties};
+use crate::simd::{tile_index, ScalarLanes, SimdBackend, SimdVec, MAX_LANES, TILE_COLS};
+use crate::sw::{sw_score_only, with_scratch, GapPenalties, TbScratch};
 
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{Avx2Vec, Sse2Vec};
@@ -61,14 +85,24 @@ pub(crate) const PAD_SCORE: i16 = -100;
 /// never wrap at the bottom.
 const MAX_TABLE_SCORE: i32 = 30_000;
 
+/// Bytes of one substitution row of [`LaneTable::bytes`]: the
+/// [`TABLE_DIM`] codes, padded to two 16-entry shuffle tables.
+const ROW_BYTES: usize = 32;
+
 /// Flattened i16 score profile plus gap costs, pre-validated for the i16
 /// lane scheme. Built once per batch ([`LaneTable::build`]); `None` means
-/// the scoring model needs the scalar i32 path.
+/// the scoring model needs the scalar i32 path. The traceback lanes read
+/// the i16 table; the score-only lanes its i8 rows, which exist when every
+/// score fits i8 (BLOSUM62, match/mismatch models and PAD do).
 #[derive(Debug, Clone)]
 pub struct LaneTable {
     /// `flat[a * TABLE_DIM + b]` = score of codes `a` vs `b`; row/column
     /// [`PAD_IDX`] holds [`PAD_SCORE`].
     pub(crate) flat: [i16; TABLE_DIM * TABLE_DIM],
+    /// The same table as two's-complement i8 rows, `bytes[a][b]`, which
+    /// the score-only lanes look up with byte shuffles; `None` when some
+    /// score does not fit i8, and score-only work then runs scalar.
+    bytes: Option<[[u8; ROW_BYTES]; TABLE_DIM]>,
     pub(crate) first: i16,
     pub(crate) extend: i16,
 }
@@ -94,12 +128,40 @@ impl LaneTable {
                 flat[a * TABLE_DIM + b] = s as i16;
             }
         }
+        let fits_i8 = flat.iter().all(|&s| i8::try_from(s).is_ok());
+        let bytes = fits_i8.then(|| {
+            let mut bytes = [[PAD_SCORE as u8; ROW_BYTES]; TABLE_DIM];
+            for (row, scores) in bytes.iter_mut().zip(flat.chunks_exact(TABLE_DIM)) {
+                for (byte, &s) in row.iter_mut().zip(scores) {
+                    *byte = s as u8;
+                }
+            }
+            bytes
+        });
         Some(LaneTable {
             flat,
+            bytes,
             first: first as i16,
             extend: gaps.extend as i16,
         })
     }
+
+    /// What the score-only lanes read, if every score fits i8.
+    fn byte_rows(&self) -> Option<ByteRows<'_>> {
+        Some(ByteRows {
+            rows: self.bytes.as_ref()?,
+            first: self.first,
+            extend: self.extend,
+        })
+    }
+}
+
+/// The i8 rows of a [`LaneTable`] with its gap costs.
+#[derive(Clone, Copy)]
+struct ByteRows<'a> {
+    rows: &'a [[u8; ROW_BYTES]; TABLE_DIM],
+    first: i16,
+    extend: i16,
 }
 
 /// Scores and overflow-rescue count of one multilane invocation.
@@ -115,73 +177,121 @@ pub struct LaneScores {
     pub promotions: u64,
 }
 
-/// The vector kernel proper: one chunk of ≤ `V::LANES` pairs in lock-step.
+/// What one call of the lane scorer did beyond the scores it wrote.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LaneWork {
+    /// Pairs re-scored through the scalar kernel ([`LaneScores::promotions`]).
+    pub(crate) promotions: u64,
+    /// DP cells the vectors updated, padding included: per chunk, lane
+    /// width × longest query × longest reference rounded up to the tile.
+    pub(crate) padded_cells: u64,
+}
+
+/// The vector kernel proper: one chunk of ≤ `V::LANES` pairs in lock-step,
+/// a row of the DP matrices at a time, the row cut into tiles of
+/// [`TILE_COLS`] columns whose substitution scores come from one
+/// [`SimdVec::score_tile`] each.
 ///
 /// Writes non-saturated lanes' scores into `out` and returns the bitmask
-/// of saturated lanes (callers re-score those exactly). Marked
-/// `#[inline(always)]` so the `#[target_feature]` entry points inline it
-/// and the trait ops compile to bare vector instructions.
+/// of saturated lanes (callers re-score those exactly) and the padded
+/// cell count. Marked `#[inline(always)]` so the `#[target_feature]` entry
+/// points inline it and the trait ops compile to bare vector instructions.
 #[inline(always)]
-fn lanes_kernel<V: SimdVec>(qs: &[&[u8]], rs: &[&[u8]], table: &LaneTable, out: &mut [i32]) -> u32 {
+fn lanes_kernel<V: SimdVec>(
+    qs: &[&[u8]],
+    rs: &[&[u8]],
+    table: ByteRows<'_>,
+    scratch: &mut TbScratch,
+    out: &mut [i32],
+) -> (u32, u64) {
     debug_assert!(qs.len() == rs.len() && qs.len() <= V::LANES && V::LANES <= MAX_LANES);
     let lanes = V::LANES;
     let m = qs.iter().map(|q| q.len()).max().unwrap_or(0);
     let n = rs.iter().map(|r| r.len()).max().unwrap_or(0);
-    for o in out[..qs.len()].iter_mut() {
-        *o = 0;
-    }
+    out[..qs.len()].fill(0);
     if m == 0 || n == 0 {
-        return 0;
+        return (0, 0);
     }
+    let tiles = n.div_ceil(TILE_COLS);
+    // One half of a tile's shuffle indices, or of a row's substitution
+    // rows: 16 bytes per lane (`SimdVec::score_tile`'s layout).
+    let half = lanes * TILE_COLS;
 
-    // Transposed padded reference residues: rt[(j-1)*lanes + l] is lane
-    // l's reference code at column j (PAD beyond the lane's length), so
-    // the per-cell score gather is a single sequential slice walk.
-    let mut rt = vec![PAD_IDX as u8; n * lanes];
+    // Shuffle indices of every lane's reference codes, tile by tile, PAD
+    // beyond the lane's length and in the lanes the chunk leaves empty.
+    let idx = &mut scratch.codes;
+    idx.clear();
+    idx.resize(tiles * 2 * half, 0);
+    let pad = tile_index(PAD_IDX as u8);
+    for tile in idx.chunks_exact_mut(2 * half) {
+        let (lo, hi) = tile.split_at_mut(half);
+        lo.fill(pad[0]);
+        hi.fill(pad[1]);
+    }
     for (l, r) in rs.iter().enumerate() {
-        for (j, &c) in r.iter().enumerate() {
-            rt[j * lanes + l] = c;
+        for (j, &code) in r.iter().enumerate() {
+            let at = (j / TILE_COLS) * 2 * half + l * TILE_COLS + j % TILE_COLS;
+            [idx[at], idx[at + half]] = tile_index(code);
         }
     }
+
+    // Per column a vector each of H and of F of the row above (the left
+    // border needs no entry: it is the zero `diag` and `h_left` start from).
+    let cols = tiles * TILE_COLS;
+    let hf = &mut scratch.lanes;
+    hf.clear();
+    hf.resize(cols * lanes, 0);
+    hf.resize(2 * cols * lanes, i16::MIN);
+    let (h, f) = hf.split_at_mut(cols * lanes);
 
     let neg = V::splat(i16::MIN);
     let zero = V::zero();
     let vfirst = V::splat(table.first);
     let vext = V::splat(table.extend);
-    let mut h = vec![zero; n + 1]; // current row of H; h[0] = H(i, 0) = 0
-    let mut f = vec![neg; n + 1]; // F of the previous row, per column
     let mut best = zero;
-    let mut qoff = [PAD_IDX * TABLE_DIM; MAX_LANES];
-    let mut sbuf = [0i16; MAX_LANES];
+    let mut rows = [0u8; 2 * MAX_LANES * TILE_COLS];
+    let rows = &mut rows[..2 * half];
+    let mut scores = [0i16; MAX_LANES * TILE_COLS];
+    let scores = &mut scores[..half];
 
-    for i in 1..=m {
-        for (l, off) in qoff.iter_mut().enumerate().take(lanes) {
-            let code = qs
-                .get(l)
-                .and_then(|q| q.get(i - 1))
-                .copied()
-                .unwrap_or(PAD_IDX as u8);
-            *off = code as usize * TABLE_DIM;
+    for i in 0..m {
+        // Each lane's substitution row for its residue in this DP row.
+        for l in 0..lanes {
+            let code = qs.get(l).and_then(|q| q.get(i)).copied();
+            let row = &table.rows[code.map_or(PAD_IDX, usize::from)];
+            let (lo, hi) = row.split_at(ROW_BYTES / 2);
+            rows[l * lo.len()..][..lo.len()].copy_from_slice(lo);
+            rows[half + l * hi.len()..][..hi.len()].copy_from_slice(hi);
         }
         let mut e = neg;
         let mut h_left = zero; // H(i, j-1), walking left to right
         let mut diag = zero; // H(i-1, j-1); starts at H(i-1, 0) = 0
-        for j in 1..=n {
-            let up = h[j]; // H(i-1, j)
-            let fv = up.sub_sat(vfirst).max(f[j].sub_sat(vext));
-            f[j] = fv;
-            let ev = h_left.sub_sat(vfirst).max(e.sub_sat(vext));
-            e = ev;
-            let col = &rt[(j - 1) * lanes..j * lanes];
-            for l in 0..lanes {
-                sbuf[l] = table.flat[qoff[l] + col[l] as usize];
+        for t in 0..tiles {
+            let idx = &idx[t * 2 * half..][..2 * half];
+            let (h, f) = (&mut h[t * half..][..half], &mut f[t * half..][..half]);
+            V::score_tile(rows, idx, scores);
+            // Constant indices into tile-sized slices: no bounds check
+            // per column, and (measured, rustc 1.95) zipped chunk
+            // iterators here make LLVM carry the portable lanes' vectors
+            // from column to column in scalar pieces, at half the speed.
+            for c in 0..TILE_COLS {
+                let at = c * lanes..(c + 1) * lanes;
+                let up = V::load(&h[at.clone()]); // H(i-1, j)
+                let fv = up
+                    .sub_sat(vfirst)
+                    .max(V::load(&f[at.clone()]).sub_sat(vext));
+                fv.store(&mut f[at.clone()]);
+                let ev = h_left.sub_sat(vfirst).max(e.sub_sat(vext));
+                e = ev;
+                // `ev` joins last: it ends the chain from the cell to the
+                // left, the one dependency that orders the columns.
+                let sc = V::load(&scores[at.clone()]);
+                let hv = diag.add_sat(sc).max(fv).max(zero).max(ev);
+                best = best.max(hv);
+                diag = up;
+                hv.store(&mut h[at]);
+                h_left = hv;
             }
-            let sc = V::load(&sbuf);
-            let hv = diag.add_sat(sc).max(ev).max(fv).max(zero);
-            best = best.max(hv);
-            diag = up;
-            h[j] = hv;
-            h_left = hv;
         }
     }
 
@@ -195,7 +305,7 @@ fn lanes_kernel<V: SimdVec>(qs: &[&[u8]], rs: &[&[u8]], table: &LaneTable, out: 
             *o = bbuf[l] as i32;
         }
     }
-    saturated
+    (saturated, (lanes * m * tiles * TILE_COLS) as u64)
 }
 
 /// AVX2 entry point: the `#[target_feature]` boundary under which the
@@ -207,8 +317,14 @@ fn lanes_kernel<V: SimdVec>(qs: &[&[u8]], rs: &[&[u8]], table: &LaneTable, out: 
 /// (dispatch goes through [`SimdBackend::is_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lanes_chunk_avx2(qs: &[&[u8]], rs: &[&[u8]], table: &LaneTable, out: &mut [i32]) -> u32 {
-    lanes_kernel::<Avx2Vec>(qs, rs, table, out)
+unsafe fn lanes_chunk_avx2(
+    qs: &[&[u8]],
+    rs: &[&[u8]],
+    table: ByteRows<'_>,
+    scratch: &mut TbScratch,
+    out: &mut [i32],
+) -> (u32, u64) {
+    lanes_kernel::<Avx2Vec>(qs, rs, table, scratch, out)
 }
 
 /// Run one ≤ `backend.lanes()` chunk on the given backend.
@@ -216,18 +332,19 @@ fn lanes_chunk(
     backend: SimdBackend,
     qs: &[&[u8]],
     rs: &[&[u8]],
-    table: &LaneTable,
+    table: ByteRows<'_>,
+    scratch: &mut TbScratch,
     out: &mut [i32],
-) -> u32 {
+) -> (u32, u64) {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        SimdBackend::Sse2 => lanes_kernel::<Sse2Vec>(qs, rs, table, out),
+        SimdBackend::Sse2 => lanes_kernel::<Sse2Vec>(qs, rs, table, scratch, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch only selects Avx2 after runtime detection.
-        SimdBackend::Avx2 => unsafe { lanes_chunk_avx2(qs, rs, table, out) },
+        SimdBackend::Avx2 => unsafe { lanes_chunk_avx2(qs, rs, table, scratch, out) },
         #[cfg(target_arch = "aarch64")]
-        SimdBackend::Neon => lanes_kernel::<NeonVec>(qs, rs, table, out),
-        _ => lanes_kernel::<ScalarLanes<16>>(qs, rs, table, out),
+        SimdBackend::Neon => lanes_kernel::<NeonVec>(qs, rs, table, scratch, out),
+        _ => lanes_kernel::<ScalarLanes<16>>(qs, rs, table, scratch, out),
     }
 }
 
@@ -236,7 +353,7 @@ fn lanes_chunk(
 /// rescue applied. Results are bit-identical to [`sw_score_only`].
 ///
 /// Builds the score profile per call; batch drivers that amortize it use
-/// [`sw_score_lanes_prepared`].
+/// [`score_lanes_into`].
 pub fn sw_score_lanes<S: Scoring>(
     queries: &[&[u8]],
     refs: &[&[u8]],
@@ -245,28 +362,51 @@ pub fn sw_score_lanes<S: Scoring>(
     backend: SimdBackend,
 ) -> LaneScores {
     let table = LaneTable::build(scoring, gaps);
-    sw_score_lanes_prepared(queries, refs, scoring, gaps, backend, table.as_ref())
+    let mut scores = vec![0i32; queries.len()];
+    let work = with_scratch(|scratch| {
+        score_lanes_into(
+            queries,
+            refs,
+            scoring,
+            gaps,
+            backend,
+            table.as_ref(),
+            scratch,
+            &mut scores,
+        )
+    });
+    LaneScores {
+        scores,
+        promotions: work.promotions,
+    }
 }
 
-/// [`sw_score_lanes`] with a pre-built [`LaneTable`] (`None` forces the
-/// scalar path, which [`LaneTable::build`] demands for out-of-range
-/// scoring models).
-pub fn sw_score_lanes_prepared<S: Scoring>(
+/// [`sw_score_lanes`] with a pre-built [`LaneTable`], on the caller's
+/// scratch and into the caller's `scores` (one per pair). The lanes need
+/// the table's i8 rows: without a table (a model [`LaneTable::build`]
+/// rejects) or without the rows (a score that does not fit i8) every pair
+/// runs the scalar kernel, which is no promotion — nothing saturated.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn score_lanes_into<S: Scoring>(
     queries: &[&[u8]],
     refs: &[&[u8]],
     scoring: &S,
     gaps: GapPenalties,
     backend: SimdBackend,
     table: Option<&LaneTable>,
-) -> LaneScores {
-    assert_eq!(queries.len(), refs.len(), "ragged lane inputs");
-    let mut scores = vec![0i32; queries.len()];
-    let mut promotions = 0u64;
-    let Some(table) = table else {
-        for (k, (q, r)) in queries.iter().zip(refs).enumerate() {
-            scores[k] = sw_score_only(q, r, scoring, gaps).0;
+    scratch: &mut TbScratch,
+    scores: &mut [i32],
+) -> LaneWork {
+    assert!(
+        queries.len() == refs.len() && queries.len() == scores.len(),
+        "ragged lane inputs"
+    );
+    let mut work = LaneWork::default();
+    let Some(table) = table.and_then(LaneTable::byte_rows) else {
+        for ((q, r), score) in queries.iter().zip(refs).zip(scores) {
+            *score = sw_score_only(q, r, scoring, gaps).0;
         }
-        return LaneScores { scores, promotions };
+        return work;
     };
     // A forced-but-unavailable backend (possible only through library
     // misuse; the CLI validates) degrades to the portable lanes.
@@ -281,17 +421,14 @@ pub fn sw_score_lanes_prepared<S: Scoring>(
         .zip(refs.chunks(w))
         .zip(scores.chunks_mut(w))
     {
-        let saturated = lanes_chunk(backend, qs, rs, table, out);
-        if saturated != 0 {
-            for l in 0..qs.len() {
-                if saturated & (1 << l) != 0 {
-                    out[l] = sw_score_only(qs[l], rs[l], scoring, gaps).0;
-                    promotions += 1;
-                }
-            }
+        let (saturated, padded_cells) = lanes_chunk(backend, qs, rs, table, scratch, out);
+        work.padded_cells += padded_cells;
+        for l in (0..qs.len()).filter(|l| saturated & (1 << l) != 0) {
+            out[l] = sw_score_only(qs[l], rs[l], scoring, gaps).0;
+            work.promotions += 1;
         }
     }
-    LaneScores { scores, promotions }
+    work
 }
 
 /// Score a whole batch of pairs on an explicit backend; the thin wrapper
@@ -307,40 +444,6 @@ pub fn sw_score_batch_simd<S: Scoring>(
     sw_score_lanes(&queries, &refs, scoring, gaps, backend)
 }
 
-/// Align `L` pairs in lock-step; returns each lane's optimal local score.
-///
-/// Lanes may have ragged lengths (they are padded internally); empty
-/// lanes (`q` or `r` empty) score 0. Retained compatibility surface over
-/// [`sw_score_lanes`] on the detected backend.
-pub fn sw_score_multi<const L: usize, S: Scoring>(
-    queries: &[&[u8]; L],
-    refs: &[&[u8]; L],
-    scoring: &S,
-    gaps: GapPenalties,
-) -> [i32; L] {
-    let ls = sw_score_lanes(
-        &queries[..],
-        &refs[..],
-        scoring,
-        gaps,
-        SimdBackend::detect(),
-    );
-    let mut out = [0i32; L];
-    out.copy_from_slice(&ls.scores);
-    out
-}
-
-/// Score a whole batch of pairs through the multi-lane kernel, processing
-/// `L` at a time. Retained compatibility surface; the lane width actually
-/// used is the detected backend's, which is what makes it fast.
-pub fn sw_score_batch<const L: usize, S: Scoring>(
-    pairs: &[(&[u8], &[u8])],
-    scoring: &S,
-    gaps: GapPenalties,
-) -> Vec<i32> {
-    sw_score_batch_simd(pairs, scoring, gaps, SimdBackend::detect()).scores
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,18 +454,18 @@ mod tests {
         sw_score_only(q, r, &Blosum62, GapPenalties::pastis_defaults()).0
     }
 
+    /// Scores of `pairs` on the detected backend.
+    fn lanes(pairs: &[(&[u8], &[u8])]) -> Vec<i32> {
+        let g = GapPenalties::pastis_defaults();
+        sw_score_batch_simd(pairs, &Blosum62, g, SimdBackend::detect()).scores
+    }
+
     #[test]
     fn uniform_lanes_match_scalar() {
         let q = encode("HEAGAWGHEE").unwrap();
         let r = encode("PAWHEAE").unwrap();
-        let got = sw_score_multi::<4, _>(
-            &[&q, &q, &q, &q],
-            &[&r, &r, &r, &r],
-            &Blosum62,
-            GapPenalties::pastis_defaults(),
-        );
-        let want = scalar(&q, &r);
-        assert_eq!(got, [want; 4]);
+        let got = lanes(&[(q.as_slice(), r.as_slice()); 4]);
+        assert_eq!(got, [scalar(&q, &r); 4]);
     }
 
     #[test]
@@ -371,38 +474,33 @@ mod tests {
             .iter()
             .map(|s| encode(s).unwrap())
             .collect();
-        let qs: [&[u8]; 4] = [&seqs[0], &seqs[1], &seqs[2], &seqs[3]];
-        let rs: [&[u8]; 4] = [&seqs[1], &seqs[2], &seqs[3], &seqs[0]];
-        let got = sw_score_multi::<4, _>(&qs, &rs, &Blosum62, GapPenalties::pastis_defaults());
-        for l in 0..4 {
-            assert_eq!(got[l], scalar(qs[l], rs[l]), "lane {l}");
+        let pairs: Vec<(&[u8], &[u8])> = (0..4)
+            .map(|l| (seqs[l].as_slice(), seqs[(l + 1) % 4].as_slice()))
+            .collect();
+        let got = lanes(&pairs);
+        for (l, (q, r)) in pairs.iter().enumerate() {
+            assert_eq!(got[l], scalar(q, r), "lane {l}");
         }
     }
 
     #[test]
     fn empty_lanes_are_zero() {
         let q = encode("MKVLAW").unwrap();
-        let e: Vec<u8> = Vec::new();
-        let got = sw_score_multi::<2, _>(
-            &[&q, &e],
-            &[&q, &q],
-            &Blosum62,
-            GapPenalties::pastis_defaults(),
-        );
-        assert_eq!(got[0], scalar(&q, &q));
-        assert_eq!(got[1], 0);
+        let got = lanes(&[(&q, &q), (&[], &q)]);
+        assert_eq!(got, [scalar(&q, &q), 0]);
     }
 
     #[test]
     fn batch_wrapper_handles_tail() {
-        let seqs: Vec<Vec<u8>> = (0..7)
-            .map(|i| encode(&"MKVLAWYHEE"[..4 + i]).unwrap())
+        // 19 pairs: full chunks plus a partial one at either lane width.
+        let seqs: Vec<Vec<u8>> = (0..19)
+            .map(|i| encode(&"MKVLAWYHEEPAWHEAEGGSTPNQ"[..4 + i]).unwrap())
             .collect();
-        let pairs: Vec<(&[u8], &[u8])> = (0..7)
-            .map(|i| (seqs[i].as_slice(), seqs[(i + 3) % 7].as_slice()))
+        let pairs: Vec<(&[u8], &[u8])> = (0..19)
+            .map(|i| (seqs[i].as_slice(), seqs[(i + 3) % 19].as_slice()))
             .collect();
-        let got = sw_score_batch::<4, _>(&pairs, &Blosum62, GapPenalties::pastis_defaults());
-        assert_eq!(got.len(), 7);
+        let got = lanes(&pairs);
+        assert_eq!(got.len(), 19);
         for (idx, (q, r)) in pairs.iter().enumerate() {
             assert_eq!(got[idx], scalar(q, r), "pair {idx}");
         }
@@ -473,8 +571,7 @@ mod tests {
             c in proptest::collection::vec(0u8..21, 0..24),
             d in proptest::collection::vec(0u8..21, 0..24),
         ) {
-            let g = GapPenalties::pastis_defaults();
-            let got = sw_score_multi::<2, _>(&[&a, &c], &[&b, &d], &Blosum62, g);
+            let got = lanes(&[(&a, &b), (&c, &d)]);
             prop_assert_eq!(got[0], scalar(&a, &b));
             prop_assert_eq!(got[1], scalar(&c, &d));
         }

@@ -20,7 +20,10 @@
 //!   of the thread count, and the vector kernel is padding-invariant and
 //!   bit-identical to the scalar one (its i16 saturation rescue re-scores
 //!   through scalar i32), so scores stay bit-identical here too — across
-//!   thread counts *and* backends.
+//!   thread counts *and* backends. The kernel's rows and shuffle indices
+//!   live in the per-thread scratch the traceback kernels use, and a
+//!   lane's results come back in a fixed array, so a batch allocates per
+//!   call, not per lane.
 //!
 //! * **Traceback lanes** ([`AlignPool::run_traceback`]): a traceback
 //!   needs the full direction matrix of its pair, which rules out one pair
@@ -47,9 +50,11 @@ use pastis_trace::{names, Component, Recorder, Track};
 use crate::banded::sw_banded;
 use crate::batch::{AlignTask, BatchStats};
 use crate::matrices::Scoring;
-use crate::multilane::{sw_score_lanes_prepared, LaneTable};
+use crate::multilane::{score_lanes_into, LaneTable};
 use crate::simd::{SimdBackend, MAX_LANES};
-use crate::sw::{sw_align_in, sw_score_only, with_scratch, AlignmentResult, GapPenalties};
+use crate::sw::{
+    sw_align_in, sw_score_only, with_scratch, AlignmentResult, GapPenalties, TbScratch,
+};
 use crate::tblanes::sw_align_lanes;
 
 /// Scalar tasks claimed per unit of work. Small enough for dynamic load
@@ -262,7 +267,9 @@ impl AlignPool {
     /// to the scalar one (saturated lanes are promoted to the scalar i32
     /// kernel), so results match the serial scalar driver for every
     /// thread count and every backend. The returned stats carry the
-    /// backend used and the promotion count.
+    /// backend used, the promotion count and the cells the vectors
+    /// updated with padding (`padded_cells`, also the
+    /// `align.padded_cells` counter).
     pub fn run_score_only<'a, S, L>(
         &self,
         tasks: &[AlignTask],
@@ -277,20 +284,25 @@ impl AlignPool {
         let backend = self.available_simd();
         let table = LaneTable::build(scoring, gaps);
         let plan = LanePlan::build(tasks, &lookup, backend.lanes());
+        // A unit's payload is its members' results in lane order, in a
+        // fixed array: no allocation per unit.
         let (unit_results, mut stats) = self.execute_units(plan.units.len(), |u, local| {
-            let mut out = Vec::new();
+            let mut out = [ScoreResult::default(); MAX_LANES];
             match plan.units[u] {
-                LaneUnit::Lane { start, len } => run_lane(
-                    &plan.order[start..start + len],
-                    tasks,
-                    &lookup,
-                    scoring,
-                    gaps,
-                    backend,
-                    table.as_ref(),
-                    local,
-                    &mut out,
-                ),
+                LaneUnit::Lane { start, len } => with_scratch(|scratch| {
+                    run_lane(
+                        &plan.order[start..start + len],
+                        tasks,
+                        &lookup,
+                        scoring,
+                        gaps,
+                        backend,
+                        table.as_ref(),
+                        scratch,
+                        local,
+                        &mut out,
+                    )
+                }),
                 LaneUnit::Scalar(idx) => {
                     let t = &tasks[idx];
                     let (score, _, _, cells) =
@@ -298,7 +310,7 @@ impl AlignPool {
                     local.pairs += 1;
                     local.cells += cells;
                     local.max_cells = local.max_cells.max(cells);
-                    out.push((idx, ScoreResult { score, cells }));
+                    out[0] = ScoreResult { score, cells };
                 }
             }
             out
@@ -308,10 +320,19 @@ impl AlignPool {
             names::CTR_ALIGN_LANE_PROMOTIONS,
             stats.lane_promotions as f64,
         );
+        self.recorder
+            .add_counter(names::CTR_ALIGN_PADDED_CELLS, stats.padded_cells as f64);
         // Scatter lane-ordered results back to task order.
         let mut results = vec![ScoreResult::default(); tasks.len()];
-        for (idx, r) in unit_results.into_iter().flatten() {
-            results[idx] = r;
+        for (unit, out) in plan.units.iter().zip(&unit_results) {
+            match *unit {
+                LaneUnit::Lane { start, len } => {
+                    for (&idx, &r) in plan.order[start..start + len].iter().zip(out) {
+                        results[idx] = r;
+                    }
+                }
+                LaneUnit::Scalar(idx) => results[idx] = out[0],
+            }
         }
         (results, stats)
     }
@@ -380,6 +401,7 @@ impl AlignPool {
                     merged.cells += local.cells;
                     merged.max_cells = merged.max_cells.max(local.max_cells);
                     merged.lane_promotions += local.lane_promotions;
+                    merged.padded_cells += local.padded_cells;
                     merged.seconds += local.seconds;
                 }
                 tagged.sort_unstable_by_key(|&(u, _)| u);
@@ -431,6 +453,7 @@ impl AlignPool {
                 merged.cells += local.cells;
                 merged.max_cells = merged.max_cells.max(local.max_cells);
                 merged.lane_promotions += local.lane_promotions;
+                merged.padded_cells += local.padded_cells;
                 merged.seconds += local.seconds;
                 p
             })
@@ -497,6 +520,7 @@ impl LanePlan {
         }
         order.sort_unstable_by(|a, b| b.cmp(a));
         let order: Vec<usize> = order.into_iter().map(|(_, idx)| idx).collect();
+        units.reserve_exact(order.len().div_ceil(w));
         let mut pos = 0;
         while pos < order.len() {
             let len = w.min(order.len() - pos);
@@ -508,8 +532,9 @@ impl LanePlan {
 }
 
 /// Executes one lane unit: gathers the member pairs, runs the vector
-/// kernel (with its exact overflow rescue), and records per-task results
-/// and exact (unpadded) cell counts.
+/// kernel (with its exact overflow rescue) on the thread's scratch, and
+/// records per-member results in lane order and exact (unpadded) cell
+/// counts.
 #[allow(clippy::too_many_arguments)]
 fn run_lane<'a, S, L>(
     members: &[usize],
@@ -519,8 +544,9 @@ fn run_lane<'a, S, L>(
     gaps: GapPenalties,
     backend: SimdBackend,
     table: Option<&LaneTable>,
+    scratch: &mut TbScratch,
     local: &mut BatchStats,
-    out: &mut Vec<(usize, ScoreResult)>,
+    out: &mut [ScoreResult; MAX_LANES],
 ) where
     S: Scoring,
     L: Fn(u32) -> &'a [u8],
@@ -528,25 +554,33 @@ fn run_lane<'a, S, L>(
     debug_assert!(!members.is_empty() && members.len() <= MAX_LANES);
     let mut qs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
     let mut rs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+    let mut scores = [0i32; MAX_LANES];
     let n = members.len();
     for (l, &idx) in members.iter().enumerate() {
         qs[l] = lookup(tasks[idx].query);
         rs[l] = lookup(tasks[idx].reference);
     }
-    let lanes = sw_score_lanes_prepared(&qs[..n], &rs[..n], scoring, gaps, backend, table);
-    local.lane_promotions += lanes.promotions;
-    for (l, &idx) in members.iter().enumerate() {
+    let work = score_lanes_into(
+        &qs[..n],
+        &rs[..n],
+        scoring,
+        gaps,
+        backend,
+        table,
+        scratch,
+        &mut scores[..n],
+    );
+    local.lane_promotions += work.promotions;
+    local.padded_cells += work.padded_cells;
+    for l in 0..n {
         let cells = qs[l].len() as u64 * rs[l].len() as u64;
         local.pairs += 1;
         local.cells += cells;
         local.max_cells = local.max_cells.max(cells);
-        out.push((
-            idx,
-            ScoreResult {
-                score: lanes.scores[l],
-                cells,
-            },
-        ));
+        out[l] = ScoreResult {
+            score: scores[l],
+            cells,
+        };
     }
 }
 
@@ -739,6 +773,44 @@ mod tests {
                 "{backend}"
             );
         }
+    }
+
+    #[test]
+    fn padded_cells_count_the_vector_work() {
+        // One chunk of three pairs: the vectors run every lane over the
+        // longest query (33 rows) by the longest reference (33 columns)
+        // rounded up to three tiles of 16.
+        let seqs = [vec![3u8; 20], vec![5u8; 33], vec![7u8; 9]];
+        let tasks: Vec<AlignTask> = [(0, 1), (2, 0), (1, 2)]
+            .iter()
+            .map(|&(query, reference)| AlignTask {
+                query,
+                reference,
+                seed_q: 0,
+                seed_r: 0,
+            })
+            .collect();
+        let g = GapPenalties::pastis_defaults();
+        for backend in SimdBackend::available() {
+            for t in [1, 3] {
+                let (_, stats) = AlignPool::new(t).with_simd(backend).run_score_only(
+                    &tasks,
+                    |id| &seqs[id as usize],
+                    &Blosum62,
+                    g,
+                );
+                assert_eq!(stats.cells, 20 * 33 + 9 * 20 + 33 * 9, "{backend} t={t}");
+                assert_eq!(
+                    stats.padded_cells,
+                    backend.lanes() as u64 * 33 * 48,
+                    "{backend} t={t}"
+                );
+            }
+        }
+        // Traceback runs one pair at a time: nothing is padded.
+        let (_, stats) =
+            AlignPool::new(1).run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
+        assert_eq!(stats.padded_cells, 0);
     }
 
     #[test]

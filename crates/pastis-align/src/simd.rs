@@ -5,9 +5,10 @@
 //! the traceback kernel ([`crate::tblanes`]) advances one alignment's
 //! anti-diagonal, one row per lane. This module supplies the lanes: a
 //! [`SimdVec`] trait whose operations are the complete vocabulary of the
-//! two kernels (splat/load/store, saturating add/sub, max; for traceback
-//! also compare-greater, and/or/select, a one-lane shift and a narrowing
-//! byte store), implemented by
+//! two kernels (splat/load/store, saturating add/sub, max; for score-only
+//! the substitution scores of a 16-column tile; for traceback also
+//! compare-greater, and/or/select, a one-lane shift and a narrowing byte
+//! store), implemented by
 //!
 //! * `core::arch::x86_64` **SSE2** (8 lanes) and **AVX2** (16 lanes)
 //!   intrinsics, selected at runtime with `is_x86_feature_detected!`;
@@ -31,6 +32,40 @@ use core::arch::aarch64::*;
 /// Widest lane count any backend exposes; fixed-size scratch buffers in
 /// the kernel are sized by this.
 pub const MAX_LANES: usize = 16;
+
+/// Reference columns one [`SimdVec::score_tile`] call scores.
+pub const TILE_COLS: usize = 16;
+
+/// Added to a residue code to index the low half of a substitution row
+/// with a byte shuffle: codes 0..16 keep their low four bits with bit 7
+/// clear, codes 16..32 set bit 7, for which `pshufb` yields 0.
+const TILE_LO_BIAS: u8 = 0x70;
+
+/// The two shuffle indices [`SimdVec::score_tile`] takes for residue
+/// `code` (< 32): into the low half (codes 0..16) and the high half
+/// (codes 16..32) of a substitution row. In the half that does not hold
+/// `code`, the index has bit 7 set and the shuffle yields 0, so the two
+/// lookups combine with a bitwise or.
+#[inline(always)]
+pub fn tile_index(code: u8) -> [u8; 2] {
+    [code.saturating_add(TILE_LO_BIAS), code.wrapping_sub(16)]
+}
+
+/// [`SimdVec::score_tile`] with one indexed load per score: the portable
+/// default, and what the 8-lane x86 backend runs on a CPU without SSSE3.
+/// Lane by lane, so that a lane's row and codes are read in order.
+fn score_tile_indexed<V: SimdVec>(rows: &[u8], idx: &[u8], out: &mut [i16]) {
+    let half = V::LANES * TILE_COLS;
+    let (rows, idx, out) = (&rows[..2 * half], &idx[..half], &mut out[..half]);
+    let mut row = [0u8; 2 * 16];
+    for l in 0..V::LANES {
+        row[..16].copy_from_slice(&rows[l * 16..][..16]);
+        row[16..].copy_from_slice(&rows[half + l * 16..][..16]);
+        for (c, &lo) in idx[l * TILE_COLS..][..TILE_COLS].iter().enumerate() {
+            out[c * V::LANES + l] = row[lo.wrapping_sub(TILE_LO_BIAS) as usize % 32] as i8 as i16;
+        }
+    }
+}
 
 /// One vector of i16 lanes: the full instruction vocabulary of the
 /// lock-step Smith–Waterman recurrence.
@@ -86,6 +121,28 @@ pub trait SimdVec: Copy {
     #[inline(always)]
     fn zero() -> Self {
         Self::splat(0)
+    }
+
+    /// Substitution scores of [`TILE_COLS`] reference columns for every
+    /// lane at once, each lane against its own query residue: column `c`
+    /// of the tile goes to `out[c * LANES..][..LANES]`, lane `l` of it the
+    /// score of lane `l`'s query residue against its reference residue at
+    /// that column.
+    ///
+    /// Both inputs are `2 × LANES × 16` bytes laid out `[half][lane][16]`.
+    /// `rows` holds per lane the substitution row of its query residue as
+    /// two's-complement i8 scores by reference code, codes 0..16 in half 0
+    /// and 16..32 in half 1. `idx` holds per lane the [`tile_index`] pair
+    /// of its 16 reference codes, the low-half indices in half 0 and the
+    /// high-half ones in half 1. Reference codes must be below 32.
+    ///
+    /// The vector backends build the tile gather-free: two byte shuffles
+    /// per lane look its 16 scores up in its row, a byte transpose turns
+    /// lanes × columns into columns × lanes, and a sign extension widens
+    /// each column to i16.
+    #[inline(always)]
+    fn score_tile(rows: &[u8], idx: &[u8], out: &mut [i16]) {
+        score_tile_indexed::<Self>(rows, idx, out)
     }
 }
 
@@ -195,6 +252,84 @@ impl<const L: usize> SimdVec for ScalarLanes<L> {
     }
 }
 
+/// The shared tail of the x86 tile builders. `t[k]` holds in each 128-bit
+/// half the 16 column scores (bytes) of one lane: lane `k`, and on AVX2
+/// lane `k + 8` in the high half. Three rounds of interleaves transpose
+/// each half from 8 lanes × 16 columns to 16 columns × 8 lanes, leaving
+/// columns `2k` and `2k + 1` in `w[k]`; interleaving a register with
+/// itself and shifting right arithmetically by 8 sign-extends a column,
+/// which goes to the `2k`-th (`2k + 1`-th) register-sized slot at `out`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! transpose_tile {
+    ($t:ident => $out:ident, $store:ident, $lo8:ident, $hi8:ident, $lo16:ident, $hi16:ident,
+     $lo32:ident, $hi32:ident, $srai:ident) => {{
+        let t = $t;
+        let u = [
+            $lo8(t[0], t[1]),
+            $hi8(t[0], t[1]),
+            $lo8(t[2], t[3]),
+            $hi8(t[2], t[3]),
+            $lo8(t[4], t[5]),
+            $hi8(t[4], t[5]),
+            $lo8(t[6], t[7]),
+            $hi8(t[6], t[7]),
+        ];
+        let v = [
+            $lo16(u[0], u[2]),
+            $hi16(u[0], u[2]),
+            $lo16(u[1], u[3]),
+            $hi16(u[1], u[3]),
+            $lo16(u[4], u[6]),
+            $hi16(u[4], u[6]),
+            $lo16(u[5], u[7]),
+            $hi16(u[5], u[7]),
+        ];
+        let w = [
+            $lo32(v[0], v[4]),
+            $hi32(v[0], v[4]),
+            $lo32(v[1], v[5]),
+            $hi32(v[1], v[5]),
+            $lo32(v[2], v[6]),
+            $hi32(v[2], v[6]),
+            $lo32(v[3], v[7]),
+            $hi32(v[3], v[7]),
+        ];
+        for (k, w) in w.into_iter().enumerate() {
+            $store($out.add(2 * k), $srai::<8>($lo8(w, w)));
+            $store($out.add(2 * k + 1), $srai::<8>($hi8(w, w)));
+        }
+    }};
+}
+
+/// [`SimdVec::score_tile`] for the 8-lane x86 backend with `pshufb`.
+///
+/// # Safety
+///
+/// The CPU must support SSSE3.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "ssse3")]
+unsafe fn score_tile_ssse3(rows: &[u8], idx: &[u8], out: &mut [i16]) {
+    const HALF: usize = 8 * TILE_COLS;
+    let (rows, idx, out) = (&rows[..2 * HALF], &idx[..2 * HALF], &mut out[..HALF]);
+    let mut t = [_mm_setzero_si128(); 8];
+    for (l, t) in t.iter_mut().enumerate() {
+        // SAFETY: every load reads 16 bytes at `l * 16 < HALF` into one
+        // half of a slice cut to `2 * HALF` bytes above.
+        let load = |bytes: &[u8], half: usize| unsafe {
+            _mm_loadu_si128(bytes.as_ptr().add(half * HALF + l * 16) as *const __m128i)
+        };
+        *t = _mm_or_si128(
+            _mm_shuffle_epi8(load(rows, 0), load(idx, 0)),
+            _mm_shuffle_epi8(load(rows, 1), load(idx, 1)),
+        );
+    }
+    // SAFETY: the 16 stores of 8 lanes fill `out`, cut to `HALF` above.
+    let out = out.as_mut_ptr() as *mut __m128i;
+    transpose_tile!(t => out, _mm_storeu_si128, _mm_unpacklo_epi8, _mm_unpackhi_epi8,
+        _mm_unpacklo_epi16, _mm_unpackhi_epi16, _mm_unpacklo_epi32, _mm_unpackhi_epi32,
+        _mm_srai_epi16);
+}
+
 /// SSE2 vector: 8 × i16 in an `__m128i`. SSE2 is a baseline feature of
 /// x86_64, so these wrappers are sound on every x86_64 host.
 #[cfg(target_arch = "x86_64")]
@@ -273,6 +408,19 @@ impl SimdVec for Sse2Vec {
                 dst.as_mut_ptr() as *mut __m128i,
                 _mm_packus_epi16(self.0, self.0),
             )
+        }
+    }
+
+    /// `pshufb` is SSSE3, which the baseline does not include: it is
+    /// detected here, per tile, and a CPU without it takes the indexed
+    /// loads.
+    #[inline(always)]
+    fn score_tile(rows: &[u8], idx: &[u8], out: &mut [i16]) {
+        if is_x86_feature_detected!("ssse3") {
+            // SAFETY: SSSE3 was detected on the line above.
+            unsafe { score_tile_ssse3(rows, idx, out) }
+        } else {
+            score_tile_indexed::<Self>(rows, idx, out)
         }
     }
 }
@@ -369,6 +517,40 @@ impl SimdVec for Avx2Vec {
             _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, packed)
         }
     }
+
+    #[inline(always)]
+    fn score_tile(rows: &[u8], idx: &[u8], out: &mut [i16]) {
+        const HALF: usize = 16 * TILE_COLS;
+        let (rows, idx, out) = (&rows[..2 * HALF], &idx[..2 * HALF], &mut out[..HALF]);
+        // SAFETY: AVX2 per the type's contract; every load reads 32 bytes
+        // at `p * 32 < HALF` into one half of a slice cut to `2 * HALF`
+        // bytes above, and the 16 stores of 16 lanes fill `out`, cut to
+        // `HALF`.
+        unsafe {
+            // Register p looks up lanes 2p (low half) and 2p + 1 (high).
+            let mut s = [_mm256_setzero_si256(); 8];
+            for (p, s) in s.iter_mut().enumerate() {
+                let load = |bytes: &[u8], half: usize| {
+                    _mm256_loadu_si256(bytes.as_ptr().add(half * HALF + p * 32) as *const __m256i)
+                };
+                *s = _mm256_or_si256(
+                    _mm256_shuffle_epi8(load(rows, 0), load(idx, 0)),
+                    _mm256_shuffle_epi8(load(rows, 1), load(idx, 1)),
+                );
+            }
+            // Pair lane k with lane k + 8, so that the in-half transpose
+            // leaves lanes 0..8 in the low half and 8..16 in the high.
+            let mut t = [_mm256_setzero_si256(); 8];
+            for p in 0..4 {
+                t[2 * p] = _mm256_permute2x128_si256::<0x20>(s[p], s[p + 4]);
+                t[2 * p + 1] = _mm256_permute2x128_si256::<0x31>(s[p], s[p + 4]);
+            }
+            let out = out.as_mut_ptr() as *mut __m256i;
+            transpose_tile!(t => out, _mm256_storeu_si256, _mm256_unpacklo_epi8,
+                _mm256_unpackhi_epi8, _mm256_unpacklo_epi16, _mm256_unpackhi_epi16,
+                _mm256_unpacklo_epi32, _mm256_unpackhi_epi32, _mm256_srai_epi16);
+        }
+    }
 }
 
 /// NEON vector: 8 × i16 in an `int16x8_t`. NEON is a baseline feature of
@@ -444,6 +626,60 @@ impl SimdVec for NeonVec {
         // SAFETY: NEON is baseline on aarch64; the assert above covers
         // the 8 bytes the store writes.
         unsafe { vst1_u8(dst.as_mut_ptr(), vmovn_u16(vreinterpretq_u16_s16(self.0))) }
+    }
+
+    #[inline(always)]
+    fn score_tile(rows: &[u8], idx: &[u8], out: &mut [i16]) {
+        const HALF: usize = 8 * TILE_COLS;
+        let (rows, idx, out) = (&rows[..2 * HALF], &idx[..HALF], &mut out[..HALF]);
+        // SAFETY: NEON is baseline on aarch64; every load reads 16 bytes
+        // at `l * 16 < HALF` into a slice cut to that many halves above,
+        // and the 16 stores of 8 lanes fill `out`, cut to `HALF`.
+        unsafe {
+            // `tbl` over the whole 32-byte row takes the plain code and
+            // yields 0 past the table, so one lookup per lane does.
+            let bias = vdupq_n_u8(TILE_LO_BIAS);
+            let mut t = [vdupq_n_s8(0); 8];
+            for (l, t) in t.iter_mut().enumerate() {
+                let row =
+                    |half: usize| vld1q_s8(rows.as_ptr().add(half * HALF + l * 16) as *const i8);
+                let codes = vsubq_u8(vld1q_u8(idx.as_ptr().add(l * 16)), bias);
+                *t = vqtbl2q_s8(int8x16x2_t(row(0), row(1)), codes);
+            }
+            // The x86 transpose with `zip1`/`zip2` for `unpacklo`/`hi`.
+            let zip8 = |a: int8x16_t, b: int8x16_t| {
+                [
+                    vreinterpretq_s16_s8(vzip1q_s8(a, b)),
+                    vreinterpretq_s16_s8(vzip2q_s8(a, b)),
+                ]
+            };
+            let zip16 = |a: int16x8_t, b: int16x8_t| {
+                [
+                    vreinterpretq_s32_s16(vzip1q_s16(a, b)),
+                    vreinterpretq_s32_s16(vzip2q_s16(a, b)),
+                ]
+            };
+            let zip32 = |a: int32x4_t, b: int32x4_t| {
+                [
+                    vreinterpretq_s8_s32(vzip1q_s32(a, b)),
+                    vreinterpretq_s8_s32(vzip2q_s32(a, b)),
+                ]
+            };
+            let [u0, u1] = zip8(t[0], t[1]);
+            let [u2, u3] = zip8(t[2], t[3]);
+            let [u4, u5] = zip8(t[4], t[5]);
+            let [u6, u7] = zip8(t[6], t[7]);
+            let [v0, v1] = zip16(u0, u2);
+            let [v2, v3] = zip16(u1, u3);
+            let [v4, v5] = zip16(u4, u6);
+            let [v6, v7] = zip16(u5, u7);
+            let w = [zip32(v0, v4), zip32(v1, v5), zip32(v2, v6), zip32(v3, v7)];
+            let out = out.as_mut_ptr();
+            for (k, w) in w.into_iter().flatten().enumerate() {
+                vst1q_s16(out.add(2 * k * 8), vmovl_s8(vget_low_s8(w)));
+                vst1q_s16(out.add((2 * k + 1) * 8), vmovl_high_s8(w));
+            }
+        }
     }
 }
 
@@ -647,16 +883,61 @@ mod tests {
         assert_eq!(bytes[V::LANES], 0xee, "store_bytes wrote past its lanes");
     }
 
+    /// `score_tile` against `table[q][r]` for all 22 × 22 code pairs in
+    /// every lane and every column: as `(q0, r0)` runs over all pairs, so
+    /// does the pair at each position. A different query code per lane
+    /// and a different reference code per lane and column make this the
+    /// test of the transpose too, and negative scores that of the sign
+    /// extension.
+    fn check_tile<V: SimdVec>() {
+        const CODES: usize = 22;
+        let table = |q: usize, r: usize| ((q * 23 + r * 5) % 256) as u8;
+        let half = V::LANES * TILE_COLS;
+        let (mut rows, mut idx) = (vec![0u8; 2 * half], vec![0u8; 2 * half]);
+        let mut out = vec![0i16; half];
+        for q0 in 0..CODES {
+            for r0 in 0..CODES {
+                let q_of = |l: usize| (q0 + l) % CODES;
+                let r_of = |l: usize, c: usize| (r0 + 7 * l + c) % CODES;
+                for l in 0..V::LANES {
+                    for code in 0..32 {
+                        let score = if code < CODES {
+                            table(q_of(l), code)
+                        } else {
+                            0x55
+                        };
+                        rows[(code / 16) * half + l * 16 + code % 16] = score;
+                    }
+                    for c in 0..TILE_COLS {
+                        let [lo, hi] = tile_index(r_of(l, c) as u8);
+                        idx[l * TILE_COLS + c] = lo;
+                        idx[half + l * TILE_COLS + c] = hi;
+                    }
+                }
+                V::score_tile(&rows, &idx, &mut out);
+                for (c, column) in out.chunks_exact(V::LANES).enumerate() {
+                    for (l, &got) in column.iter().enumerate() {
+                        let want = table(q_of(l), r_of(l, c)) as i8 as i16;
+                        assert_eq!(got, want, "q0 {q0} r0 {r0} lane {l} column {c}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn scalar_lanes_ops() {
         check_ops::<ScalarLanes<8>>();
         check_ops::<ScalarLanes<16>>();
+        check_tile::<ScalarLanes<8>>();
+        check_tile::<ScalarLanes<16>>();
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn sse2_ops() {
         check_ops::<Sse2Vec>();
+        check_tile::<Sse2Vec>();
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -664,6 +945,7 @@ mod tests {
     fn avx2_ops() {
         if is_x86_feature_detected!("avx2") {
             check_ops::<Avx2Vec>();
+            check_tile::<Avx2Vec>();
         }
     }
 
@@ -671,6 +953,7 @@ mod tests {
     #[test]
     fn neon_ops() {
         check_ops::<NeonVec>();
+        check_tile::<NeonVec>();
     }
 
     #[test]

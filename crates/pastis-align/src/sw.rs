@@ -216,7 +216,9 @@ const SCRATCH_KEEP_BYTES: usize = 4 << 20;
 /// the direction bytes (row-major here, strip-major skewed in
 /// [`crate::tblanes`]), the scalar kernel's `H`/`F` rows, the vector
 /// kernel's i16 profile and strip boundary rows, and the reversed
-/// operation list the walk builds.
+/// operation list the walk builds. The score-only lanes
+/// ([`crate::multilane`]) keep their shuffle indices in `codes` and their
+/// `H`/`F` rows in `lanes`, from chunk to chunk.
 #[derive(Default)]
 pub(crate) struct TbScratch {
     pub(crate) tb: Vec<u8>,

@@ -1058,6 +1058,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
                 cpu_seconds = stats.seconds;
                 batch_span.push_arg("simd", stats.simd.id());
                 batch_span.push_arg("lane_promotions", stats.lane_promotions);
+                batch_span.push_arg("padded_cells", stats.padded_cells);
                 for (pt, res) in pairs.iter().zip(&results) {
                     let (q, r) = (&seqs[pt.i as usize], &seqs[pt.j as usize]);
                     if let Some(e) = banded_edge(pt, res.score, q, r, &filter) {

@@ -155,6 +155,9 @@ pub const CTR_POOL_STEALS: &str = "pool.steals";
 pub const CTR_ALIGN_SIMD_BACKEND: &str = "align.simd_backend";
 /// Lanes promoted from i16 to i32 on saturation rescue.
 pub const CTR_ALIGN_LANE_PROMOTIONS: &str = "align.lane_promotions";
+/// DP cells the score-only lanes updated, padding included (`cells` over
+/// this is the useful share of the vector work).
+pub const CTR_ALIGN_PADDED_CELLS: &str = "align.padded_cells";
 /// SpGEMM kernel dispatches: auto selector invoked.
 pub const CTR_SPGEMM_KERNEL_AUTO: &str = "spgemm.kernel.auto";
 /// SpGEMM kernel dispatches: hash kernel.
@@ -286,6 +289,7 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     CTR_POOL_STEALS,
     CTR_ALIGN_SIMD_BACKEND,
     CTR_ALIGN_LANE_PROMOTIONS,
+    CTR_ALIGN_PADDED_CELLS,
     CTR_SPGEMM_KERNEL_AUTO,
     CTR_SPGEMM_KERNEL_HASH,
     CTR_SPGEMM_KERNEL_HEAP,
