@@ -1,28 +1,39 @@
 //! SIMD lane-backend gate for the alignment kernels.
 //!
-//! Runs the same batch through the serial scalar reference and through
-//! every lane backend compiled into this build (portable scalar lanes,
-//! SSE2/AVX2 on x86_64, NEON on aarch64), once score-only and once with
-//! traceback, prints side-by-side GCUPS tables, and **fails (exit 1) if a
-//! backend's traceback results differ from `sw_align` in any field, or if
-//! the backend that runtime feature detection would select is slower than
-//! the serial scalar kernel** — the CI guard against re-introducing the
-//! software-lockstep regression the real vector backends replaced.
+//! Score-only, on two batches — random pairs of the benchmark dataset and
+//! homologous pairs (members of one planted family: what a k-mer
+//! threshold lets through, and so what `search.sparse` aligns) — it runs
+//! the serial scalar reference, every lane backend compiled into this
+//! build (portable scalar lanes, SSE2/AVX2 on x86_64, NEON on aarch64)
+//! through `AlignPool::run_score_only`, and a copy kept in this file of
+//! the kernel the score tiles replaced, which filled every score vector
+//! with one scalar table load per lane. Contenders take turns after a
+//! warm-up run each, so a speed step of the host lands on all of them.
+//! It **fails (exit 1)** if
 //!
-//! The score-only `lane speedup` line for the detected backend is the
-//! measured value behind `MachineModel::commodity().simd_lane_speedup`;
-//! the traceback table is ROADMAP item 3's "alignment GCUPS recorded per
-//! backend".
+//! * a backend's scores differ from `sw_score_only` on any pair;
+//! * AVX2 lanes are under 2× that gather kernel on AVX2, on either batch;
+//! * the portable lanes are slower than that gather kernel on the
+//!   portable lanes, on either batch;
+//! * the backend that runtime feature detection would select is slower
+//!   than the serial scalar kernel — the CI guard against re-introducing
+//!   the software-lockstep regression the real vector backends replaced.
+//!
+//! Then the traceback kernels on the random batch: **fails** if a
+//! backend's results differ from `sw_align` in any field, or the selected
+//! backend is slower than serial `sw_align`.
 //!
 //! Usage: `kernel_simd [n_pairs] [reps]` (defaults 4000, 5).
 
 use std::time::Instant;
 
-use pastis_align::matrices::Blosum62;
+use pastis_align::matrices::{Blosum62, Scoring, AA_COUNT};
 use pastis_align::parallel::AlignPool;
-use pastis_align::simd::SimdBackend;
+use pastis_align::simd::{ScalarLanes, SimdBackend, SimdVec};
 use pastis_align::sw::{sw_align, sw_score_only, GapPenalties};
+use pastis_align::AlignTask;
 use pastis_bench::{bench_dataset, fmt_count, rule};
+use pastis_seqio::SyntheticDataset;
 
 /// splitmix64: deterministic pair sampling without a rand dependency
 /// (rand is a dev-dependency of this crate, unavailable to binaries).
@@ -50,56 +61,409 @@ fn fail(why: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Print one kernel's table: the serial reference (`labels.0`, `scalar`
-/// seconds) and a `labels.1/<backend>` row per available backend, whose
-/// `(seconds, promotions)` come from `measure`. Returns the detected
-/// backend's speed-up over the serial reference.
-fn backend_table(
-    title: &str,
-    labels: (&str, &str),
-    cells: u64,
-    scalar: f64,
-    mut measure: impl FnMut(SimdBackend) -> (f64, u64),
-) -> f64 {
-    let detected = SimdBackend::detect();
-    println!("{title}");
+fn task(query: usize, reference: usize) -> AlignTask {
+    AlignTask {
+        query: query as u32,
+        reference: reference as u32,
+        seed_q: 0,
+        seed_r: 0,
+    }
+}
+
+/// Up to `n_pairs` pairs of members of one planted family, family by
+/// family in id order.
+fn homolog_tasks(ds: &SyntheticDataset, n_pairs: usize) -> Vec<AlignTask> {
+    let mut members: Vec<(u32, usize)> = ds
+        .family
+        .iter()
+        .enumerate()
+        .filter(|&(_, &f)| f != SyntheticDataset::SINGLETON)
+        .map(|(i, &f)| (f, i))
+        .collect();
+    members.sort_unstable();
+    members
+        .chunk_by(|a, b| a.0 == b.0)
+        .flat_map(|family| {
+            (0..family.len())
+                .flat_map(move |a| (a + 1..family.len()).map(move |b| (family[a].1, family[b].1)))
+        })
+        .take(n_pairs)
+        .map(|(i, j)| task(i, j))
+        .collect()
+}
+
+// ------------------------------------------------- the replaced kernel
+
+/// Table index and score of the residue that pads ragged lanes.
+const PAD: usize = AA_COUNT;
+const PAD_SCORE: i16 = -100;
+const DIM: usize = AA_COUNT + 1;
+
+/// BLOSUM62 flattened to i16 with the PAD row and column.
+fn flat_table() -> [i16; DIM * DIM] {
+    let mut flat = [PAD_SCORE; DIM * DIM];
+    for a in 0..AA_COUNT {
+        for b in 0..AA_COUNT {
+            flat[a * DIM + b] = Blosum62.score(a as u8, b as u8) as i16;
+        }
+    }
+    flat
+}
+
+/// The score-only lane kernel as it was before the score tiles, kept here
+/// as the yardstick: the same recurrence, but every score vector is
+/// filled with one table load and one store per lane, and the rows are
+/// allocated per chunk.
+#[inline(always)]
+fn gather_kernel<V: SimdVec>(
+    qs: &[&[u8]],
+    rs: &[&[u8]],
+    flat: &[i16; DIM * DIM],
+    gaps: GapPenalties,
+    out: &mut [i32],
+) {
+    let lanes = V::LANES;
+    let m = qs.iter().map(|q| q.len()).max().unwrap_or(0);
+    let n = rs.iter().map(|r| r.len()).max().unwrap_or(0);
+    out.fill(0);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let mut rt = vec![PAD as u8; n * lanes];
+    for (l, r) in rs.iter().enumerate() {
+        for (j, &c) in r.iter().enumerate() {
+            rt[j * lanes + l] = c;
+        }
+    }
+    let neg = V::splat(i16::MIN);
+    let zero = V::zero();
+    let vfirst = V::splat((gaps.open + gaps.extend) as i16);
+    let vext = V::splat(gaps.extend as i16);
+    let mut h = vec![zero; n + 1];
+    let mut f = vec![neg; n + 1];
+    let mut best = zero;
+    let mut qoff = [PAD * DIM; 16];
+    let mut sbuf = [0i16; 16];
+    for i in 1..=m {
+        for (l, off) in qoff.iter_mut().enumerate().take(lanes) {
+            let code = qs.get(l).and_then(|q| q.get(i - 1)).copied();
+            *off = code.map_or(PAD, usize::from) * DIM;
+        }
+        let mut e = neg;
+        let mut h_left = zero;
+        let mut diag = zero;
+        for j in 1..=n {
+            let up = h[j];
+            let fv = up.sub_sat(vfirst).max(f[j].sub_sat(vext));
+            f[j] = fv;
+            let ev = h_left.sub_sat(vfirst).max(e.sub_sat(vext));
+            e = ev;
+            let col = &rt[(j - 1) * lanes..j * lanes];
+            for l in 0..lanes {
+                sbuf[l] = flat[qoff[l] + col[l] as usize];
+            }
+            let hv = diag.add_sat(V::load(&sbuf)).max(ev).max(fv).max(zero);
+            best = best.max(hv);
+            diag = up;
+            h[j] = hv;
+            h_left = hv;
+        }
+    }
+    let mut bbuf = [0i16; 16];
+    best.store(&mut bbuf);
+    for (o, &b) in out.iter_mut().zip(&bbuf) {
+        assert!(b < i16::MAX, "the gate's batches do not saturate");
+        *o = b as i32;
+    }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gather_chunk_avx2(
+    qs: &[&[u8]],
+    rs: &[&[u8]],
+    flat: &[i16; DIM * DIM],
+    gaps: GapPenalties,
+    out: &mut [i32],
+) {
+    gather_kernel::<pastis_align::simd::Avx2Vec>(qs, rs, flat, gaps, out)
+}
+
+/// The replaced kernel over a whole batch, on `order` (the lane plan's:
+/// longest first) in chunks of 16; scores in task order.
+fn gather_batch<'a>(
+    avx2: bool,
+    tasks: &[AlignTask],
+    order: &[usize],
+    lookup: impl Fn(u32) -> &'a [u8],
+    flat: &[i16; DIM * DIM],
+    gaps: GapPenalties,
+) -> Vec<i32> {
+    let mut scores = vec![0i32; tasks.len()];
+    let mut out = [0i32; 16];
+    for members in order.chunks(16) {
+        let qs: Vec<&[u8]> = members.iter().map(|&k| lookup(tasks[k].query)).collect();
+        let rs: Vec<&[u8]> = members
+            .iter()
+            .map(|&k| lookup(tasks[k].reference))
+            .collect();
+        let out = &mut out[..members.len()];
+        if avx2 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the caller passes `avx2` only after detecting it.
+            unsafe {
+                gather_chunk_avx2(&qs, &rs, flat, gaps, out)
+            }
+        } else {
+            gather_kernel::<ScalarLanes<16>>(&qs, &rs, flat, gaps, out);
+        }
+        for (&k, &s) in members.iter().zip(out.iter()) {
+            scores[k] = s;
+        }
+    }
+    scores
+}
+
+// ------------------------------------------------------------- tables
+
+/// The column heads of a kernel table and its serial reference row.
+fn table_head(serial: &str, cells: u64, seconds: f64) {
     rule(78);
     println!(
         "{:<18} {:>6} {:>12} {:>10} {:>12} {:>12}",
-        "backend", "lanes", "seconds", "GCUPS", "vs scalar", "promotions"
+        "kernel", "lanes", "seconds", "GCUPS", "vs scalar", "promotions"
     );
     rule(78);
     println!(
-        "{:<18} {:>6} {:>12.4} {:>10.3} {:>12} {:>12}",
-        labels.0,
+        "{serial:<18} {:>6} {seconds:>12.4} {:>10.3} {:>12} {:>12}",
         1,
-        scalar,
-        cells as f64 / scalar / 1e9,
+        cells as f64 / seconds / 1e9,
         "1.00x",
         0
     );
+}
+
+/// One kernel's row; `serial` is the reference row's seconds, `selected`
+/// marks the backend runtime detection picks.
+fn table_row(
+    label: &str,
+    lanes: usize,
+    cells: u64,
+    seconds: f64,
+    serial: f64,
+    promotions: u64,
+    selected: bool,
+) {
+    let mark = if selected { "  <- selected" } else { "" };
+    println!(
+        "{label:<18} {lanes:>6} {seconds:>12.4} {:>10.3} {:>11.2}x {promotions:>12}{mark}",
+        cells as f64 / seconds / 1e9,
+        serial / seconds,
+    );
+}
+
+/// One timed way of scoring a batch.
+struct Contender<'a> {
+    label: String,
+    lanes: usize,
+    /// Scores in task order and the promotion count.
+    run: Box<dyn Fn() -> (Vec<i32>, u64) + 'a>,
+    best: f64,
+}
+
+/// Score-only on one batch: every contender checked against the serial
+/// scalar kernel, then timed in turns. Applies the score-only gates.
+fn score_only_table<'a>(
+    name: &str,
+    tasks: &'a [AlignTask],
+    lookup: impl Fn(u32) -> &'a [u8] + Copy + Sync + 'a,
+    reps: usize,
+) {
+    let gaps = GapPenalties::pastis_defaults();
+    let detected = SimdBackend::detect();
+    let cells: u64 = tasks
+        .iter()
+        .map(|t| lookup(t.query).len() as u64 * lookup(t.reference).len() as u64)
+        .sum();
+    let scalar_scores = || -> Vec<i32> {
+        tasks
+            .iter()
+            .map(|t| sw_score_only(lookup(t.query), lookup(t.reference), &Blosum62, gaps).0)
+            .collect()
+    };
+    let reference = scalar_scores();
+
+    // The lane plan's order, for the replaced kernel.
+    let max_len = |k: usize| {
+        lookup(tasks[k].query)
+            .len()
+            .max(lookup(tasks[k].reference).len())
+    };
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_unstable_by_key(|&k| (std::cmp::Reverse(max_len(k)), std::cmp::Reverse(k)));
+    let order = &order;
+    let flat = flat_table();
+
+    let mut contenders: Vec<Contender> = Vec::new();
+    let gather_backends = [SimdBackend::Scalar, SimdBackend::Avx2];
+    for backend in gather_backends.into_iter().filter(|b| b.is_available()) {
+        contenders.push(Contender {
+            label: format!("gather/{backend}"),
+            lanes: 16,
+            run: Box::new(move || {
+                let avx2 = backend == SimdBackend::Avx2;
+                (gather_batch(avx2, tasks, order, lookup, &flat, gaps), 0)
+            }),
+            best: f64::INFINITY,
+        });
+    }
+    let mut padded = 0;
+    for backend in SimdBackend::available() {
+        let pool = AlignPool::new(1).with_simd(backend);
+        if backend == detected {
+            padded = pool
+                .run_score_only(tasks, lookup, &Blosum62, gaps)
+                .1
+                .padded_cells;
+        }
+        contenders.push(Contender {
+            label: format!("lanes/{backend}"),
+            lanes: backend.lanes(),
+            run: Box::new(move || {
+                let (results, stats) = pool.run_score_only(tasks, lookup, &Blosum62, gaps);
+                (
+                    results.iter().map(|r| r.score).collect(),
+                    stats.lane_promotions,
+                )
+            }),
+            best: f64::INFINITY,
+        });
+    }
+
+    // The first run of each is the check and the warm-up.
+    let mut promotions = Vec::new();
+    for c in &contenders {
+        let (scores, promoted) = (c.run)();
+        if scores != reference {
+            fail(&format!(
+                "{name}: {} diverged from the scalar kernel",
+                c.label
+            ));
+        }
+        promotions.push(promoted);
+    }
+    let mut scalar = f64::INFINITY;
+    for _ in 0..reps {
+        scalar = scalar.min(best_of(1, scalar_scores));
+        for c in &mut contenders {
+            c.best = c.best.min(best_of(1, &c.run));
+        }
+    }
+
+    println!(
+        "score-only, {name}: {} pairs, {} cells ({:.1}% of the {detected} lanes' {} padded), \
+         best of {reps} rounds taken in turns, 1 thread",
+        tasks.len(),
+        fmt_count(cells),
+        100.0 * cells as f64 / padded as f64,
+        fmt_count(padded),
+    );
+    table_head("serial scalar", cells, scalar);
+    for (c, &promoted) in contenders.iter().zip(&promotions) {
+        let selected = c.label == format!("lanes/{detected}");
+        table_row(&c.label, c.lanes, cells, c.best, scalar, promoted, selected);
+    }
+    rule(78);
+
+    let seconds = |label: &str| contenders.iter().find(|c| c.label == label).map(|c| c.best);
+    if let (Some(tile), Some(gather)) = (seconds("lanes/avx2"), seconds("gather/avx2")) {
+        let ratio = gather / tile;
+        if ratio < 2.0 {
+            fail(&format!(
+                "{name}: lanes/avx2 is {ratio:.2}x gather/avx2 (< 2.00x)"
+            ));
+        }
+        println!("PASS: lanes/avx2 runs {ratio:.2}x the gather kernel on avx2");
+    }
+    let (tile, gather) = (seconds("lanes/scalar"), seconds("gather/scalar"));
+    let ratio = gather.expect("always built") / tile.expect("always available");
+    if ratio < 1.0 {
+        fail(&format!(
+            "{name}: lanes/scalar is {ratio:.2}x gather/scalar (< 1.00x)"
+        ));
+    }
+    println!("PASS: the portable lanes run {ratio:.2}x the gather kernel on the same lanes");
+    let speedup = scalar / seconds(&format!("lanes/{detected}")).expect("detected is available");
+    println!(
+        "detected backend: {detected} ({} x i16 lanes), lane speedup {speedup:.2}x over serial scalar",
+        detected.lanes()
+    );
+    if speedup < 1.0 {
+        fail(&format!(
+            "{name}: runtime-selected backend {detected} is {speedup:.2}x scalar (< 1.00x)"
+        ));
+    }
+    println!("PASS: every backend is bit-identical to sw_score_only\n");
+}
+
+/// The traceback kernels on one batch: the serial reference (`sw_align`)
+/// and a `traceback/<backend>` row per available backend.
+fn traceback_table<'a>(
+    tasks: &[AlignTask],
+    lookup: impl Fn(u32) -> &'a [u8] + Copy + Sync,
+    reps: usize,
+) {
+    let gaps = GapPenalties::pastis_defaults();
+    let detected = SimdBackend::detect();
+    let cells: u64 = tasks
+        .iter()
+        .map(|t| lookup(t.query).len() as u64 * lookup(t.reference).len() as u64)
+        .sum();
+    let traceback = |t: &AlignTask| sw_align(lookup(t.query), lookup(t.reference), &Blosum62, gaps);
+    let reference: Vec<_> = tasks.iter().map(traceback).collect();
+    let scalar = best_of(reps, || tasks.iter().map(traceback).collect::<Vec<_>>());
+    println!(
+        "traceback, random pairs: {} pairs, {} cells, best of {reps} reps, 1 thread",
+        tasks.len(),
+        fmt_count(cells)
+    );
+    table_head("serial sw_align", cells, scalar);
     let mut detected_speedup = 0.0;
     for backend in SimdBackend::available() {
-        let (best, promotions) = measure(backend);
-        let speedup = scalar / best;
-        let mark = if backend == detected {
-            detected_speedup = speedup;
-            "  <- selected"
-        } else {
-            ""
-        };
-        println!(
-            "{:<18} {:>6} {:>12.4} {:>10.3} {:>11.2}x {:>12}{mark}",
-            format!("{}/{backend}", labels.1),
+        let pool = AlignPool::new(1).with_simd(backend);
+        let (results, stats) = pool.run_traceback(tasks, lookup, &Blosum62, gaps);
+        if results != reference {
+            fail(&format!(
+                "traceback/{backend} is not bit-identical to sw_align"
+            ));
+        }
+        let best = best_of(reps, || pool.run_traceback(tasks, lookup, &Blosum62, gaps));
+        if backend == detected {
+            detected_speedup = scalar / best;
+        }
+        let label = format!("traceback/{backend}");
+        table_row(
+            &label,
             backend.lanes(),
+            cells,
             best,
-            cells as f64 / best / 1e9,
-            speedup,
-            promotions
+            scalar,
+            stats.lane_promotions,
+            backend == detected,
         );
     }
     rule(78);
-    detected_speedup
+    if detected_speedup < 1.0 {
+        fail(&format!(
+            "runtime-selected traceback backend {detected} is {detected_speedup:.2}x sw_align (< 1.00x)"
+        ));
+    }
+    println!(
+        "PASS: every backend's traceback is bit-identical to sw_align; {detected} runs {detected_speedup:.2}x serial sw_align"
+    );
 }
 
 fn main() {
@@ -111,95 +475,13 @@ fn main() {
     let seqs: Vec<Vec<u8>> = (0..ds.store.len())
         .map(|i| ds.store.seq(i).to_vec())
         .collect();
-    let mut state = 0x5C22u64;
-    let tasks: Vec<pastis_align::AlignTask> = (0..n_pairs)
-        .map(|_| pastis_align::AlignTask {
-            query: (splitmix64(&mut state) % seqs.len() as u64) as u32,
-            reference: (splitmix64(&mut state) % seqs.len() as u64) as u32,
-            seed_q: 0,
-            seed_r: 0,
-        })
-        .collect();
-    let gaps = GapPenalties::pastis_defaults();
     let lookup = |id: u32| -> &[u8] { &seqs[id as usize] };
+    let mut state = 0x5C22u64;
+    let mut draw = || (splitmix64(&mut state) % seqs.len() as u64) as usize;
+    let random: Vec<AlignTask> = (0..n_pairs).map(|_| task(draw(), draw())).collect();
+    let homologs = homolog_tasks(&ds, n_pairs);
 
-    let cells: u64 = tasks
-        .iter()
-        .map(|t| lookup(t.query).len() as u64 * lookup(t.reference).len() as u64)
-        .sum();
-    let shape = format!(
-        "{n_pairs} pairs, {} cells, best of {reps} reps, 1 thread",
-        fmt_count(cells)
-    );
-    let detected = SimdBackend::detect();
-
-    // Score-only: the serial scalar i32 kernel is what the lanes must match
-    // and beat.
-    let score_only = |t: &pastis_align::AlignTask| {
-        sw_score_only(lookup(t.query), lookup(t.reference), &Blosum62, gaps).0
-    };
-    let reference: Vec<i32> = tasks.iter().map(score_only).collect();
-    let scalar = best_of(reps, || tasks.iter().map(score_only).collect::<Vec<_>>());
-    let speedup = backend_table(
-        &format!("score-only kernel backends: {shape}"),
-        ("serial scalar", "lanes"),
-        cells,
-        scalar,
-        |backend| {
-            let pool = AlignPool::new(1).with_simd(backend);
-            let (results, stats) = pool.run_score_only(&tasks, lookup, &Blosum62, gaps);
-            let got: Vec<i32> = results.iter().map(|r| r.score).collect();
-            if got != reference {
-                fail(&format!("lanes/{backend} diverged from the scalar kernel"));
-            }
-            let best = best_of(reps, || {
-                pool.run_score_only(&tasks, lookup, &Blosum62, gaps)
-            });
-            (best, stats.lane_promotions)
-        },
-    );
-    println!(
-        "detected backend: {detected} ({} x i16 lanes), lane speedup {speedup:.2}x over serial scalar",
-        detected.lanes()
-    );
-    if speedup < 1.0 {
-        fail(&format!(
-            "runtime-selected backend {detected} is {speedup:.2}x scalar (< 1.00x)"
-        ));
-    }
-    println!("PASS: runtime-selected backend is not slower than serial scalar");
-
-    // Traceback (`AlignPool::run_traceback`, the default `FullSw` path):
-    // same batch, `sw_align` as the serial reference, full results compared.
-    let traceback = |t: &pastis_align::AlignTask| {
-        sw_align(lookup(t.query), lookup(t.reference), &Blosum62, gaps)
-    };
-    let reference: Vec<_> = tasks.iter().map(traceback).collect();
-    let scalar = best_of(reps, || tasks.iter().map(traceback).collect::<Vec<_>>());
-    println!();
-    let speedup = backend_table(
-        &format!("traceback kernel backends: {shape}"),
-        ("serial sw_align", "traceback"),
-        cells,
-        scalar,
-        |backend| {
-            let pool = AlignPool::new(1).with_simd(backend);
-            let (results, stats) = pool.run_traceback(&tasks, lookup, &Blosum62, gaps);
-            if results != reference {
-                fail(&format!(
-                    "traceback/{backend} is not bit-identical to sw_align"
-                ));
-            }
-            let best = best_of(reps, || pool.run_traceback(&tasks, lookup, &Blosum62, gaps));
-            (best, stats.lane_promotions)
-        },
-    );
-    if speedup < 1.0 {
-        fail(&format!(
-            "runtime-selected traceback backend {detected} is {speedup:.2}x sw_align (< 1.00x)"
-        ));
-    }
-    println!(
-        "PASS: every backend's traceback is bit-identical to sw_align; {detected} runs {speedup:.2}x serial sw_align"
-    );
+    score_only_table("random pairs", &random, lookup, reps);
+    score_only_table("homolog pairs", &homologs, lookup, reps);
+    traceback_table(&random, lookup, reps);
 }

@@ -322,6 +322,167 @@ fn lane_promotions_surface_in_stats_and_telemetry() {
     }
 }
 
+/// `pairs` on every backend through the raw lane entry point, against the
+/// scalar kernel under the same scoring; nothing here can saturate.
+fn assert_lanes_equal_scalar<S: Scoring>(
+    pairs: &[(Vec<u8>, Vec<u8>)],
+    scoring: &S,
+    g: GapPenalties,
+    what: &str,
+) {
+    let borrowed: Vec<(&[u8], &[u8])> = pairs
+        .iter()
+        .map(|(q, r)| (q.as_slice(), r.as_slice()))
+        .collect();
+    let want: Vec<i32> = pairs
+        .iter()
+        .map(|(q, r)| sw_score_only(q, r, scoring, g).0)
+        .collect();
+    for backend in SimdBackend::available() {
+        let got = sw_score_batch_simd(&borrowed, scoring, g, backend);
+        assert_eq!(got.scores, want, "{what}: {backend}");
+        assert_eq!(got.promotions, 0, "{what}: {backend}");
+    }
+}
+
+/// The lanes score a DP row in tiles of 16 reference columns: reference
+/// lengths on both sides of one and two tiles, against query lengths
+/// around both lane widths, unrelated and homologous.
+#[test]
+fn score_lanes_handle_every_length_around_the_tile_edge() {
+    let g = GapPenalties::pastis_defaults();
+    let mut rng = StdRng::seed_from_u64(0x711e);
+    let mut pairs = Vec::new();
+    for n in [1usize, 15, 16, 17, 31, 32, 33] {
+        for m in [1usize, 7, 8, 9, 15, 16, 17] {
+            let r = biased_seq(&mut rng, n);
+            pairs.push((biased_seq(&mut rng, m), r.clone()));
+            let mut q = mutate(&mut rng, &r, 0.2);
+            q.resize(m, A);
+            pairs.push((q, r));
+        }
+    }
+    assert_lanes_equal_scalar(&pairs, &Blosum62, g, "tile edge");
+}
+
+/// Chunks of 1 to 16 members with ragged lengths: empty lanes, lanes that
+/// end inside a tile the longest lane still fills, and rows past a lane's
+/// query all score as PAD and must leave every member's score alone.
+#[test]
+fn score_lanes_handle_partial_chunks_of_ragged_members() {
+    let g = GapPenalties::pastis_defaults();
+    let mut rng = StdRng::seed_from_u64(0x7a66ed);
+    for members in 1..=16usize {
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..members)
+            .map(|k| {
+                let r = biased_seq(&mut rng, 1 + (k * 11 + members * 3) % 45);
+                let q = if k % 2 == 0 {
+                    mutate(&mut rng, &r, 0.15)
+                } else {
+                    biased_seq(&mut rng, 1 + (k * 7 + members) % 40)
+                };
+                (q, r)
+            })
+            .collect();
+        assert_lanes_equal_scalar(&pairs, &Blosum62, g, &format!("{members} members"));
+    }
+}
+
+/// A substitution row is looked up in two 16-entry halves: sequences made
+/// only of the codes past 16 (`T W Y V X`), only of those below, and
+/// mixes that change half at every residue.
+#[test]
+fn score_lanes_cover_both_halves_of_the_substitution_row() {
+    let g = GapPenalties::pastis_defaults();
+    let mut rng = StdRng::seed_from_u64(0x4a1f);
+    let mut draw = |codes: std::ops::Range<u8>, len: usize| -> Vec<u8> {
+        (0..len).map(|_| rng.gen_range(codes.clone())).collect()
+    };
+    let high = 16..AA_COUNT as u8;
+    let mut pairs = Vec::new();
+    for len in [5usize, 16, 23, 40] {
+        let (a, b) = (draw(high.clone(), len), draw(high.clone(), len + 3));
+        let (c, d) = (draw(0..16, len), draw(0..16, len + 1));
+        let alternating: Vec<u8> = a.iter().zip(&c).flat_map(|(&hi, &lo)| [hi, lo]).collect();
+        pairs.push((a.clone(), a.clone()));
+        pairs.push((a.clone(), b));
+        pairs.push((a, c.clone()));
+        pairs.push((c, d.clone()));
+        pairs.push((alternating.clone(), alternating.clone()));
+        pairs.push((alternating, d));
+    }
+    assert_lanes_equal_scalar(&pairs, &Blosum62, g, "row halves");
+    for scoring in [
+        MatchMismatch {
+            match_score: 1,
+            mismatch_score: -1,
+        },
+        MatchMismatch {
+            match_score: 2,
+            mismatch_score: -3,
+        },
+    ] {
+        assert_lanes_equal_scalar(&pairs, &scoring, g, "row halves, match/mismatch");
+    }
+}
+
+/// The score-only lanes look scores up as i8. A model with a score of 128
+/// or of −129 fits the i16 table (traceback still runs on lanes) but not
+/// the i8 rows, so score-only work runs the scalar kernel — exact, and
+/// **not counted in `lane_promotions`**: a promotion is a lane that
+/// saturated, and these pairs were never on one. `padded_cells`, the
+/// cells the vectors updated, tells the two routes apart.
+#[test]
+fn scores_outside_i8_take_the_scalar_route_uncounted() {
+    let g = GapPenalties::pastis_defaults();
+    let mut rng = StdRng::seed_from_u64(0x128);
+    let store: Vec<Vec<u8>> = (0..24)
+        .map(|k| {
+            let len = 10 + 3 * k;
+            biased_seq(&mut rng, len)
+        })
+        .collect();
+    let tasks: Vec<AlignTask> = (0..40u32)
+        .map(|k| AlignTask {
+            query: k % 24,
+            reference: (k * 5 + 1) % 24,
+            seed_q: 0,
+            seed_r: 0,
+        })
+        .collect();
+    let lookup = |id: u32| -> &[u8] { &store[id as usize] };
+    let model = |match_score, mismatch_score| MatchMismatch {
+        match_score,
+        mismatch_score,
+    };
+    // (model, whether its scores fit i8)
+    let cases = [
+        (model(127, -128), true),
+        (model(128, -1), false),
+        (model(1, -129), false),
+        (model(128, -129), false),
+    ];
+    for (scoring, fits_i8) in cases {
+        let what = format!("{}/{}", scoring.match_score, scoring.mismatch_score);
+        let want: Vec<i32> = tasks
+            .iter()
+            .map(|t| sw_score_only(lookup(t.query), lookup(t.reference), &scoring, g).0)
+            .collect();
+        for backend in SimdBackend::available() {
+            let (got, stats) = AlignPool::new(2)
+                .with_simd(backend)
+                .run_score_only(&tasks, lookup, &scoring, g);
+            let got: Vec<i32> = got.iter().map(|r| r.score).collect();
+            assert_eq!(got, want, "{what}: {backend}");
+            assert_eq!(stats.lane_promotions, 0, "{what}: {backend}");
+            assert_eq!(stats.padded_cells > 0, fits_i8, "{what}: {backend}");
+            if fits_i8 {
+                assert!(stats.padded_cells >= stats.cells, "{what}: {backend}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Traceback lanes: `AlignPool::run_traceback` against `sw_align`
 // ---------------------------------------------------------------------------
