@@ -63,7 +63,11 @@
 
 use crate::matrices::{Scoring, AA_COUNT};
 use crate::simd::{tile_index, ScalarLanes, SimdBackend, SimdVec, MAX_LANES, TILE_COLS};
-use crate::sw::{sw_score_only, with_scratch, GapPenalties, TbScratch};
+use crate::sw::{
+    sw_score_only, traceback, with_scratch, AlignmentResult, GapPenalties, TbScratch, E_EXT, F_EXT,
+    H_DIAG, H_FROM_E, H_FROM_F,
+};
+use crate::tblanes::MAX_COLS;
 
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{Avx2Vec, Sse2Vec};
@@ -187,34 +191,53 @@ pub(crate) struct LaneWork {
     pub(crate) padded_cells: u64,
 }
 
+/// What the kernel found in one chunk, lane by lane.
+struct ChunkBest {
+    /// Largest `H` of the lane; `i16::MAX` means the lane saturated.
+    best: [i16; MAX_LANES],
+    /// Row and column (1-based) of the lane's first `best` in row-major
+    /// order. Only the traceback kernel tracks them.
+    bi: [i16; MAX_LANES],
+    bj: [i16; MAX_LANES],
+    /// DP cells the vectors updated, padding included.
+    padded_cells: u64,
+}
+
 /// The vector kernel proper: one chunk of ≤ `V::LANES` pairs in lock-step,
 /// a row of the DP matrices at a time, the row cut into tiles of
 /// [`TILE_COLS`] columns whose substitution scores come from one
 /// [`SimdVec::score_tile`] each.
 ///
-/// Writes non-saturated lanes' scores into `out` and returns the bitmask
-/// of saturated lanes (callers re-score those exactly) and the padded
-/// cell count. Marked `#[inline(always)]` so the `#[target_feature]` entry
-/// points inline it and the trait ops compile to bare vector instructions.
+/// With `TRACE` it also writes every cell's direction byte to
+/// `scratch.tb` (see the module doc for the layout) and tracks each
+/// lane's first maximum; without, it is the score-only kernel and the
+/// compiler drops all of that. Marked `#[inline(always)]` so the
+/// `#[target_feature]` entry points inline it and the trait ops compile to
+/// bare vector instructions.
 #[inline(always)]
-fn lanes_kernel<V: SimdVec>(
+fn lanes_kernel<V: SimdVec, const TRACE: bool>(
     qs: &[&[u8]],
     rs: &[&[u8]],
     table: ByteRows<'_>,
     scratch: &mut TbScratch,
-    out: &mut [i32],
-) -> (u32, u64) {
+) -> ChunkBest {
     debug_assert!(qs.len() == rs.len() && qs.len() <= V::LANES && V::LANES <= MAX_LANES);
     let lanes = V::LANES;
     let m = qs.iter().map(|q| q.len()).max().unwrap_or(0);
     let n = rs.iter().map(|r| r.len()).max().unwrap_or(0);
-    out[..qs.len()].fill(0);
+    let mut found = ChunkBest {
+        best: [0; MAX_LANES],
+        bi: [0; MAX_LANES],
+        bj: [0; MAX_LANES],
+        padded_cells: 0,
+    };
     if m == 0 || n == 0 {
-        return (0, 0);
+        return found;
     }
     let tiles = n.div_ceil(TILE_COLS);
     // One half of a tile's shuffle indices, or of a row's substitution
-    // rows: 16 bytes per lane (`SimdVec::score_tile`'s layout).
+    // rows: 16 bytes per lane (`SimdVec::score_tile`'s layout). Also the
+    // direction bytes of one tile of one row.
     let half = lanes * TILE_COLS;
 
     // Shuffle indices of every lane's reference codes, tile by tile, PAD
@@ -244,11 +267,24 @@ fn lanes_kernel<V: SimdVec>(
     hf.resize(2 * cols * lanes, i16::MIN);
     let (h, f) = hf.split_at_mut(cols * lanes);
 
+    let tb: &mut [u8] = if TRACE {
+        &mut scratch.tb[..m * tiles * half]
+    } else {
+        &mut []
+    };
+
     let neg = V::splat(i16::MIN);
     let zero = V::zero();
+    let one = V::splat(1);
     let vfirst = V::splat(table.first);
     let vext = V::splat(table.extend);
-    let mut best = zero;
+    let (c_diag, c_e, c_f) = (
+        V::splat(H_DIAG as i16),
+        V::splat(H_FROM_E as i16),
+        V::splat(H_FROM_F as i16),
+    );
+    let (c_eext, c_fext) = (V::splat(E_EXT as i16), V::splat(F_EXT as i16));
+    let (mut best, mut bi, mut bj) = (zero, zero, zero);
     let mut rows = [0u8; 2 * MAX_LANES * TILE_COLS];
     let rows = &mut rows[..2 * half];
     let mut scores = [0i16; MAX_LANES * TILE_COLS];
@@ -266,9 +302,23 @@ fn lanes_kernel<V: SimdVec>(
         let mut e = neg;
         let mut h_left = zero; // H(i, j-1), walking left to right
         let mut diag = zero; // H(i-1, j-1); starts at H(i-1, 0) = 0
+        // The row's running maximum, starting from the rows above, and
+        // the column (1-based) that last raised it: the first column to
+        // reach the row's maximum, 0 while the row has not beaten them.
+        let (mut row_best, mut row_j, mut jv) = (best, zero, zero);
+        let tb_row: &mut [u8] = if TRACE {
+            &mut tb[i * tiles * half..][..tiles * half]
+        } else {
+            &mut []
+        };
         for t in 0..tiles {
             let idx = &idx[t * 2 * half..][..2 * half];
             let (h, f) = (&mut h[t * half..][..half], &mut f[t * half..][..half]);
+            let tb_tile: &mut [u8] = if TRACE {
+                &mut tb_row[t * half..][..half]
+            } else {
+                &mut []
+            };
             V::score_tile(rows, idx, scores);
             // Constant indices into tile-sized slices: no bounds check
             // per column, and (measured, rustc 1.95) zipped chunk
@@ -277,35 +327,58 @@ fn lanes_kernel<V: SimdVec>(
             for c in 0..TILE_COLS {
                 let at = c * lanes..(c + 1) * lanes;
                 let up = V::load(&h[at.clone()]); // H(i-1, j)
-                let fv = up
-                    .sub_sat(vfirst)
-                    .max(V::load(&f[at.clone()]).sub_sat(vext));
+                let f_open = up.sub_sat(vfirst);
+                let f_ext = V::load(&f[at.clone()]).sub_sat(vext);
+                let fv = f_open.max(f_ext);
                 fv.store(&mut f[at.clone()]);
-                let ev = h_left.sub_sat(vfirst).max(e.sub_sat(vext));
+                let e_open = h_left.sub_sat(vfirst);
+                let e_ext = e.sub_sat(vext);
+                let ev = e_open.max(e_ext);
                 e = ev;
                 // `ev` joins last: it ends the chain from the cell to the
                 // left, the one dependency that orders the columns.
-                let sc = V::load(&scores[at.clone()]);
-                let hv = diag.add_sat(sc).max(fv).max(zero).max(ev);
-                best = best.max(hv);
+                let dv = diag.add_sat(V::load(&scores[at.clone()]));
+                let h_d = dv.max(zero);
+                let hv = h_d.max(fv).max(ev);
+                if TRACE {
+                    // The source is the largest code whose comparison
+                    // held, as in `sw_align`; none of this feeds the next
+                    // column.
+                    let h_e = ev.max(h_d);
+                    let src = dv
+                        .gt(zero)
+                        .and(c_diag)
+                        .max(ev.gt(h_d).and(c_e))
+                        .max(fv.gt(h_e).and(c_f));
+                    src.or(e_ext.gt(e_open).and(c_eext))
+                        .or(f_ext.gt(f_open).and(c_fext))
+                        .store_bytes(&mut tb_tile[c * lanes..(c + 1) * lanes]);
+                    jv = jv.add_sat(one);
+                    row_j = row_j.max(hv.gt(row_best).and(jv));
+                    row_best = row_best.max(hv);
+                } else {
+                    best = best.max(hv);
+                }
                 diag = up;
                 hv.store(&mut h[at]);
                 h_left = hv;
             }
         }
-    }
-
-    let mut bbuf = [0i16; MAX_LANES];
-    best.store(&mut bbuf);
-    let mut saturated = 0u32;
-    for (l, o) in out[..qs.len()].iter_mut().enumerate() {
-        if bbuf[l] == i16::MAX {
-            saturated |= 1 << l;
-        } else {
-            *o = bbuf[l] as i32;
+        if TRACE {
+            // A row takes over only by beating every earlier row, at its
+            // first such column: the first maximum in row-major order.
+            let raised = row_j.gt(zero);
+            bi = V::select(raised, V::splat(i as i16 + 1), bi);
+            bj = V::select(raised, row_j, bj);
+            best = row_best;
         }
     }
-    (saturated, (lanes * m * tiles * TILE_COLS) as u64)
+
+    best.store(&mut found.best);
+    bi.store(&mut found.bi);
+    bj.store(&mut found.bj);
+    found.padded_cells = (lanes * m * cols) as u64;
+    found
 }
 
 /// AVX2 entry point: the `#[target_feature]` boundary under which the
@@ -317,34 +390,33 @@ fn lanes_kernel<V: SimdVec>(
 /// (dispatch goes through [`SimdBackend::is_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lanes_chunk_avx2(
+unsafe fn lanes_chunk_avx2<const TRACE: bool>(
     qs: &[&[u8]],
     rs: &[&[u8]],
     table: ByteRows<'_>,
     scratch: &mut TbScratch,
-    out: &mut [i32],
-) -> (u32, u64) {
-    lanes_kernel::<Avx2Vec>(qs, rs, table, scratch, out)
+) -> ChunkBest {
+    lanes_kernel::<Avx2Vec, TRACE>(qs, rs, table, scratch)
 }
 
-/// Run one ≤ `backend.lanes()` chunk on the given backend.
-fn lanes_chunk(
+/// Run one ≤ `backend.lanes()` chunk on the given backend, which the
+/// caller has passed through [`SimdBackend::or_portable`].
+fn lanes_chunk<const TRACE: bool>(
     backend: SimdBackend,
     qs: &[&[u8]],
     rs: &[&[u8]],
     table: ByteRows<'_>,
     scratch: &mut TbScratch,
-    out: &mut [i32],
-) -> (u32, u64) {
+) -> ChunkBest {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        SimdBackend::Sse2 => lanes_kernel::<Sse2Vec>(qs, rs, table, scratch, out),
+        SimdBackend::Sse2 => lanes_kernel::<Sse2Vec, TRACE>(qs, rs, table, scratch),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only selects Avx2 after runtime detection.
-        SimdBackend::Avx2 => unsafe { lanes_chunk_avx2(qs, rs, table, scratch, out) },
+        // SAFETY: Avx2 is only dispatched after runtime detection.
+        SimdBackend::Avx2 if backend.is_available() => unsafe { lanes_chunk_avx2::<TRACE>(qs, rs, table, scratch) },
         #[cfg(target_arch = "aarch64")]
-        SimdBackend::Neon => lanes_kernel::<NeonVec>(qs, rs, table, scratch, out),
-        _ => lanes_kernel::<ScalarLanes<16>>(qs, rs, table, scratch, out),
+        SimdBackend::Neon => lanes_kernel::<NeonVec, TRACE>(qs, rs, table, scratch),
+        _ => lanes_kernel::<ScalarLanes<16>, TRACE>(qs, rs, table, scratch),
     }
 }
 
@@ -408,27 +480,86 @@ pub(crate) fn score_lanes_into<S: Scoring>(
         }
         return work;
     };
-    // A forced-but-unavailable backend (possible only through library
-    // misuse; the CLI validates) degrades to the portable lanes.
-    let backend = if backend.is_available() {
-        backend
-    } else {
-        SimdBackend::Scalar
-    };
+    let backend = backend.or_portable();
     let w = backend.lanes();
     for ((qs, rs), out) in queries
         .chunks(w)
         .zip(refs.chunks(w))
         .zip(scores.chunks_mut(w))
     {
-        let (saturated, padded_cells) = lanes_chunk(backend, qs, rs, table, scratch, out);
-        work.padded_cells += padded_cells;
-        for l in (0..qs.len()).filter(|l| saturated & (1 << l) != 0) {
-            out[l] = sw_score_only(qs[l], rs[l], scoring, gaps).0;
-            work.promotions += 1;
+        let found = lanes_chunk::<false>(backend, qs, rs, table, scratch);
+        work.padded_cells += found.padded_cells;
+        for (l, (o, &best)) in out.iter_mut().zip(&found.best).enumerate() {
+            *o = if best == i16::MAX {
+                work.promotions += 1;
+                sw_score_only(qs[l], rs[l], scoring, gaps).0
+            } else {
+                best as i32
+            };
         }
     }
     work
+}
+
+/// Direction bytes one pair-per-lane traceback chunk may write, lane
+/// width × longest query × longest reference rounded up to the tile; a
+/// chunk over it runs pair-at-a-time ([`crate::tblanes`]).
+pub(crate) const TRACE_CAP_BYTES: usize = 4 << 20;
+
+/// Traceback of one chunk of ≤ `backend.lanes()` pairs with a pair in each
+/// lane: `out[l]` is pair `l`'s result, equal to
+/// [`sw_align`](crate::sw::sw_align)'s in every field, or `None` when its
+/// lane saturated and the caller must redo the pair exactly. Returns the
+/// padded cell count.
+///
+/// Returns `None`, leaving `out` alone, when the chunk is one for the
+/// pair-at-a-time kernel, which is decided from its shape alone: fewer
+/// than half the lanes filled, a direction matrix over `cap` bytes (the
+/// caller's is [`TRACE_CAP_BYTES`]; tests pass others), dimensions past
+/// the i16 row and column counters, or a table without i8 rows.
+pub(crate) fn align_lanes_chunk(
+    backend: SimdBackend,
+    qs: &[&[u8]],
+    rs: &[&[u8]],
+    table: &LaneTable,
+    cap: usize,
+    scratch: &mut TbScratch,
+    out: &mut [Option<AlignmentResult>],
+) -> Option<u64> {
+    assert!(
+        qs.len() == rs.len() && qs.len() == out.len() && qs.len() <= backend.lanes(),
+        "ragged lane inputs"
+    );
+    let rows = table.byte_rows()?;
+    let backend = backend.or_portable();
+    let lanes = backend.lanes();
+    let m = qs.iter().map(|q| q.len()).max().unwrap_or(0);
+    let n = rs.iter().map(|r| r.len()).max().unwrap_or(0);
+    let cols = n.next_multiple_of(TILE_COLS);
+    if 2 * qs.len() < lanes || m.max(cols) > MAX_COLS || lanes * m * cols > cap {
+        return None;
+    }
+    if scratch.tb.len() < cap {
+        scratch.tb.resize(cap, 0);
+    }
+    let found = lanes_chunk::<true>(backend, qs, rs, rows, scratch);
+    let tb = &scratch.tb;
+    for (l, o) in out.iter_mut().enumerate() {
+        let best = found.best[l];
+        *o = (best < i16::MAX).then(|| {
+            let (bi, bj) = (found.bi[l] as usize, found.bj[l] as usize);
+            traceback(
+                qs[l],
+                rs[l],
+                best as i32,
+                bi,
+                bj,
+                &mut scratch.ops_rev,
+                |i, j| tb[(i * cols + j) * lanes + l],
+            )
+        });
+    }
+    Some(found.padded_cells)
 }
 
 /// Score a whole batch of pairs on an explicit backend; the thin wrapper

@@ -50,7 +50,7 @@ use pastis_trace::{names, Component, Recorder, Track};
 use crate::banded::sw_banded;
 use crate::batch::{AlignTask, BatchStats};
 use crate::matrices::Scoring;
-use crate::multilane::{score_lanes_into, LaneTable};
+use crate::multilane::{align_lanes_chunk, score_lanes_into, LaneTable, TRACE_CAP_BYTES};
 use crate::simd::{SimdBackend, MAX_LANES};
 use crate::sw::{
     sw_align_in, sw_score_only, with_scratch, AlignmentResult, GapPenalties, TbScratch,
@@ -153,26 +153,20 @@ impl AlignPool {
         self.simd
     }
 
-    /// The selected backend, or the portable lanes when the host lacks it.
-    fn available_simd(&self) -> SimdBackend {
-        if self.simd.is_available() {
-            self.simd
-        } else {
-            SimdBackend::Scalar
-        }
-    }
-
-    /// Full Smith–Waterman with traceback over every task, in parallel
-    /// chunks; results in task order, bit-identical to the serial loop.
-    ///
-    /// Each pair runs on the selected backend's lanes
-    /// ([`crate::tblanes`], one anti-diagonal per vector), whose result
-    /// equals [`sw_align`](crate::sw::sw_align)'s in every field. A pair
-    /// the i16 lanes cannot do exactly — its score reaches `i16::MAX`, its
-    /// reference is longer than the lane counters, or the scoring model
-    /// fails [`LaneTable::build`] — goes through `sw_align` and is counted in
-    /// `lane_promotions`, so results match the serial scalar driver for
+    /// Full Smith–Waterman with traceback over every task; results in task
+    /// order, every field equal to [`sw_align`](crate::sw::sw_align)'s, for
     /// every thread count and every backend.
+    ///
+    /// Tasks are packed into lane chunks as for
+    /// [`AlignPool::run_score_only`]. A chunk runs with a pair in each
+    /// lane ([`crate::multilane`]) when it fills at least half the vector
+    /// and its direction matrix stays under
+    /// [`TRACE_CAP_BYTES`](crate::multilane); otherwise its pairs run one
+    /// at a time, an anti-diagonal per vector ([`crate::tblanes`]). A pair
+    /// the i16 lanes cannot do exactly (its score reaches `i16::MAX`, its
+    /// reference is longer than the lane counters, or the scoring model
+    /// fails [`LaneTable::build`]) goes through `sw_align` and is counted
+    /// in `lane_promotions`.
     pub fn run_traceback<'a, S, L>(
         &self,
         tasks: &[AlignTask],
@@ -184,27 +178,45 @@ impl AlignPool {
         S: Scoring + Sync,
         L: Fn(u32) -> &'a [u8] + Sync,
     {
-        let backend = self.available_simd();
+        self.run_traceback_capped(tasks, lookup, scoring, gaps, TRACE_CAP_BYTES)
+    }
+
+    /// [`AlignPool::run_traceback`] with the direction-matrix cap as a
+    /// parameter, so that tests can put a chunk on either side of it.
+    pub(crate) fn run_traceback_capped<'a, S, L>(
+        &self,
+        tasks: &[AlignTask],
+        lookup: L,
+        scoring: &S,
+        gaps: GapPenalties,
+        cap: usize,
+    ) -> (Vec<AlignmentResult>, BatchStats)
+    where
+        S: Scoring + Sync,
+        L: Fn(u32) -> &'a [u8] + Sync,
+    {
+        let backend = self.simd.or_portable();
         let table = LaneTable::build(scoring, gaps);
-        let n_units = tasks.len().div_ceil(CHUNK);
-        let (chunks, mut stats) = self.execute_units(n_units, |u, local| {
-            let range = chunk_range(u, tasks.len());
-            let mut out = Vec::with_capacity(range.len());
+        let plan = LanePlan::build(tasks, &lookup, backend.lanes());
+        // As for score-only, a unit's payload is a fixed array in lane
+        // order; an empty result owns no allocation.
+        let (unit_results, mut stats) = self.execute_units(plan.units.len(), |u, local| {
+            let mut out: [AlignmentResult; MAX_LANES] =
+                std::array::from_fn(|_| AlignmentResult::empty(0, 0));
             with_scratch(|scratch| {
-                for t in &tasks[range] {
-                    let (q, r) = (lookup(t.query), lookup(t.reference));
-                    let on_lanes = table
-                        .as_ref()
-                        .and_then(|table| sw_align_lanes(backend, q, r, table, scratch));
-                    let res = on_lanes.unwrap_or_else(|| {
-                        local.lane_promotions += 1;
-                        sw_align_in(q, r, scoring, gaps, scratch)
-                    });
-                    local.pairs += 1;
-                    local.cells += res.cells;
-                    local.max_cells = local.max_cells.max(res.cells);
-                    out.push(res);
-                }
+                trace_lane(
+                    plan.members(u),
+                    tasks,
+                    &lookup,
+                    scoring,
+                    gaps,
+                    backend,
+                    table.as_ref(),
+                    cap,
+                    scratch,
+                    local,
+                    &mut out,
+                )
             });
             out
         });
@@ -213,7 +225,16 @@ impl AlignPool {
             names::CTR_ALIGN_LANE_PROMOTIONS,
             stats.lane_promotions as f64,
         );
-        (chunks.concat(), stats)
+        self.recorder
+            .add_counter(names::CTR_ALIGN_PADDED_CELLS, stats.padded_cells as f64);
+        // Move lane-ordered results to task order.
+        let mut results = vec![AlignmentResult::empty(0, 0); tasks.len()];
+        for (u, out) in unit_results.into_iter().enumerate() {
+            for (&idx, r) in plan.members(u).iter().zip(out) {
+                results[idx] = r;
+            }
+        }
+        (results, stats)
     }
 
     /// Seed-anchored banded Smith–Waterman (half-width `w`) over every
@@ -281,7 +302,7 @@ impl AlignPool {
         S: Scoring + Sync,
         L: Fn(u32) -> &'a [u8] + Sync,
     {
-        let backend = self.available_simd();
+        let backend = self.simd.or_portable();
         let table = LaneTable::build(scoring, gaps);
         let plan = LanePlan::build(tasks, &lookup, backend.lanes());
         // A unit's payload is its members' results in lane order, in a
@@ -324,14 +345,9 @@ impl AlignPool {
             .add_counter(names::CTR_ALIGN_PADDED_CELLS, stats.padded_cells as f64);
         // Scatter lane-ordered results back to task order.
         let mut results = vec![ScoreResult::default(); tasks.len()];
-        for (unit, out) in plan.units.iter().zip(&unit_results) {
-            match *unit {
-                LaneUnit::Lane { start, len } => {
-                    for (&idx, &r) in plan.order[start..start + len].iter().zip(out) {
-                        results[idx] = r;
-                    }
-                }
-                LaneUnit::Scalar(idx) => results[idx] = out[0],
+        for (u, out) in unit_results.iter().enumerate() {
+            for (&idx, &r) in plan.members(u).iter().zip(out) {
+                results[idx] = r;
             }
         }
         (results, stats)
@@ -487,15 +503,16 @@ fn chunk_range(unit: usize, total: usize) -> Range<usize> {
     unit * CHUNK..((unit + 1) * CHUNK).min(total)
 }
 
-/// One claimable unit of score-only work. Lane units carry the offset
-/// and length of their member run in [`LanePlan::order`].
+/// One claimable unit of lane work. Lane units carry the offset and
+/// length of their member run in [`LanePlan::order`].
 #[derive(Debug, Clone, Copy)]
 enum LaneUnit {
     Lane { start: usize, len: usize },
     Scalar(usize),
 }
 
-/// Deterministic length-bucketed packing of a score-only batch.
+/// Deterministic length-bucketed packing of a score-only or traceback
+/// batch.
 struct LanePlan {
     /// Lane-eligible task indices, sorted by descending max sequence
     /// length (ties by index) so lane members pad against near-equals.
@@ -528,6 +545,14 @@ impl LanePlan {
             pos += len;
         }
         LanePlan { order, units }
+    }
+
+    /// Task indices of unit `u`, in lane order.
+    fn members(&self, u: usize) -> &[usize] {
+        match &self.units[u] {
+            LaneUnit::Lane { start, len } => &self.order[*start..*start + *len],
+            LaneUnit::Scalar(idx) => std::slice::from_ref(idx),
+        }
     }
 }
 
@@ -581,6 +606,65 @@ fn run_lane<'a, S, L>(
             score: scores[l],
             cells,
         };
+    }
+}
+
+/// Executes one traceback unit: the chunk with a pair in each lane if
+/// [`align_lanes_chunk`] takes it, otherwise (a thin or oversized unit, a
+/// matrix over `cap`) its pairs one after the other on the anti-diagonal
+/// lanes; whatever neither could do exactly goes through the scalar
+/// kernel. Results in lane order.
+#[allow(clippy::too_many_arguments)]
+fn trace_lane<'a, S, L>(
+    members: &[usize],
+    tasks: &[AlignTask],
+    lookup: &L,
+    scoring: &S,
+    gaps: GapPenalties,
+    backend: SimdBackend,
+    table: Option<&LaneTable>,
+    cap: usize,
+    scratch: &mut TbScratch,
+    local: &mut BatchStats,
+    out: &mut [AlignmentResult; MAX_LANES],
+) where
+    S: Scoring,
+    L: Fn(u32) -> &'a [u8],
+{
+    debug_assert!(!members.is_empty() && members.len() <= MAX_LANES);
+    let mut qs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+    let mut rs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+    let mut on_lanes: [Option<AlignmentResult>; MAX_LANES] = [const { None }; MAX_LANES];
+    let n = members.len();
+    for (l, &idx) in members.iter().enumerate() {
+        qs[l] = lookup(tasks[idx].query);
+        rs[l] = lookup(tasks[idx].reference);
+    }
+    let (qs, rs, on_lanes) = (&qs[..n], &rs[..n], &mut on_lanes[..n]);
+    let cells = |l: usize| qs[l].len() as u64 * rs[l].len() as u64;
+    if let Some(table) = table {
+        match align_lanes_chunk(backend, qs, rs, table, cap, scratch, on_lanes) {
+            Some(padded_cells) => local.padded_cells += padded_cells,
+            None => {
+                for (l, res) in on_lanes.iter_mut().enumerate() {
+                    *res = sw_align_lanes(backend, qs[l], rs[l], table, scratch);
+                    // Nothing is padded here that is counted: the pair
+                    // weighs its own cells, if the lanes took it.
+                    if res.is_some() {
+                        local.padded_cells += cells(l);
+                    }
+                }
+            }
+        }
+    }
+    for (l, (res, out)) in on_lanes.iter_mut().zip(out).enumerate() {
+        *out = res.take().unwrap_or_else(|| {
+            local.lane_promotions += 1;
+            sw_align_in(qs[l], rs[l], scoring, gaps, scratch)
+        });
+        local.pairs += 1;
+        local.cells += cells(l);
+        local.max_cells = local.max_cells.max(cells(l));
     }
 }
 
@@ -901,8 +985,9 @@ mod tests {
         assert_eq!(stats.cells, want_stats.cells);
 
         let spans = rec.snapshot_spans();
-        // 200 tasks / CHUNK(32) = 7 units ≥ 3 workers, so all 3 workers
-        // participate and each emits exactly one span on its own sub-track.
+        // 200 tasks in lane chunks are 13 units or more ≥ 3 workers, so all
+        // 3 workers participate and each emits exactly one span on its own
+        // sub-track.
         assert_eq!(spans.len(), 3);
         let mut tracks: Vec<Track> = spans.iter().map(|s| s.track).collect();
         tracks.sort_by_key(|t| t.tid());
@@ -927,7 +1012,7 @@ mod tests {
         let units: u64 = spans.iter().map(|s| arg(s, "units")).sum();
         assert_eq!(pairs, stats.pairs);
         assert_eq!(cells, stats.cells);
-        assert_eq!(units, 200u64.div_ceil(CHUNK as u64));
+        assert_eq!(units, 200u64.div_ceil(pool.simd().lanes() as u64));
     }
 
     #[test]
@@ -988,9 +1073,9 @@ mod tests {
             .with_workers(WorkPool::with_exact_workers(2));
         let (_, stats) = pool.run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
         let spans = rec.snapshot_spans();
-        // One span per unit (200 tasks / CHUNK(32) = 7), each on a
+        // One span per unit (200 tasks in lane chunks), each on a
         // unified-pool track, with per-unit tallies summing to the batch.
-        assert_eq!(spans.len(), 200usize.div_ceil(CHUNK));
+        assert_eq!(spans.len(), 200usize.div_ceil(pool.simd().lanes()));
         let arg = |s: &pastis_trace::SpanEvent, k: &str| {
             s.args
                 .iter()

@@ -735,6 +735,18 @@ impl SimdBackend {
         }
     }
 
+    /// This backend if the host has it, the portable lanes otherwise: what
+    /// the kernels dispatch on, so that a forced-but-unavailable backend
+    /// (possible only through library misuse; the CLI validates) degrades
+    /// instead of executing instructions the CPU lacks.
+    pub fn or_portable(self) -> SimdBackend {
+        if self.is_available() {
+            self
+        } else {
+            SimdBackend::Scalar
+        }
+    }
+
     /// Every backend available on this host, scalar first. The
     /// differential test harness iterates this list.
     pub fn available() -> Vec<SimdBackend> {

@@ -67,7 +67,9 @@
 
 use crate::multilane::{LaneTable, PAD_IDX, PAD_SCORE, TABLE_DIM};
 use crate::simd::{ScalarLanes, SimdBackend, SimdVec, MAX_LANES};
-use crate::sw::{traceback, AlignmentResult, TbScratch, E_EXT, F_EXT, H_DIAG, H_FROM_E, H_FROM_F};
+use crate::sw::{
+    traceback, with_scratch, AlignmentResult, TbScratch, E_EXT, F_EXT, H_DIAG, H_FROM_E, H_FROM_F,
+};
 
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{Avx2Vec, Sse2Vec};
@@ -77,7 +79,7 @@ use crate::simd::NeonVec;
 
 /// Longest reference the lanes take: step and column numbers are tracked
 /// in i16 lanes.
-const MAX_COLS: usize = i16::MAX as usize - MAX_LANES;
+pub(crate) const MAX_COLS: usize = i16::MAX as usize - MAX_LANES;
 
 /// The skew of the score profile is split into a low part (`l mod 4`
 /// steps, applied while the profile is laid down) and a high part
@@ -310,6 +312,19 @@ unsafe fn align_avx2(
     scratch: &mut TbScratch,
 ) -> Option<AlignmentResult> {
     align_kernel::<Avx2Vec>(q, r, table, scratch)
+}
+
+/// [`sw_align_lanes`] on the calling thread's scratch: the anti-diagonal
+/// kernel for one pair on an explicit backend, which the kernel benchmark
+/// sets beside [`AlignPool::run_traceback`](crate::parallel::AlignPool::run_traceback)'s
+/// pair-per-lane chunks.
+pub fn sw_align_antidiagonal(
+    backend: SimdBackend,
+    q: &[u8],
+    r: &[u8],
+    table: &LaneTable,
+) -> Option<AlignmentResult> {
+    with_scratch(|scratch| sw_align_lanes(backend, q, r, table, scratch))
 }
 
 /// Align `q` against `r` with traceback on `backend`'s lanes; the result
