@@ -62,7 +62,9 @@
 //! costs is counted (`BatchStats::padded_cells`).
 
 use crate::matrices::{Scoring, AA_COUNT};
-use crate::simd::{tile_index, ScalarLanes, SimdBackend, SimdVec, MAX_LANES, TILE_COLS};
+use crate::simd::{
+    tile_index, ScalarLanes, SimdBackend, SimdVec, MAX_LANES, TILE_COLS, TRACE_MASKS,
+};
 use crate::sw::{
     sw_score_only, traceback, with_scratch, AlignmentResult, GapPenalties, TbScratch, E_EXT, F_EXT,
     H_DIAG, H_FROM_E, H_FROM_F,
@@ -191,14 +193,24 @@ pub(crate) struct LaneWork {
     pub(crate) padded_cells: u64,
 }
 
+// The masks the traceback kernel keeps of a cell, in
+// `SimdVec::store_masks` order: `sw_align`'s five comparisons (whether
+// `H` can come from the diagonal, from `E`, from `F`, and whether `E` and
+// `F` extend) and whether the cell raised the lane's running maximum.
+const MASK_DIAG: usize = 0;
+const MASK_E: usize = 1;
+const MASK_F: usize = 2;
+const MASK_E_EXT: usize = 3;
+const MASK_F_EXT: usize = 4;
+const MASK_RAISED: usize = 5;
+
 /// What the kernel found in one chunk, lane by lane.
 struct ChunkBest {
     /// Largest `H` of the lane; `i16::MAX` means the lane saturated.
     best: [i16; MAX_LANES],
-    /// Row and column (1-based) of the lane's first `best` in row-major
-    /// order. Only the traceback kernel tracks them.
+    /// Row (1-based) of the lane's first `best` in row-major order. Only
+    /// the traceback kernel tracks it.
     bi: [i16; MAX_LANES],
-    bj: [i16; MAX_LANES],
     /// DP cells the vectors updated, padding included.
     padded_cells: u64,
 }
@@ -228,7 +240,6 @@ fn lanes_kernel<V: SimdVec, const TRACE: bool>(
     let mut found = ChunkBest {
         best: [0; MAX_LANES],
         bi: [0; MAX_LANES],
-        bj: [0; MAX_LANES],
         padded_cells: 0,
     };
     if m == 0 || n == 0 {
@@ -267,24 +278,19 @@ fn lanes_kernel<V: SimdVec, const TRACE: bool>(
     hf.resize(2 * cols * lanes, i16::MIN);
     let (h, f) = hf.split_at_mut(cols * lanes);
 
+    // The masks of one tile of one row.
+    let tile_masks = TILE_COLS * V::MASK_BYTES;
     let tb: &mut [u8] = if TRACE {
-        &mut scratch.tb[..m * tiles * half]
+        &mut scratch.tb[..m * tiles * tile_masks]
     } else {
         &mut []
     };
 
     let neg = V::splat(i16::MIN);
     let zero = V::zero();
-    let one = V::splat(1);
     let vfirst = V::splat(table.first);
     let vext = V::splat(table.extend);
-    let (c_diag, c_e, c_f) = (
-        V::splat(H_DIAG as i16),
-        V::splat(H_FROM_E as i16),
-        V::splat(H_FROM_F as i16),
-    );
-    let (c_eext, c_fext) = (V::splat(E_EXT as i16), V::splat(F_EXT as i16));
-    let (mut best, mut bi, mut bj) = (zero, zero, zero);
+    let (mut best, mut bi) = (zero, zero);
     let mut rows = [0u8; 2 * MAX_LANES * TILE_COLS];
     let rows = &mut rows[..2 * half];
     let mut scores = [0i16; MAX_LANES * TILE_COLS];
@@ -302,12 +308,10 @@ fn lanes_kernel<V: SimdVec, const TRACE: bool>(
         let mut e = neg;
         let mut h_left = zero; // H(i, j-1), walking left to right
         let mut diag = zero; // H(i-1, j-1); starts at H(i-1, 0) = 0
-        // The row's running maximum, starting from the rows above, and
-        // the column (1-based) that last raised it: the first column to
-        // reach the row's maximum, 0 while the row has not beaten them.
-        let (mut row_best, mut row_j, mut jv) = (best, zero, zero);
+                             // The running maximum, the rows above included.
+        let mut row_best = best;
         let tb_row: &mut [u8] = if TRACE {
-            &mut tb[i * tiles * half..][..tiles * half]
+            &mut tb[i * tiles * tile_masks..][..tiles * tile_masks]
         } else {
             &mut []
         };
@@ -315,7 +319,7 @@ fn lanes_kernel<V: SimdVec, const TRACE: bool>(
             let idx = &idx[t * 2 * half..][..2 * half];
             let (h, f) = (&mut h[t * half..][..half], &mut f[t * half..][..half]);
             let tb_tile: &mut [u8] = if TRACE {
-                &mut tb_row[t * half..][..half]
+                &mut tb_row[t * tile_masks..][..tile_masks]
             } else {
                 &mut []
             };
@@ -341,43 +345,95 @@ fn lanes_kernel<V: SimdVec, const TRACE: bool>(
                 let h_d = dv.max(zero);
                 let hv = h_d.max(fv).max(ev);
                 if TRACE {
-                    // The source is the largest code whose comparison
-                    // held, as in `sw_align`; none of this feeds the next
-                    // column.
+                    // `sw_align`'s five comparisons and whether the cell
+                    // raised the running maximum, a bit each; none of
+                    // this feeds the next column.
                     let h_e = ev.max(h_d);
-                    let src = dv
-                        .gt(zero)
-                        .and(c_diag)
-                        .max(ev.gt(h_d).and(c_e))
-                        .max(fv.gt(h_e).and(c_f));
-                    src.or(e_ext.gt(e_open).and(c_eext))
-                        .or(f_ext.gt(f_open).and(c_fext))
-                        .store_bytes(&mut tb_tile[c * lanes..(c + 1) * lanes]);
-                    jv = jv.add_sat(one);
-                    row_j = row_j.max(hv.gt(row_best).and(jv));
-                    row_best = row_best.max(hv);
-                } else {
-                    best = best.max(hv);
+                    let mut masks = [zero; TRACE_MASKS];
+                    masks[MASK_DIAG] = dv.gt(zero);
+                    masks[MASK_E] = ev.gt(h_d);
+                    masks[MASK_F] = fv.gt(h_e);
+                    masks[MASK_E_EXT] = e_ext.gt(e_open);
+                    masks[MASK_F_EXT] = f_ext.gt(f_open);
+                    masks[MASK_RAISED] = hv.gt(row_best);
+                    V::store_masks(masks, &mut tb_tile[c * V::MASK_BYTES..][..V::MASK_BYTES]);
                 }
+                row_best = row_best.max(hv);
                 diag = up;
                 hv.store(&mut h[at]);
                 h_left = hv;
             }
         }
         if TRACE {
-            // A row takes over only by beating every earlier row, at its
-            // first such column: the first maximum in row-major order.
-            let raised = row_j.gt(zero);
-            bi = V::select(raised, V::splat(i as i16 + 1), bi);
-            bj = V::select(raised, row_j, bj);
-            best = row_best;
+            // The last row to raise the maximum holds its first
+            // occurrence in row-major order.
+            bi = V::select(row_best.gt(best), V::splat(i as i16 + 1), bi);
         }
+        best = row_best;
     }
 
     best.store(&mut found.best);
     bi.store(&mut found.bi);
-    bj.store(&mut found.bj);
     found.padded_cells = (lanes * m * cols) as u64;
+    found
+}
+
+/// Walk every lane of a chunk the traceback kernel has just run back
+/// from its first maximum: `out[l]` is pair `l`'s result, `None` if its
+/// lane saturated.
+fn walk_lanes<V: SimdVec>(
+    qs: &[&[u8]],
+    rs: &[&[u8]],
+    found: &ChunkBest,
+    scratch: &mut TbScratch,
+    out: &mut [Option<AlignmentResult>],
+) {
+    let n = rs.iter().map(|r| r.len()).max().unwrap_or(0);
+    let cols = n.next_multiple_of(TILE_COLS);
+    let tb = &scratch.tb;
+    for (l, o) in out.iter_mut().enumerate() {
+        let mask = |i: usize, j: usize, k: usize| {
+            V::mask_at(&tb[(i * cols + j) * V::MASK_BYTES..][..V::MASK_BYTES], l, k)
+        };
+        let (best, bi) = (found.best[l], found.bi[l] as usize);
+        *o = (best < i16::MAX).then(|| {
+            // The last cell of row `bi` to raise the maximum reached it
+            // first; a lane that stayed at zero has no such row.
+            let bj = (0..rs[l].len())
+                .rev()
+                .find(|&j| bi > 0 && mask(bi - 1, j, MASK_RAISED))
+                .map_or(0, |j| j + 1);
+            let ops_rev = &mut scratch.ops_rev;
+            traceback(qs[l], rs[l], best as i32, bi, bj, ops_rev, |i, j| {
+                // The source is the largest code whose comparison held.
+                let src = if mask(i, j, MASK_F) {
+                    H_FROM_F
+                } else if mask(i, j, MASK_E) {
+                    H_FROM_E
+                } else {
+                    u8::from(mask(i, j, MASK_DIAG)) * H_DIAG
+                };
+                src | u8::from(mask(i, j, MASK_E_EXT)) * E_EXT
+                    | u8::from(mask(i, j, MASK_F_EXT)) * F_EXT
+            })
+        });
+    }
+}
+
+/// One chunk on lane type `V`: the kernel, and with `TRACE` the walks
+/// into `out` (which score-only callers leave empty).
+#[inline(always)]
+fn lanes_chunk_on<V: SimdVec, const TRACE: bool>(
+    qs: &[&[u8]],
+    rs: &[&[u8]],
+    table: ByteRows<'_>,
+    scratch: &mut TbScratch,
+    out: &mut [Option<AlignmentResult>],
+) -> ChunkBest {
+    let found = lanes_kernel::<V, TRACE>(qs, rs, table, scratch);
+    if TRACE {
+        walk_lanes::<V>(qs, rs, &found, scratch, out);
+    }
     found
 }
 
@@ -395,29 +451,51 @@ unsafe fn lanes_chunk_avx2<const TRACE: bool>(
     rs: &[&[u8]],
     table: ByteRows<'_>,
     scratch: &mut TbScratch,
+    out: &mut [Option<AlignmentResult>],
 ) -> ChunkBest {
-    lanes_kernel::<Avx2Vec, TRACE>(qs, rs, table, scratch)
+    lanes_chunk_on::<Avx2Vec, TRACE>(qs, rs, table, scratch, out)
 }
 
-/// Run one ≤ `backend.lanes()` chunk on the given backend, which the
-/// caller has passed through [`SimdBackend::or_portable`].
+/// Run one chunk on `backend`. Callers cut their chunks to
+/// `backend.lanes()`, so they have passed it through
+/// [`SimdBackend::or_portable`].
 fn lanes_chunk<const TRACE: bool>(
     backend: SimdBackend,
     qs: &[&[u8]],
     rs: &[&[u8]],
     table: ByteRows<'_>,
     scratch: &mut TbScratch,
+    out: &mut [Option<AlignmentResult>],
 ) -> ChunkBest {
     match backend {
         #[cfg(target_arch = "x86_64")]
-        SimdBackend::Sse2 => lanes_kernel::<Sse2Vec, TRACE>(qs, rs, table, scratch),
+        SimdBackend::Sse2 => lanes_chunk_on::<Sse2Vec, TRACE>(qs, rs, table, scratch, out),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 is only dispatched after runtime detection.
-        SimdBackend::Avx2 if backend.is_available() => unsafe { lanes_chunk_avx2::<TRACE>(qs, rs, table, scratch) },
+        SimdBackend::Avx2 if backend.is_available() => unsafe {
+            lanes_chunk_avx2::<TRACE>(qs, rs, table, scratch, out)
+        },
         #[cfg(target_arch = "aarch64")]
-        SimdBackend::Neon => lanes_kernel::<NeonVec, TRACE>(qs, rs, table, scratch),
-        _ => lanes_kernel::<ScalarLanes<16>, TRACE>(qs, rs, table, scratch),
+        SimdBackend::Neon => lanes_chunk_on::<NeonVec, TRACE>(qs, rs, table, scratch, out),
+        _ => lanes_chunk_on::<ScalarLanes<16>, TRACE>(qs, rs, table, scratch, out),
     }
+}
+
+/// Bytes the traceback kernel writes for a chunk whose longest query has
+/// `m` residues and whose longest reference has `n`, on `backend`:
+/// [`SimdVec::MASK_BYTES`] per cell of `m` rows by `n` rounded up to the
+/// tile.
+pub(crate) fn trace_matrix_bytes(backend: SimdBackend, m: usize, n: usize) -> usize {
+    let mask_bytes = match backend {
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Sse2 => Sse2Vec::MASK_BYTES,
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 => Avx2Vec::MASK_BYTES,
+        #[cfg(target_arch = "aarch64")]
+        SimdBackend::Neon => NeonVec::MASK_BYTES,
+        _ => ScalarLanes::<16>::MASK_BYTES,
+    };
+    m * n.next_multiple_of(TILE_COLS) * mask_bytes
 }
 
 /// Score `queries[k]` vs `refs[k]` for every `k` through the vector
@@ -487,7 +565,7 @@ pub(crate) fn score_lanes_into<S: Scoring>(
         .zip(refs.chunks(w))
         .zip(scores.chunks_mut(w))
     {
-        let found = lanes_chunk::<false>(backend, qs, rs, table, scratch);
+        let found = lanes_chunk::<false>(backend, qs, rs, table, scratch, &mut []);
         work.padded_cells += found.padded_cells;
         for (l, (o, &best)) in out.iter_mut().zip(&found.best).enumerate() {
             *o = if best == i16::MAX {
@@ -504,7 +582,7 @@ pub(crate) fn score_lanes_into<S: Scoring>(
 /// Direction bytes one pair-per-lane traceback chunk may write, lane
 /// width × longest query × longest reference rounded up to the tile; a
 /// chunk over it runs pair-at-a-time ([`crate::tblanes`]).
-pub(crate) const TRACE_CAP_BYTES: usize = 4 << 20;
+pub(crate) const TRACE_CAP_BYTES: usize = 1 << 20;
 
 /// Traceback of one chunk of ≤ `backend.lanes()` pairs with a pair in each
 /// lane: `out[l]` is pair `l`'s result, equal to
@@ -532,34 +610,18 @@ pub(crate) fn align_lanes_chunk(
     );
     let rows = table.byte_rows()?;
     let backend = backend.or_portable();
-    let lanes = backend.lanes();
     let m = qs.iter().map(|q| q.len()).max().unwrap_or(0);
     let n = rs.iter().map(|r| r.len()).max().unwrap_or(0);
-    let cols = n.next_multiple_of(TILE_COLS);
-    if 2 * qs.len() < lanes || m.max(cols) > MAX_COLS || lanes * m * cols > cap {
+    if 2 * qs.len() < backend.lanes()
+        || m.max(n) > MAX_COLS
+        || trace_matrix_bytes(backend, m, n) > cap
+    {
         return None;
     }
     if scratch.tb.len() < cap {
         scratch.tb.resize(cap, 0);
     }
-    let found = lanes_chunk::<true>(backend, qs, rs, rows, scratch);
-    let tb = &scratch.tb;
-    for (l, o) in out.iter_mut().enumerate() {
-        let best = found.best[l];
-        *o = (best < i16::MAX).then(|| {
-            let (bi, bj) = (found.bi[l] as usize, found.bj[l] as usize);
-            traceback(
-                qs[l],
-                rs[l],
-                best as i32,
-                bi,
-                bj,
-                &mut scratch.ops_rev,
-                |i, j| tb[(i * cols + j) * lanes + l],
-            )
-        });
-    }
-    Some(found.padded_cells)
+    Some(lanes_chunk::<true>(backend, qs, rs, rows, scratch, out).padded_cells)
 }
 
 /// Score a whole batch of pairs on an explicit backend; the thin wrapper

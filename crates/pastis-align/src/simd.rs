@@ -67,6 +67,26 @@ fn score_tile_indexed<V: SimdVec>(rows: &[u8], idx: &[u8], out: &mut [i16]) {
     }
 }
 
+/// Masks the traceback lanes keep of every cell
+/// ([`SimdVec::store_masks`]): the five comparisons that make a direction
+/// code and whether the cell raised the running maximum.
+pub const TRACE_MASKS: usize = 6;
+
+/// [`SimdVec::MASK_BYTES`] of the x86 backends: a bit per lane and mask.
+#[cfg(target_arch = "x86_64")]
+const fn packed_mask_bytes(lanes: usize) -> usize {
+    TRACE_MASKS * lanes / 8
+}
+
+/// [`SimdVec::mask_at`] of the x86 backends, which store the masks two at
+/// a time as `packs` + `movemask` leave them: per pair and per eight
+/// lanes, a byte of the first mask's bits and a byte of the second's.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn packed_mask_at(stored: &[u8], lanes: usize, lane: usize, k: usize) -> bool {
+    stored[(k / 2) * (lanes / 4) + 2 * (lane / 8) + k % 2] >> (lane % 8) & 1 == 1
+}
+
 /// One vector of i16 lanes: the full instruction vocabulary of the
 /// lock-step Smith–Waterman recurrence.
 ///
@@ -116,6 +136,30 @@ pub trait SimdVec: Copy {
     /// Store the low byte of every lane to the front of `dst`
     /// (`Self::LANES` bytes); lanes must hold values in `0..=255`.
     fn store_bytes(self, dst: &mut [u8]);
+
+    /// Bytes [`SimdVec::store_masks`] writes: one per lane, unless the
+    /// backend packs tighter.
+    const MASK_BYTES: usize = Self::LANES;
+
+    /// Store [`TRACE_MASKS`] masks (each as [`SimdVec::gt`] yields them) to
+    /// the front of `dst`, `Self::MASK_BYTES` bytes, in whatever layout is
+    /// cheapest for the backend; [`SimdVec::mask_at`] reads them back. The
+    /// portable layout is a byte per lane with mask `k` at bit `k`.
+    #[inline(always)]
+    fn store_masks(masks: [Self; TRACE_MASKS], dst: &mut [u8]) {
+        let mut byte = Self::zero();
+        for (k, mask) in masks.into_iter().enumerate() {
+            byte = byte.or(mask.and(Self::splat(1 << k)));
+        }
+        byte.store_bytes(dst);
+    }
+
+    /// Whether mask `k` held in `lane`, from the bytes
+    /// [`SimdVec::store_masks`] wrote.
+    #[inline(always)]
+    fn mask_at(stored: &[u8], lane: usize, k: usize) -> bool {
+        stored[lane] >> k & 1 == 1
+    }
 
     /// All lanes zero.
     #[inline(always)]
@@ -411,6 +455,23 @@ impl SimdVec for Sse2Vec {
         }
     }
 
+    const MASK_BYTES: usize = packed_mask_bytes(Self::LANES);
+
+    #[inline(always)]
+    fn store_masks(masks: [Self; TRACE_MASKS], dst: &mut [u8]) {
+        let dst = &mut dst[..Self::MASK_BYTES];
+        for (pair, out) in masks.chunks_exact(2).zip(dst.chunks_exact_mut(2)) {
+            // SAFETY: SSE2 is baseline on x86_64.
+            let bits = unsafe { _mm_movemask_epi8(_mm_packs_epi16(pair[0].0, pair[1].0)) };
+            out.copy_from_slice(&(bits as u16).to_le_bytes());
+        }
+    }
+
+    #[inline(always)]
+    fn mask_at(stored: &[u8], lane: usize, k: usize) -> bool {
+        packed_mask_at(stored, Self::LANES, lane, k)
+    }
+
     /// `pshufb` is SSSE3, which the baseline does not include: it is
     /// detected here, per tile, and a CPU without it takes the indexed
     /// loads.
@@ -516,6 +577,26 @@ impl SimdVec for Avx2Vec {
             );
             _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, packed)
         }
+    }
+
+    const MASK_BYTES: usize = packed_mask_bytes(Self::LANES);
+
+    #[inline(always)]
+    fn store_masks(masks: [Self; TRACE_MASKS], dst: &mut [u8]) {
+        let dst = &mut dst[..Self::MASK_BYTES];
+        for (pair, out) in masks.chunks_exact(2).zip(dst.chunks_exact_mut(4)) {
+            // `packs` works within each 128-bit half, which gives the
+            // layout of `packed_mask_at`: the first mask's lanes 0..8, the
+            // second's, then lanes 8..16 of each.
+            // SAFETY: AVX2 per the type's contract.
+            let bits = unsafe { _mm256_movemask_epi8(_mm256_packs_epi16(pair[0].0, pair[1].0)) };
+            out.copy_from_slice(&bits.to_le_bytes());
+        }
+    }
+
+    #[inline(always)]
+    fn mask_at(stored: &[u8], lane: usize, k: usize) -> bool {
+        packed_mask_at(stored, Self::LANES, lane, k)
     }
 
     #[inline(always)]
@@ -893,6 +974,25 @@ mod tests {
             assert_eq!(bytes[l], src[l] as u8, "store_bytes lane {l}");
         }
         assert_eq!(bytes[V::LANES], 0xee, "store_bytes wrote past its lanes");
+        // Mask k holds in lane l iff bit k of 7 l + 3 is set.
+        let ids: [i16; MAX_LANES] = std::array::from_fn(|l| 7 * l as i16 + 3);
+        let ids = V::load(&ids);
+        let masks: [V; TRACE_MASKS] =
+            std::array::from_fn(|k| ids.and(V::splat(1 << k)).gt(V::zero()));
+        let mut stored = [0xeeu8; MAX_LANES + 1];
+        V::store_masks(masks, &mut stored);
+        for l in 0..V::LANES {
+            for k in 0..TRACE_MASKS {
+                let want = (7 * l + 3) >> k & 1 == 1;
+                assert_eq!(V::mask_at(&stored, l, k), want, "mask {k} lane {l}");
+            }
+        }
+        assert!(V::MASK_BYTES <= V::LANES);
+        assert_eq!(
+            stored[V::MASK_BYTES],
+            0xee,
+            "store_masks wrote past its bytes"
+        );
     }
 
     /// `score_tile` against `table[q][r]` for all 22 × 22 code pairs in

@@ -433,7 +433,8 @@ fn traceback_table<'a>(
         .iter()
         .map(|t| lookup(t.query).len() as u64 * lookup(t.reference).len() as u64)
         .sum();
-    let serial = move |t: &AlignTask| sw_align(lookup(t.query), lookup(t.reference), &Blosum62, gaps);
+    let serial =
+        move |t: &AlignTask| sw_align(lookup(t.query), lookup(t.reference), &Blosum62, gaps);
     let reference: Vec<AlignmentResult> = tasks.iter().map(serial).collect();
     let table = LaneTable::build(&Blosum62, gaps).expect("BLOSUM62 fits the i16 lanes");
     let table = &table;
@@ -545,7 +546,9 @@ fn main() {
     score_only_table("random pairs", &random, lookup, reps);
     score_only_table("homolog pairs", &homologs, lookup, reps);
     traceback_table("random pairs", &random, lookup, reps);
-    if let Some((antidiagonal, inter_pair)) = traceback_table("homolog pairs", &homologs, lookup, reps) {
+    if let Some((antidiagonal, inter_pair)) =
+        traceback_table("homolog pairs", &homologs, lookup, reps)
+    {
         let ratio = antidiagonal / inter_pair;
         if ratio < 1.4 {
             fail(&format!(
