@@ -50,11 +50,14 @@ pub struct BatchStats {
     /// scoring model outside the i16 scheme. Pair-intrinsic, so identical
     /// for every backend/width/thread count.
     pub lane_promotions: u64,
-    /// DP cells the score-only lanes updated, padding included: per lane
-    /// chunk, lane width × longest query × longest reference rounded up
-    /// to the score tile. [`cells`](BatchStats::cells) over this is the
+    /// DP cells the pair-per-lane vectors updated, padding included: per
+    /// lane chunk, lane width × longest query × longest reference rounded
+    /// up to the score tile. [`cells`](BatchStats::cells) over this is the
     /// useful share of the vector work, which tells a packing change from
-    /// a kernel change. Zero for traceback, banded and scalar work.
+    /// a kernel change. A traceback chunk that runs pair-at-a-time (over
+    /// the direction-matrix cap, or too thin) weighs the cells of the
+    /// pairs those lanes completed, its strip padding uncounted. Zero for
+    /// banded and scalar work.
     pub padded_cells: u64,
     /// Vector backend the batch's traceback or score-only work dispatched
     /// through ([`SimdBackend::Scalar`] for banded batches and the serial

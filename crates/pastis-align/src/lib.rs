@@ -16,9 +16,12 @@
 //!   backend), one pair per saturating i16 lane with an exact
 //!   promote-to-i32 overflow rescue; substitution scores arrive in tiles
 //!   of 16 columns built with byte shuffles and a transpose, not gathers.
-//! * [`tblanes`] — traceback on the same lanes: one pair at a time, the
-//!   anti-diagonal of its DP matrix in a vector (ADEPT's intra-alignment
-//!   wavefront), bit-identical to [`sw::sw_align`]; reached through
+//!   With traceback too, for lane chunks whose direction matrix stays
+//!   under a byte cap.
+//! * [`tblanes`] — traceback for every other pair: one pair at a time,
+//!   the anti-diagonal of its DP matrix in a vector (ADEPT's
+//!   intra-alignment wavefront). Both are bit-identical to
+//!   [`sw::sw_align`] and reached through
 //!   [`parallel::AlignPool::run_traceback`].
 //! * [`simd`] — the lane substrate: a [`simd::SimdVec`] trait with
 //!   AVX2/SSE2 (`core::arch::x86_64`, runtime-detected), NEON (aarch64)
@@ -29,8 +32,8 @@
 //! * [`parallel`] — the intra-rank parallel engine: a worker pool
 //!   executing batches as atomically-claimed chunks across `t` threads
 //!   (bit-identical to the serial driver for any thread count), with a
-//!   length-bucketing packer dispatching score-only work through the
-//!   multilane kernel and traceback work through the traceback lanes.
+//!   length-bucketing packer dispatching score-only and traceback work
+//!   through the multilane kernel, a pair per lane.
 //! * [`batch`] — the batch driver with exact cell-update accounting: the
 //!   paper's load-balance metric (Figure 7b) is the *sum of DP-matrix
 //!   sizes*, and its headline kernel metric is cell updates per second

@@ -1,4 +1,5 @@
-//! Multi-lane (inter-sequence) batched Smith–Waterman on real SIMD lanes.
+//! Multi-lane (inter-sequence) batched Smith–Waterman on real SIMD lanes,
+//! score-only and with traceback.
 //!
 //! ADEPT's GPU kernel derives much of its throughput from *inter-task*
 //! parallelism — many independent alignments advance in lock-step. On the
@@ -60,6 +61,50 @@
 //! influence any lane's optimum (property-tested), and promotion is a
 //! property of the pair alone, not of its lane companions. What padding
 //! costs is counted (`BatchStats::padded_cells`).
+//!
+//! # Traceback lanes
+//!
+//! The same kernel, asked to (`TRACE`), also keeps what a traceback
+//! needs: per cell and lane the outcome of the five comparisons
+//! [`sw_align`](crate::sw::sw_align) makes its direction byte from (`H`
+//! from the diagonal, from `E`, from `F`; `E` extends; `F` extends) and of
+//! a sixth, whether the cell raised the lane's running maximum. The six
+//! masks go to the thread's direction matrix through
+//! [`SimdVec::store_masks`], row-major: cell `(i, j)` of the chunk is at
+//! `(i · cols + j) · MASK_BYTES` with `cols` the tile-rounded width; a
+//! byte per lane on the portable lanes and NEON, six bit planes (0.75 byte
+//! per lane) where `packs` + `movemask` make them. Afterwards
+//! [`traceback`] walks each lane's cells back from its first maximum,
+//! reading the masks through [`SimdVec::mask_at`], exactly as it walks
+//! `sw_align`'s bytes. There are no cross-lane shifts, no skewed profile,
+//! no boundary rows and no strip edges, which is where the pair-at-a-time
+//! kernel ([`crate::tblanes`]) spends its time; what this one needs
+//! instead is a matrix for `LANES` pairs at once, so a chunk runs here
+//! only if that matrix stays under a cap ([`TRACE_CAP_BYTES`]) and at
+//! least half the lanes are filled ([`align_lanes_chunk`]).
+//!
+//! Every field of every result equals `sw_align`'s because:
+//!
+//! 1. *A real cell sees only real cells.* Its `H`, `E`, `F` and masks are
+//!    functions of its upper, left and diagonal neighbours, which lie in
+//!    the lane's own matrix or on its zero border; padding lies to the
+//!    right of and below it. The comparisons are `sw_align`'s, in its
+//!    priority (`diag > E > F > stop`, extension only on strict `>`), on
+//!    values that are exact in i16 for the reasons above.
+//! 2. *A padded cell never takes the first maximum.* Its `H` is 0 or
+//!    comes, through PAD (−100) or a gap (cost ≥ 0), from a cell earlier
+//!    in row-major order, so by induction it is at most the running
+//!    maximum when it is reached, and the running maximum moves on strict
+//!    `>` only. The first maximum is therefore a real cell: the last cell
+//!    to raise the maximum in the last row that raised it, which is what
+//!    the sixth mask and a row counter record.
+//! 3. *The walk stays inside the lane's matrix.* From a real cell it only
+//!    moves up and left.
+//! 4. *Saturation is detected as for scores*: a lane whose maximum reads
+//!    `i16::MAX` is handed back, and the caller redoes the pair through
+//!    `sw_align` and counts a promotion.
+//! 5. *Rows are counted in an i16 lane* (columns are not counted at all):
+//!    a chunk with a query past `i16::MAX` residues runs pair-at-a-time.
 
 use crate::matrices::{Scoring, AA_COUNT};
 use crate::simd::{
@@ -69,7 +114,6 @@ use crate::sw::{
     sw_score_only, traceback, with_scratch, AlignmentResult, GapPenalties, TbScratch, E_EXT, F_EXT,
     H_DIAG, H_FROM_E, H_FROM_F,
 };
-use crate::tblanes::MAX_COLS;
 
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{Avx2Vec, Sse2Vec};
@@ -405,16 +449,12 @@ fn walk_lanes<V: SimdVec>(
                 .map_or(0, |j| j + 1);
             let ops_rev = &mut scratch.ops_rev;
             traceback(qs[l], rs[l], best as i32, bi, bj, ops_rev, |i, j| {
+                let flag = |k: usize, code: u8| if mask(i, j, k) { code } else { 0 };
                 // The source is the largest code whose comparison held.
-                let src = if mask(i, j, MASK_F) {
-                    H_FROM_F
-                } else if mask(i, j, MASK_E) {
-                    H_FROM_E
-                } else {
-                    u8::from(mask(i, j, MASK_DIAG)) * H_DIAG
-                };
-                src | u8::from(mask(i, j, MASK_E_EXT)) * E_EXT
-                    | u8::from(mask(i, j, MASK_F_EXT)) * F_EXT
+                let src = flag(MASK_DIAG, H_DIAG)
+                    .max(flag(MASK_E, H_FROM_E))
+                    .max(flag(MASK_F, H_FROM_F));
+                src | flag(MASK_E_EXT, E_EXT) | flag(MASK_F_EXT, F_EXT)
             })
         });
     }
@@ -479,6 +519,20 @@ fn lanes_chunk<const TRACE: bool>(
         SimdBackend::Neon => lanes_chunk_on::<NeonVec, TRACE>(qs, rs, table, scratch, out),
         _ => lanes_chunk_on::<ScalarLanes<16>, TRACE>(qs, rs, table, scratch, out),
     }
+}
+
+/// [`lanes_chunk`] for scores alone. Not generic, so that the kernel is
+/// compiled with this crate, at this crate's optimisation level, whichever
+/// crate instantiates the generic drivers that call it (dev builds
+/// optimise this crate only).
+fn score_chunk(
+    backend: SimdBackend,
+    qs: &[&[u8]],
+    rs: &[&[u8]],
+    table: ByteRows<'_>,
+    scratch: &mut TbScratch,
+) -> ChunkBest {
+    lanes_chunk::<false>(backend, qs, rs, table, scratch, &mut [])
 }
 
 /// Bytes the traceback kernel writes for a chunk whose longest query has
@@ -565,7 +619,7 @@ pub(crate) fn score_lanes_into<S: Scoring>(
         .zip(refs.chunks(w))
         .zip(scores.chunks_mut(w))
     {
-        let found = lanes_chunk::<false>(backend, qs, rs, table, scratch, &mut []);
+        let found = score_chunk(backend, qs, rs, table, scratch);
         work.padded_cells += found.padded_cells;
         for (l, (o, &best)) in out.iter_mut().zip(&found.best).enumerate() {
             *o = if best == i16::MAX {
@@ -579,10 +633,20 @@ pub(crate) fn score_lanes_into<S: Scoring>(
     work
 }
 
-/// Direction bytes one pair-per-lane traceback chunk may write, lane
-/// width × longest query × longest reference rounded up to the tile; a
-/// chunk over it runs pair-at-a-time ([`crate::tblanes`]).
-pub(crate) const TRACE_CAP_BYTES: usize = 1 << 20;
+/// Largest direction matrix ([`trace_matrix_bytes`]) a pair-per-lane
+/// traceback chunk may write; a chunk over it runs pair-at-a-time
+/// ([`crate::tblanes`]). The matrix is the thread's and stays with it, so
+/// the cap is what every alignment worker adds to the resident set, and
+/// what keeps the matrix in L2.
+///
+/// Measured on the repo benchmark (2-core AVX2 host, 0.75 byte per cell;
+/// `wall_s` / `peak_rss_mb` of `search.fullsw`, 0.229 / 13.35 at the
+/// parent): 512 KiB 0.165 / 12.5, 768 KiB 0.160 / 12.7, 1 MiB 0.152 /
+/// 13.1, 1.5 MiB 0.148 / 13.7, 2 MiB 0.149 / 14.05, 4 MiB 0.145 / 16.2.
+/// `search.blocked` has two workers, each with a matrix: 12.7 MB at the
+/// parent, 13.05 at 512 KiB, 14.15 at 1 MiB. 512 KiB is the largest cap
+/// that leaves every workload within 3% of the parent's resident set.
+pub(crate) const TRACE_CAP_BYTES: usize = 512 << 10;
 
 /// Traceback of one chunk of ≤ `backend.lanes()` pairs with a pair in each
 /// lane: `out[l]` is pair `l`'s result, equal to
@@ -593,8 +657,11 @@ pub(crate) const TRACE_CAP_BYTES: usize = 1 << 20;
 /// Returns `None`, leaving `out` alone, when the chunk is one for the
 /// pair-at-a-time kernel, which is decided from its shape alone: fewer
 /// than half the lanes filled, a direction matrix over `cap` bytes (the
-/// caller's is [`TRACE_CAP_BYTES`]; tests pass others), dimensions past
-/// the i16 row and column counters, or a table without i8 rows.
+/// caller's is [`TRACE_CAP_BYTES`]; tests pass others), a query past the
+/// i16 row counter, or a table without i8 rows. Half is where the two
+/// kernels meet on AVX2: sixteen lanes of padded cells at 2.7 G cells/s
+/// cost what eight pairs cost the anti-diagonal kernel at 1.45 (8 lanes
+/// of SSE2 at 1.7 against 0.89 meet at four).
 pub(crate) fn align_lanes_chunk(
     backend: SimdBackend,
     qs: &[&[u8]],
@@ -612,14 +679,12 @@ pub(crate) fn align_lanes_chunk(
     let backend = backend.or_portable();
     let m = qs.iter().map(|q| q.len()).max().unwrap_or(0);
     let n = rs.iter().map(|r| r.len()).max().unwrap_or(0);
-    if 2 * qs.len() < backend.lanes()
-        || m.max(n) > MAX_COLS
-        || trace_matrix_bytes(backend, m, n) > cap
-    {
+    let matrix = trace_matrix_bytes(backend, m, n);
+    if 2 * qs.len() < backend.lanes() || m > i16::MAX as usize || matrix > cap {
         return None;
     }
-    if scratch.tb.len() < cap {
-        scratch.tb.resize(cap, 0);
+    if scratch.tb.len() < matrix {
+        scratch.tb.resize(matrix, 0);
     }
     Some(lanes_chunk::<true>(backend, qs, rs, rows, scratch, out).padded_cells)
 }
@@ -752,6 +817,256 @@ mod tests {
             extend: 10,
         };
         assert!(LaneTable::build(&Blosum62, huge_gap).is_none());
+    }
+
+    // ------------------------------------------------ traceback chunks
+
+    use crate::sw::sw_align;
+
+    type Pair = (Vec<u8>, Vec<u8>);
+
+    /// The pair-per-lane traceback of one chunk on `backend`, whatever
+    /// its matrix weighs: a result per pair (`None` for a saturated lane)
+    /// and the padded cell count, or `None` if the rule turns the chunk
+    /// away.
+    fn trace_chunk<S: Scoring>(
+        backend: SimdBackend,
+        pairs: &[Pair],
+        scoring: &S,
+        g: GapPenalties,
+    ) -> Option<(Vec<Option<AlignmentResult>>, u64)> {
+        let table = LaneTable::build(scoring, g).expect("the model fits the i16 scheme");
+        let qs: Vec<&[u8]> = pairs.iter().map(|(q, _)| q.as_slice()).collect();
+        let rs: Vec<&[u8]> = pairs.iter().map(|(_, r)| r.as_slice()).collect();
+        let mut out = vec![None; pairs.len()];
+        with_scratch(|scratch| {
+            align_lanes_chunk(backend, &qs, &rs, &table, usize::MAX, scratch, &mut out)
+        })
+        .map(|padded| (out, padded))
+    }
+
+    /// Every chunk of `pairs` at every available backend's width equals
+    /// `sw_align` pair by pair, in every field; chunks under half full
+    /// are turned away.
+    fn assert_chunks_equal_sw_align<S: Scoring>(
+        pairs: &[Pair],
+        scoring: &S,
+        g: GapPenalties,
+        what: &str,
+    ) {
+        for backend in SimdBackend::available() {
+            let lanes = backend.lanes();
+            for (c, chunk) in pairs.chunks(lanes).enumerate() {
+                let got = trace_chunk(backend, chunk, scoring, g);
+                if 2 * chunk.len() < lanes {
+                    assert!(got.is_none(), "{what}: {backend} took a thin chunk");
+                    continue;
+                }
+                let (got, padded) = got.unwrap_or_else(|| panic!("{what}: {backend} chunk {c}"));
+                let m = chunk.iter().map(|(q, _)| q.len()).max().unwrap();
+                let n = chunk.iter().map(|(_, r)| r.len()).max().unwrap();
+                let want_padded = if m == 0 || n == 0 {
+                    0
+                } else {
+                    lanes * m * n.next_multiple_of(TILE_COLS)
+                };
+                assert_eq!(padded, want_padded as u64, "{what}: {backend} chunk {c}");
+                for (l, ((q, r), got)) in chunk.iter().zip(got).enumerate() {
+                    let want = sw_align(q, r, scoring, g);
+                    assert_eq!(
+                        got,
+                        Some(want),
+                        "{what}: {backend} chunk {c} lane {l} ({}x{}) under {g:?}",
+                        q.len(),
+                        r.len()
+                    );
+                }
+            }
+        }
+    }
+
+    fn gap_models() -> [GapPenalties; 3] {
+        [
+            GapPenalties::pastis_defaults(),
+            GapPenalties { open: 1, extend: 1 },
+            GapPenalties { open: 3, extend: 0 },
+        ]
+    }
+
+    /// `n` residues of a fixed pseudo-random sequence, from `start`.
+    fn residues(start: usize, n: usize) -> Vec<u8> {
+        (start..start + n)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8 % 20)
+            .collect()
+    }
+
+    #[test]
+    fn trace_chunks_at_tile_edges_match_sw_align() {
+        // References of 15, 16, 17 and 32 columns end just under, at and
+        // just over a tile edge; each width once as the chunk's widest
+        // reference and once beside a wider one.
+        for width in [15usize, 16, 17, 32] {
+            let pairs: Vec<Pair> = (0..16)
+                .map(|l| (residues(l, 20 + l), residues(l + 3, width - l % 3)))
+                .collect();
+            let mut mixed = pairs.clone();
+            mixed[5].1 = residues(9, 40);
+            for g in gap_models() {
+                assert_chunks_equal_sw_align(&pairs, &Blosum62, g, "tile edge");
+                assert_chunks_equal_sw_align(&mixed, &Blosum62, g, "tile edge, mixed");
+            }
+        }
+    }
+
+    #[test]
+    fn trace_chunks_with_empty_and_dwarfed_lanes_match_sw_align() {
+        // Empty queries, empty references, a pair far shorter than its
+        // companions (padded below and to the right) and one far longer
+        // than them (every other lane padded), in half-full and full
+        // chunks.
+        let mut pairs: Vec<Pair> = (0..16)
+            .map(|l| (residues(l, 30 + l), residues(l + 1, 35 - l)))
+            .collect();
+        pairs[2].0.clear();
+        pairs[7].1.clear();
+        pairs[11] = (Vec::new(), Vec::new());
+        pairs[4] = (residues(4, 3), residues(5, 2));
+        pairs[9] = (residues(0, 150), residues(2, 170));
+        for g in gap_models() {
+            assert_chunks_equal_sw_align(&pairs, &Blosum62, g, "ragged");
+            assert_chunks_equal_sw_align(&pairs[..8], &Blosum62, g, "ragged, half full");
+        }
+        let empty = vec![(Vec::new(), residues(0, 9)); 16];
+        assert_chunks_equal_sw_align(&empty, &Blosum62, gap_models()[0], "all queries empty");
+    }
+
+    #[test]
+    fn trace_chunks_of_identical_pairs_and_homopolymers_match_sw_align() {
+        // Homopolymers tie everywhere: many cells share the maximum and
+        // many directions share a cell's value, so only the first-maximum
+        // rule and the direction priority pick the alignment.
+        let unit = MatchMismatch {
+            match_score: 1,
+            mismatch_score: -1,
+        };
+        let identical: Vec<Pair> = (0..16)
+            .map(|l| (residues(l, 33), residues(l, 33)))
+            .collect();
+        let homopolymers: Vec<Pair> = (0..16)
+            .map(|l| (vec![3u8; 5 + 2 * l], vec![3u8; 36 - 2 * l]))
+            .collect();
+        for g in gap_models() {
+            assert_chunks_equal_sw_align(&identical, &Blosum62, g, "identical");
+            assert_chunks_equal_sw_align(&homopolymers, &Blosum62, g, "homopolymers");
+            assert_chunks_equal_sw_align(&homopolymers, &unit, g, "homopolymers/+1-1");
+        }
+    }
+
+    #[test]
+    fn a_saturated_lane_is_handed_back_and_its_neighbours_are_exact() {
+        // 259 matches at 127 pass i16::MAX; the table still has i8 rows.
+        let steep = MatchMismatch {
+            match_score: 127,
+            mismatch_score: -127,
+        };
+        let g = GapPenalties::pastis_defaults();
+        let mut pairs: Vec<Pair> = (0..16)
+            .map(|l| (residues(l, 40 + l), residues(l + 2, 50 - l)))
+            .collect();
+        pairs[6] = (vec![7u8; 259], vec![7u8; 259]);
+        assert_eq!(
+            sw_align(&pairs[6].0, &pairs[6].1, &steep, g).score,
+            259 * 127
+        );
+        for backend in SimdBackend::available() {
+            for chunk in pairs.chunks(backend.lanes()) {
+                let (got, _) = trace_chunk(backend, chunk, &steep, g).expect("full chunks");
+                for ((q, r), got) in chunk.iter().zip(got) {
+                    let want = sw_align(q, r, &steep, g);
+                    let want = (want.score < i16::MAX as i32).then_some(want);
+                    assert_eq!(got, want, "{backend} {}x{}", q.len(), r.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_outside_the_rule_are_turned_away() {
+        let g = GapPenalties::pastis_defaults();
+        let pairs: Vec<Pair> = (0..16)
+            .map(|l| (residues(l, 20), residues(l, 30)))
+            .collect();
+        let qs: Vec<&[u8]> = pairs.iter().map(|(q, _)| q.as_slice()).collect();
+        let rs: Vec<&[u8]> = pairs.iter().map(|(_, r)| r.as_slice()).collect();
+        let run = |backend: SimdBackend, table: &LaneTable, cap: usize| {
+            let n = backend.lanes();
+            let mut out = vec![None; n];
+            with_scratch(|scratch| {
+                align_lanes_chunk(backend, &qs[..n], &rs[..n], table, cap, scratch, &mut out)
+            })
+        };
+        let blosum = LaneTable::build(&Blosum62, g).unwrap();
+        // Scores of ±200 fit the i16 scheme but not the i8 rows.
+        let wide = MatchMismatch {
+            match_score: 200,
+            mismatch_score: -200,
+        };
+        let wide = LaneTable::build(&wide, g).unwrap();
+        assert!(wide.byte_rows().is_none());
+        for backend in SimdBackend::available() {
+            let matrix = trace_matrix_bytes(backend, 20, 30);
+            assert_eq!(matrix % (20 * 32), 0, "{backend}: 20 rows of two tiles");
+            assert!(run(backend, &blosum, matrix - 1).is_none(), "{backend}");
+            let padded = (backend.lanes() * 20 * 32) as u64;
+            assert_eq!(run(backend, &blosum, matrix), Some(padded), "{backend}");
+            assert_eq!(run(backend, &blosum, matrix + 1), Some(padded), "{backend}");
+            assert!(run(backend, &wide, usize::MAX).is_none(), "{backend}");
+        }
+        // One query past the i16 row counter.
+        let tall = vec![1u8; i16::MAX as usize + 1];
+        let mut qs = qs;
+        qs[3] = &tall;
+        for backend in SimdBackend::available() {
+            let n = backend.lanes();
+            let mut out = vec![None; n];
+            let got = with_scratch(|scratch| {
+                align_lanes_chunk(
+                    backend,
+                    &qs[..n],
+                    &rs[..n],
+                    &blosum,
+                    usize::MAX,
+                    scratch,
+                    &mut out,
+                )
+            });
+            assert!(got.is_none(), "{backend}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Ragged chunks over a four-letter alphabet, where ties are the
+        /// rule, under BLOSUM62 and a two-valued model and every gap
+        /// model: 8 to 16 pairs, so that every width has a chunk at
+        /// least half full, of 0 to 40 residues a side.
+        #[test]
+        fn ragged_trace_chunks_match_sw_align(
+            pairs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u8..4, 0..40),
+                    proptest::collection::vec(0u8..4, 0..40),
+                ),
+                8..=16,
+            ),
+        ) {
+            let unit = MatchMismatch { match_score: 1, mismatch_score: -1 };
+            for g in gap_models() {
+                assert_chunks_equal_sw_align(&pairs, &Blosum62, g, "proptest/blosum62");
+                assert_chunks_equal_sw_align(&pairs, &unit, g, "proptest/+1-1");
+            }
+        }
     }
 
     proptest! {

@@ -25,13 +25,17 @@
 //!   lane's results come back in a fixed array, so a batch allocates per
 //!   call, not per lane.
 //!
-//! * **Traceback lanes** ([`AlignPool::run_traceback`]): a traceback
-//!   needs the full direction matrix of its pair, which rules out one pair
-//!   per lane; instead each pair runs alone on the same backend with the
-//!   anti-diagonal of its DP matrix in a vector ([`crate::tblanes`]),
-//!   bit-identical to [`sw_align`](crate::sw::sw_align), which stays the
-//!   per-pair fallback. Traceback bytes live in a per-thread scratch that
-//!   is reused from pair to pair.
+//! * **Traceback lanes** ([`AlignPool::run_traceback`]): the same lane
+//!   plan, and the same kernel with a pair in each lane, now also writing
+//!   what a traceback needs of every cell; a walk per lane follows. The
+//!   direction matrix of a whole chunk has to stay cache-resident for
+//!   that to pay, so a chunk over a byte cap, or under half full, runs its
+//!   pairs one at a time with the anti-diagonal of the pair's DP matrix
+//!   in a vector ([`crate::tblanes`]). The choice is a function of the
+//!   chunk's shape alone. Both are bit-identical to
+//!   [`sw_align`](crate::sw::sw_align), which stays the per-pair
+//!   fallback; direction bytes live in a per-thread scratch that is
+//!   reused from chunk to chunk and pair to pair.
 //!
 //! Seed-anchored banded work ([`AlignPool::run_banded`]) parallelizes over
 //! the scalar kernel only — its exploration set depends on per-pair seeds,
@@ -891,10 +895,210 @@ mod tests {
                 );
             }
         }
-        // Traceback runs one pair at a time: nothing is padded.
-        let (_, stats) =
-            AlignPool::new(1).run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
-        assert_eq!(stats.padded_cells, 0);
+        // Traceback weighs a chunk the same way when it runs a pair per
+        // lane, which three pairs are too few for on any backend: they
+        // run one at a time and weigh their own cells. Four copies of
+        // them are 12 pairs: one chunk of 16 lanes, or one of 8 lanes and
+        // one half full.
+        let twelve: Vec<AlignTask> = tasks.iter().cycle().take(12).copied().collect();
+        for backend in SimdBackend::available() {
+            for t in [1, 3] {
+                let pool = AlignPool::new(t).with_simd(backend);
+                let (_, stats) = pool.run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
+                assert_eq!(stats.padded_cells, stats.cells, "{backend} t={t}");
+                let (_, stats) = pool.run_traceback(&twelve, |id| &seqs[id as usize], &Blosum62, g);
+                assert_eq!(
+                    stats.cells,
+                    4 * (20 * 33 + 9 * 20 + 33 * 9),
+                    "{backend} t={t}"
+                );
+                // The plan sorts by longest sequence, ties by index
+                // descending: the eight (0, 1) and (1, 2) pairs, then the
+                // four (2, 0) pairs.
+                let want = match backend.lanes() {
+                    16 => 16 * 33 * 48,
+                    _ => 8 * 33 * 48 + 8 * 9 * 32,
+                };
+                assert_eq!(stats.padded_cells, want, "{backend} t={t}");
+            }
+        }
+    }
+
+    /// `run_traceback_capped` on `pool` against serial `sw_align`, field
+    /// by field; returns the stats.
+    fn traceback_equals_sw_align<S: Scoring + Sync>(
+        pool: &AlignPool,
+        seqs: &[Vec<u8>],
+        tasks: &[AlignTask],
+        scoring: &S,
+        cap: usize,
+        what: &str,
+    ) -> BatchStats {
+        let g = GapPenalties::pastis_defaults();
+        let (got, stats) =
+            pool.run_traceback_capped(tasks, |id| &seqs[id as usize], scoring, g, cap);
+        assert_eq!(got.len(), tasks.len(), "{what}");
+        for (k, (t, got)) in tasks.iter().zip(&got).enumerate() {
+            let (q, r) = (&seqs[t.query as usize], &seqs[t.reference as usize]);
+            assert_eq!(
+                got,
+                &crate::sw::sw_align(q, r, scoring, g),
+                "{what}: task {k}"
+            );
+        }
+        assert_eq!(stats.pairs, tasks.len() as u64, "{what}");
+        stats
+    }
+
+    #[test]
+    fn traceback_task_counts_around_the_lane_width_match_sw_align() {
+        // One task, a vector short of one, a full one, one over, and a
+        // half-full tail: every chunk shape the plan can produce.
+        let seqs = random_store(20, 60, 31);
+        for backend in SimdBackend::available() {
+            let lanes = backend.lanes();
+            for n_tasks in [
+                1,
+                lanes / 2,
+                lanes - 1,
+                lanes,
+                lanes + 1,
+                2 * lanes + lanes / 2,
+            ] {
+                let tasks = random_tasks(20, n_tasks, 32 + n_tasks as u64);
+                let pool = AlignPool::new(2).with_simd(backend);
+                let what = format!("{backend}, {n_tasks} tasks");
+                let stats = traceback_equals_sw_align(
+                    &pool,
+                    &seqs,
+                    &tasks,
+                    &Blosum62,
+                    TRACE_CAP_BYTES,
+                    &what,
+                );
+                assert_eq!(stats.lane_promotions, 0, "{what}");
+                assert!(stats.padded_cells >= stats.cells, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn traceback_chunks_either_side_of_the_cap_match_sw_align() {
+        // One full chunk of 40 x 33 pairs: a byte under its matrix the
+        // pairs run one at a time and weigh their own cells, at it and a
+        // byte over they run a pair per lane and weigh the padded chunk.
+        let seqs = [
+            vec![3u8; 40],
+            vec![5u8; 33],
+            random_store(1, 40, 3).remove(0),
+        ];
+        for backend in SimdBackend::available() {
+            let lanes = backend.lanes();
+            let tasks: Vec<AlignTask> = (0..lanes as u32)
+                .map(|k| AlignTask {
+                    query: 2 * (k % 2),
+                    reference: 1,
+                    seed_q: 0,
+                    seed_r: 0,
+                })
+                .collect();
+            let matrix = crate::multilane::trace_matrix_bytes(backend, 40, 33);
+            let pool = AlignPool::new(1).with_simd(backend);
+            for (cap, per_lane) in [(matrix - 1, false), (matrix, true), (matrix + 1, true)] {
+                let what = format!("{backend}, cap {cap} of {matrix}");
+                let stats = traceback_equals_sw_align(&pool, &seqs, &tasks, &Blosum62, cap, &what);
+                let want = if per_lane {
+                    (lanes * 40 * 48) as u64
+                } else {
+                    stats.cells
+                };
+                assert_eq!(stats.padded_cells, want, "{what}");
+                assert_eq!(stats.lane_promotions, 0, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_saturating_pair_in_a_chunk_is_promoted_alone() {
+        // 259 matches at 127 reach i16::MAX; its lane companions do not.
+        let steep = crate::matrices::MatchMismatch {
+            match_score: 127,
+            mismatch_score: -127,
+        };
+        let mut seqs = random_store(19, 60, 41);
+        seqs.push(vec![7u8; 259]);
+        let mut tasks = random_tasks(19, 40, 42);
+        tasks[13] = AlignTask {
+            query: 19,
+            reference: 19,
+            seed_q: 0,
+            seed_r: 0,
+        };
+        for backend in SimdBackend::available() {
+            for threads in [1, 3] {
+                let pool = AlignPool::new(threads).with_simd(backend);
+                let what = format!("{backend} t={threads}");
+                // Any cap: the pair is promoted by whichever kernel meets it.
+                for cap in [0, usize::MAX] {
+                    let stats = traceback_equals_sw_align(&pool, &seqs, &tasks, &steep, cap, &what);
+                    assert_eq!(stats.lane_promotions, 1, "{what}, cap {cap}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_model_without_i8_rows_runs_pair_at_a_time_unpromoted() {
+        // ±200 fits the i16 lanes but not the score tiles' i8 rows: the
+        // anti-diagonal kernel takes every pair, nothing is promoted.
+        let wide = crate::matrices::MatchMismatch {
+            match_score: 200,
+            mismatch_score: -200,
+        };
+        let seqs = random_store(12, 50, 51);
+        let tasks = random_tasks(12, 40, 52);
+        for backend in SimdBackend::available() {
+            let pool = AlignPool::new(2).with_simd(backend);
+            let what = format!("{backend}");
+            let stats = traceback_equals_sw_align(&pool, &seqs, &tasks, &wide, usize::MAX, &what);
+            assert_eq!(stats.lane_promotions, 0, "{what}");
+            assert_eq!(stats.padded_cells, stats.cells, "{what}");
+        }
+    }
+
+    #[test]
+    fn traceback_is_identical_across_threads_and_the_work_pool() {
+        let seqs = random_store(30, 90, 61);
+        let tasks = random_tasks(30, 150, 62);
+        let g = GapPenalties::pastis_defaults();
+        for backend in SimdBackend::available() {
+            let serial = AlignPool::new(1).with_simd(backend);
+            let want_stats = traceback_equals_sw_align(
+                &serial,
+                &seqs,
+                &tasks,
+                &Blosum62,
+                TRACE_CAP_BYTES,
+                "serial",
+            );
+            let (want, _) = serial.run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
+            for threads in [1usize, 2, 3] {
+                let scoped = AlignPool::new(threads).with_simd(backend);
+                let pooled = AlignPool::new(1)
+                    .with_simd(backend)
+                    .with_workers(WorkPool::with_exact_workers(threads));
+                for (pool, how) in [(scoped, "scoped"), (pooled, "work pool")] {
+                    let what = format!("{backend} {how} t={threads}");
+                    let (got, stats) =
+                        pool.run_traceback(&tasks, |id| &seqs[id as usize], &Blosum62, g);
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(stats.cells, want_stats.cells, "{what}");
+                    assert_eq!(stats.max_cells, want_stats.max_cells, "{what}");
+                    assert_eq!(stats.padded_cells, want_stats.padded_cells, "{what}");
+                    assert_eq!(stats.lane_promotions, 0, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

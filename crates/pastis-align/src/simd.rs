@@ -5,10 +5,10 @@
 //! the traceback kernel ([`crate::tblanes`]) advances one alignment's
 //! anti-diagonal, one row per lane. This module supplies the lanes: a
 //! [`SimdVec`] trait whose operations are the complete vocabulary of the
-//! two kernels (splat/load/store, saturating add/sub, max; for score-only
-//! the substitution scores of a 16-column tile; for traceback also
-//! compare-greater, and/or/select, a one-lane shift and a narrowing byte
-//! store), implemented by
+//! two kernels (splat/load/store, saturating add/sub, max, the
+//! substitution scores of a 16-column tile; for traceback also
+//! compare-greater, and/or/select, a one-lane shift, a narrowing byte
+//! store and a store of six comparison masks), implemented by
 //!
 //! * `core::arch::x86_64` **SSE2** (8 lanes) and **AVX2** (16 lanes)
 //!   intrinsics, selected at runtime with `is_x86_feature_detected!`;

@@ -214,10 +214,11 @@ const SCRATCH_KEEP_BYTES: usize = 4 << 20;
 
 /// Per-thread buffers of the traceback kernels, reused from pair to pair:
 /// the direction bytes (row-major here, strip-major skewed in
-/// [`crate::tblanes`]), the scalar kernel's `H`/`F` rows, the vector
-/// kernel's i16 profile and strip boundary rows, and the reversed
-/// operation list the walk builds. The score-only lanes
-/// ([`crate::multilane`]) keep their shuffle indices in `codes` and their
+/// [`crate::tblanes`], a whole lane chunk's masks in
+/// [`crate::multilane`]), the scalar kernel's `H`/`F` rows, the
+/// anti-diagonal kernel's i16 profile and strip boundary rows, and the
+/// reversed operation list the walk builds. The pair-per-lane kernel
+/// ([`crate::multilane`]) keeps its shuffle indices in `codes` and its
 /// `H`/`F` rows in `lanes`, from chunk to chunk.
 #[derive(Default)]
 pub(crate) struct TbScratch {

@@ -2,9 +2,17 @@
 //! anti-diagonal of its DP matrix in a vector.
 //!
 //! The multilane kernel ([`crate::multilane`]) puts one *pair* in each
-//! lane, which a traceback cannot afford: every lane would need its own
-//! `m × n` direction matrix. This kernel is the CPU analogue of ADEPT's
-//! intra-alignment wavefront instead. The query is cut into strips of
+//! lane, and for a traceback every lane then needs its own direction
+//! matrix at once: `LANES` pairs' worth, which pays while it stays
+//! cache-resident and costs resident memory per worker thread either way.
+//! So [`AlignPool::run_traceback`](crate::parallel::AlignPool::run_traceback)
+//! runs a lane chunk there only under a byte cap
+//! (`multilane::TRACE_CAP_BYTES`, with the measurements behind it) and
+//! only when the chunk fills at least half the vector; every other pair
+//! comes here: the long ones, the thin tail of a batch, and scoring
+//! models whose scores do not fit the score tiles' i8 rows. This kernel
+//! is the CPU analogue of ADEPT's intra-alignment wavefront, one pair's
+//! matrix at a time. The query is cut into strips of
 //! `V::LANES` rows; lane `l` owns row `i0 + l` of the strip and at step
 //! `t` computes column `t - l`, so one vector holds one anti-diagonal and
 //! every dependency of a cell is a lane of an earlier step:
@@ -79,7 +87,7 @@ use crate::simd::NeonVec;
 
 /// Longest reference the lanes take: step and column numbers are tracked
 /// in i16 lanes.
-pub(crate) const MAX_COLS: usize = i16::MAX as usize - MAX_LANES;
+const MAX_COLS: usize = i16::MAX as usize - MAX_LANES;
 
 /// The skew of the score profile is split into a low part (`l mod 4`
 /// steps, applied while the profile is laid down) and a high part

@@ -1,6 +1,8 @@
 //! `AlignPool::run_score_only` allocates per call, never per lane chunk:
 //! the kernel's rows and shuffle indices live in the thread's scratch and
-//! a chunk's results in a fixed array.
+//! a chunk's results in a fixed array. `AlignPool::run_traceback` adds one
+//! allocation per pair, the result's own `ops`: its direction matrix is
+//! the thread's too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -45,10 +47,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations of one single-threaded `run_score_only` over `n_tasks`
-/// pairs of the same few sequences, after a first call has grown the
-/// thread's scratch.
-fn allocations_of(backend: SimdBackend, n_tasks: usize) -> u64 {
+/// Allocations of one single-threaded `run_score_only` (or, with
+/// `traceback`, `run_traceback`) over `n_tasks` pairs of the same few
+/// sequences, after a first call has grown the thread's scratch.
+fn allocations_of(backend: SimdBackend, n_tasks: usize, traceback: bool) -> u64 {
     let seqs: Vec<Vec<u8>> = (0..8usize)
         .map(|s| (0..60 + 5 * s).map(|i| ((i * 7 + s) % 20) as u8).collect())
         .collect();
@@ -63,11 +65,24 @@ fn allocations_of(backend: SimdBackend, n_tasks: usize) -> u64 {
     let pool = AlignPool::new(1).with_simd(backend);
     let lookup = |id: u32| -> &[u8] { &seqs[id as usize] };
     let gaps = GapPenalties::pastis_defaults();
-    let _ = pool.run_score_only(&tasks, lookup, &Blosum62, gaps);
+    let run = || {
+        if traceback {
+            let (results, stats) = pool.run_traceback(&tasks, lookup, &Blosum62, gaps);
+            // Every pair aligns somewhere, so every result owns its `ops`;
+            // and every chunk ran with a pair per lane.
+            assert!(results.iter().all(|r| !r.ops.is_empty()));
+            assert!(stats.padded_cells > stats.cells);
+            (results.len(), stats)
+        } else {
+            let (results, stats) = pool.run_score_only(&tasks, lookup, &Blosum62, gaps);
+            (results.len(), stats)
+        }
+    };
+    run();
     let before = ALLOCS.with(Cell::get);
-    let (results, stats) = pool.run_score_only(&tasks, lookup, &Blosum62, gaps);
+    let (n_results, stats) = run();
     let made = ALLOCS.with(Cell::get) - before;
-    assert_eq!(results.len(), n_tasks);
+    assert_eq!(n_results, n_tasks);
     assert_eq!(stats.pairs, n_tasks as u64);
     made
 }
@@ -76,13 +91,27 @@ fn allocations_of(backend: SimdBackend, n_tasks: usize) -> u64 {
 fn no_allocation_per_lane_chunk() {
     for backend in SimdBackend::available() {
         // 4 chunks against 256 (twice that on the 8-lane backends).
-        let few = allocations_of(backend, 64);
-        let many = allocations_of(backend, 4096);
+        let few = allocations_of(backend, 64, false);
+        let many = allocations_of(backend, 4096, false);
         assert_eq!(
             many, few,
             "{backend}: {few} allocations for 64 pairs, {many} for 4096"
         );
         // The plan's order and units, the unit payloads, the results.
         assert!(few < 16, "{backend}: {few} allocations per call");
+    }
+}
+
+#[test]
+fn traceback_allocates_per_pair_not_per_lane_chunk() {
+    for backend in SimdBackend::available() {
+        let few = allocations_of(backend, 64, true);
+        let many = allocations_of(backend, 4096, true);
+        assert_eq!(
+            many - 4096,
+            few - 64,
+            "{backend}: {few} allocations for 64 pairs, {many} for 4096"
+        );
+        assert!(few - 64 < 16, "{backend}: {few} allocations per call");
     }
 }

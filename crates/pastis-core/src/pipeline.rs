@@ -1019,13 +1019,16 @@ pub fn run_search_traced<C: Communicator + Sync>(
         let cpu_seconds;
         match params.align_kind {
             AlignKind::FullSw => {
-                // Traceback on the `--simd` lanes, one anti-diagonal per
-                // vector; results equal the scalar kernel's in every field.
+                // Traceback on the `--simd` lanes, a pair per lane where
+                // the chunk's direction matrix allows and an anti-diagonal
+                // per vector elsewhere; results equal the scalar kernel's
+                // in every field.
                 let (results, stats) = pool.run_traceback(&tasks, lookup, &Blosum62, params.gaps);
                 cells = stats.cells;
                 cpu_seconds = stats.seconds;
                 batch_span.push_arg("simd", stats.simd.id());
                 batch_span.push_arg("lane_promotions", stats.lane_promotions);
+                batch_span.push_arg("padded_cells", stats.padded_cells);
                 for (pt, res) in pairs.iter().zip(&results) {
                     let (qlen, rlen) = (seqs[pt.i as usize].len(), seqs[pt.j as usize].len());
                     if filter.passes(res, qlen, rlen) {

@@ -155,8 +155,9 @@ pub const CTR_POOL_STEALS: &str = "pool.steals";
 pub const CTR_ALIGN_SIMD_BACKEND: &str = "align.simd_backend";
 /// Lanes promoted from i16 to i32 on saturation rescue.
 pub const CTR_ALIGN_LANE_PROMOTIONS: &str = "align.lane_promotions";
-/// DP cells the score-only lanes updated, padding included (`cells` over
-/// this is the useful share of the vector work).
+/// DP cells the pair-per-lane vectors updated, score-only or traceback,
+/// padding included (`cells` over this is the useful share of the vector
+/// work).
 pub const CTR_ALIGN_PADDED_CELLS: &str = "align.padded_cells";
 /// SpGEMM kernel dispatches: auto selector invoked.
 pub const CTR_SPGEMM_KERNEL_AUTO: &str = "spgemm.kernel.auto";
