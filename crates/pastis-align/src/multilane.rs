@@ -264,10 +264,10 @@ struct ChunkBest {
 /// [`TILE_COLS`] columns whose substitution scores come from one
 /// [`SimdVec::score_tile`] each.
 ///
-/// With `TRACE` it also writes every cell's direction byte to
-/// `scratch.tb` (see the module doc for the layout) and tracks each
-/// lane's first maximum; without, it is the score-only kernel and the
-/// compiler drops all of that. Marked `#[inline(always)]` so the
+/// With `TRACE` it also writes every cell's masks to `scratch.tb` (see
+/// the module doc for the layout) and tracks the row of each lane's first
+/// maximum; without, it is the score-only kernel and the compiler drops
+/// all of that. Marked `#[inline(always)]` so the
 /// `#[target_feature]` entry points inline it and the trait ops compile to
 /// bare vector instructions.
 #[inline(always)]
@@ -291,8 +291,7 @@ fn lanes_kernel<V: SimdVec, const TRACE: bool>(
     }
     let tiles = n.div_ceil(TILE_COLS);
     // One half of a tile's shuffle indices, or of a row's substitution
-    // rows: 16 bytes per lane (`SimdVec::score_tile`'s layout). Also the
-    // direction bytes of one tile of one row.
+    // rows: 16 bytes per lane (`SimdVec::score_tile`'s layout).
     let half = lanes * TILE_COLS;
 
     // Shuffle indices of every lane's reference codes, tile by tile, PAD
@@ -352,8 +351,7 @@ fn lanes_kernel<V: SimdVec, const TRACE: bool>(
         let mut e = neg;
         let mut h_left = zero; // H(i, j-1), walking left to right
         let mut diag = zero; // H(i-1, j-1); starts at H(i-1, 0) = 0
-                             // The running maximum, the rows above included.
-        let mut row_best = best;
+        let mut row_best = best; // the running maximum, rows above included
         let tb_row: &mut [u8] = if TRACE {
             &mut tb[i * tiles * tile_masks..][..tiles * tile_masks]
         } else {
@@ -443,10 +441,8 @@ fn walk_lanes<V: SimdVec>(
         *o = (best < i16::MAX).then(|| {
             // The last cell of row `bi` to raise the maximum reached it
             // first; a lane that stayed at zero has no such row.
-            let bj = (0..rs[l].len())
-                .rev()
-                .find(|&j| bi > 0 && mask(bi - 1, j, MASK_RAISED))
-                .map_or(0, |j| j + 1);
+            let raised = |&j: &usize| bi > 0 && mask(bi - 1, j, MASK_RAISED);
+            let bj = (0..rs[l].len()).rev().find(raised).map_or(0, |j| j + 1);
             let ops_rev = &mut scratch.ops_rev;
             traceback(qs[l], rs[l], best as i32, bi, bj, ops_rev, |i, j| {
                 let flag = |k: usize, code: u8| if mask(i, j, k) { code } else { 0 };
@@ -643,9 +639,11 @@ pub(crate) fn score_lanes_into<S: Scoring>(
 /// `wall_s` / `peak_rss_mb` of `search.fullsw`, 0.229 / 13.35 at the
 /// parent): 512 KiB 0.165 / 12.5, 768 KiB 0.160 / 12.7, 1 MiB 0.152 /
 /// 13.1, 1.5 MiB 0.148 / 13.7, 2 MiB 0.149 / 14.05, 4 MiB 0.145 / 16.2.
-/// `search.blocked` has two workers, each with a matrix: 12.7 MB at the
-/// parent, 13.05 at 512 KiB, 14.15 at 1 MiB. 512 KiB is the largest cap
-/// that leaves every workload within 3% of the parent's resident set.
+/// On `search.blocked` two pool workers and the submitting thread each
+/// hold a matrix: 12.7 MB at the parent, 13.1-13.2 at 512 KiB (+4%),
+/// 14.15 at 1 MiB (+11%, past the benchmark's 10% bound). So the cap is
+/// set by the workloads with several workers, and the one-thread
+/// `search.fullsw` pays for it: 512 KiB keeps four fifths of its gain.
 pub(crate) const TRACE_CAP_BYTES: usize = 512 << 10;
 
 /// Traceback of one chunk of ≤ `backend.lanes()` pairs with a pair in each

@@ -560,6 +560,22 @@ impl LanePlan {
     }
 }
 
+/// The queries and references of a unit's members, in lane order.
+fn gather_members<'a, L: Fn(u32) -> &'a [u8]>(
+    members: &[usize],
+    tasks: &[AlignTask],
+    lookup: &L,
+) -> ([&'a [u8]; MAX_LANES], [&'a [u8]; MAX_LANES]) {
+    debug_assert!(!members.is_empty() && members.len() <= MAX_LANES);
+    let mut qs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+    let mut rs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+    for (l, &idx) in members.iter().enumerate() {
+        qs[l] = lookup(tasks[idx].query);
+        rs[l] = lookup(tasks[idx].reference);
+    }
+    (qs, rs)
+}
+
 /// Executes one lane unit: gathers the member pairs, runs the vector
 /// kernel (with its exact overflow rescue) on the thread's scratch, and
 /// records per-member results in lane order and exact (unpadded) cell
@@ -580,15 +596,9 @@ fn run_lane<'a, S, L>(
     S: Scoring,
     L: Fn(u32) -> &'a [u8],
 {
-    debug_assert!(!members.is_empty() && members.len() <= MAX_LANES);
-    let mut qs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
-    let mut rs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+    let (qs, rs) = gather_members(members, tasks, lookup);
     let mut scores = [0i32; MAX_LANES];
     let n = members.len();
-    for (l, &idx) in members.iter().enumerate() {
-        qs[l] = lookup(tasks[idx].query);
-        rs[l] = lookup(tasks[idx].reference);
-    }
     let work = score_lanes_into(
         &qs[..n],
         &rs[..n],
@@ -635,15 +645,9 @@ fn trace_lane<'a, S, L>(
     S: Scoring,
     L: Fn(u32) -> &'a [u8],
 {
-    debug_assert!(!members.is_empty() && members.len() <= MAX_LANES);
-    let mut qs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
-    let mut rs: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+    let (qs, rs) = gather_members(members, tasks, lookup);
     let mut on_lanes: [Option<AlignmentResult>; MAX_LANES] = [const { None }; MAX_LANES];
     let n = members.len();
-    for (l, &idx) in members.iter().enumerate() {
-        qs[l] = lookup(tasks[idx].query);
-        rs[l] = lookup(tasks[idx].reference);
-    }
     let (qs, rs, on_lanes) = (&qs[..n], &rs[..n], &mut on_lanes[..n]);
     let cells = |l: usize| qs[l].len() as u64 * rs[l].len() as u64;
     if let Some(table) = table {
