@@ -19,7 +19,9 @@
 //! Both schemes align every unordered pair exactly once (property-tested
 //! in `tests/determinism.rs`).
 
-use pastis_sparse::spops::{parity_keep, parity_prune, triu_prune_global};
+use std::cell::OnceCell;
+
+use pastis_sparse::spops::parity_keep;
 use pastis_sparse::{CsrMatrix, Index};
 
 /// The two schemes of Section VI-B.
@@ -29,6 +31,18 @@ pub enum LoadBalance {
     Triangular,
     /// Index-based (parity pruning, all blocks computed).
     IndexBased,
+}
+
+impl LoadBalance {
+    /// Whether the scheme aligns global element `(i, j)`: each unordered
+    /// pair is kept as exactly one of `(i, j)` / `(j, i)`.
+    #[inline]
+    pub fn keeps(self, i: Index, j: Index) -> bool {
+        match self {
+            LoadBalance::Triangular => j > i,
+            LoadBalance::IndexBased => parity_keep(i, j),
+        }
+    }
 }
 
 /// Classification of an output block against the strict upper triangle
@@ -144,26 +158,34 @@ impl BlockPlan {
         (full, partial)
     }
 
-    /// Prune a computed block's local piece to the elements this scheme
-    /// aligns. `row_offset`/`col_offset` are the global coordinates of the
-    /// piece's `(0, 0)` element (block offset + intra-block distribution
-    /// offset).
-    pub fn prune_local<T: Clone>(
+    /// A computed block's local piece, seen through this scheme's pruning
+    /// rule: the elements it aligns, borrowed in place. `row_offset`/
+    /// `col_offset` are the global coordinates of the piece's `(0, 0)`
+    /// element (block offset + intra-block distribution offset).
+    pub fn prune_local<'a, T>(
         &self,
         task: BlockTask,
-        local: &CsrMatrix<T>,
+        local: &'a CsrMatrix<T>,
         row_offset: usize,
         col_offset: usize,
-    ) -> CsrMatrix<T> {
-        match self.scheme {
-            LoadBalance::Triangular => match task.class {
-                BlockClass::Full => local.clone(),
-                BlockClass::Partial => triu_prune_global(local, row_offset, col_offset),
-                BlockClass::Avoidable => {
-                    unreachable!("avoidable blocks are never computed")
-                }
-            },
-            LoadBalance::IndexBased => parity_prune(local, row_offset, col_offset),
+    ) -> PrunedBlock<'a, T> {
+        // A full block of the triangular scheme lies above the diagonal:
+        // the rule would pass every element, so it is not asked.
+        let rule = match (self.scheme, task.class) {
+            (LoadBalance::Triangular, BlockClass::Avoidable) => {
+                unreachable!("avoidable blocks are never computed")
+            }
+            (LoadBalance::Triangular, BlockClass::Full) => None,
+            (scheme, _) => Some(scheme),
+        };
+        // Lossless narrowing, as for the pairs built from these entries:
+        // global ids are store indices, which stop at u32::MAX.
+        PrunedBlock {
+            local,
+            rule,
+            row_offset: row_offset as Index,
+            col_offset: col_offset as Index,
+            nnz: OnceCell::new(),
         }
     }
 
@@ -171,10 +193,61 @@ impl BlockPlan {
     /// (the pure decision function; used by the performance model, which
     /// never materializes local blocks).
     pub fn keeps(&self, i: Index, j: Index) -> bool {
-        match self.scheme {
-            LoadBalance::Triangular => j > i,
-            LoadBalance::IndexBased => parity_keep(i, j),
-        }
+        self.scheme.keeps(i, j)
+    }
+}
+
+/// What [`BlockPlan::prune_local`] returns: the kept elements of a block's
+/// local piece, read where they lie. Nothing is copied; a block's kept half
+/// is some megabytes of which the k-mer threshold then passes a fraction
+/// of a percent.
+#[derive(Debug)]
+pub struct PrunedBlock<'a, T> {
+    local: &'a CsrMatrix<T>,
+    /// The scheme whose rule picks the elements, on global indices; `None`
+    /// shows the whole piece.
+    rule: Option<LoadBalance>,
+    row_offset: Index,
+    col_offset: Index,
+    nnz: OnceCell<usize>,
+}
+
+impl<'a, T> PrunedBlock<'a, T> {
+    /// Number of kept elements: counted over the column indices alone on
+    /// the first call, remembered for the rest.
+    pub fn nnz(&self) -> usize {
+        *self.nnz.get_or_init(|| {
+            let Some(rule) = self.rule else {
+                return self.local.nnz();
+            };
+            (0..self.local.nrows())
+                .map(|i| {
+                    let gi = i as Index + self.row_offset;
+                    let cols = self.local.row(i).0;
+                    // Branch-free per column, so the loop vectorizes.
+                    let kept: u32 = cols
+                        .iter()
+                        .map(|&j| u32::from(rule.keeps(gi, j + self.col_offset)))
+                        .sum();
+                    kept as usize
+                })
+                .sum()
+        })
+    }
+
+    /// The kept elements in row-major order, as `(row, column, value)` on
+    /// the piece's local indices.
+    pub fn iter(&self) -> impl Iterator<Item = (Index, Index, &'a T)> + '_ {
+        let (local, rule) = (self.local, self.rule);
+        let (row_offset, col_offset) = (self.row_offset, self.col_offset);
+        (0..local.nrows()).flat_map(move |i| {
+            let (cols, vals) = local.row(i);
+            let gi = i as Index + row_offset;
+            cols.iter()
+                .zip(vals)
+                .filter(move |(&j, _)| rule.is_none_or(|r| r.keeps(gi, j + col_offset)))
+                .map(move |(&j, v)| (i as Index, j, v))
+        })
     }
 }
 
@@ -267,59 +340,104 @@ mod tests {
         }
     }
 
+    /// A fully dense `n × n` piece.
+    fn dense(n: usize) -> CsrMatrix<u32> {
+        let mut t = Triples::new(n, n);
+        for i in 0..n as u32 {
+            for j in 0..n as u32 {
+                t.push(i, j, i * n as u32 + j);
+            }
+        }
+        CsrMatrix::from_triples(t)
+    }
+
+    fn task_of(plan: &BlockPlan, class: BlockClass) -> BlockTask {
+        *plan.tasks.iter().find(|t| t.class == class).unwrap()
+    }
+
     #[test]
     fn prune_local_triangular_full_block_untouched() {
         let plan = BlockPlan::new(LoadBalance::Triangular, 2, 2, ranges(8, 2), ranges(8, 2));
-        let full_task = plan
-            .tasks
-            .iter()
-            .copied()
-            .find(|t| t.class == BlockClass::Full)
-            .unwrap();
         let m = CsrMatrix::from_triples(Triples::from_entries(2, 2, vec![(0, 0, 1u8), (1, 1, 2)]));
         // A full block keeps everything regardless of offsets.
-        let pruned = plan.prune_local(full_task, &m, 0, 4);
-        assert_eq!(pruned, m);
+        let pruned = plan.prune_local(task_of(&plan, BlockClass::Full), &m, 0, 4);
+        assert!(pruned.iter().eq(m.iter()));
+        assert_eq!(pruned.nnz(), 2);
     }
 
     #[test]
     fn prune_local_partial_block_keeps_upper_only() {
         let plan = BlockPlan::new(LoadBalance::Triangular, 2, 2, ranges(8, 2), ranges(8, 2));
-        let partial = plan
-            .tasks
-            .iter()
-            .copied()
-            .find(|t| t.class == BlockClass::Partial)
-            .unwrap();
+        let partial = task_of(&plan, BlockClass::Partial);
         // A dense 3x3 local piece at global (1,1): keep j > i.
-        let mut t = Triples::new(3, 3);
-        for i in 0..3u32 {
-            for j in 0..3u32 {
-                t.push(i, j, ());
-            }
-        }
-        let m = CsrMatrix::from_triples(t);
+        let m = dense(3);
         let pruned = plan.prune_local(partial, &m, 1, 1);
         assert_eq!(pruned.nnz(), 3);
-        for (i, j, _) in pruned.iter() {
-            assert!(j + 1 > i + 1 && j > i);
-        }
+        assert!(pruned.iter().all(|(i, j, _)| j > i));
+        // Global rows 5..8 against columns 0..3: nothing is above the
+        // diagonal; the other way round, everything is.
+        assert_eq!(plan.prune_local(partial, &m, 5, 0).nnz(), 0);
+        assert_eq!(plan.prune_local(partial, &m, 0, 5).nnz(), 9);
     }
 
     #[test]
     fn prune_local_index_based_uses_parity_on_globals() {
         let plan = BlockPlan::new(LoadBalance::IndexBased, 2, 2, ranges(8, 2), ranges(8, 2));
         let task = plan.tasks[0];
-        let mut t = Triples::new(4, 4);
-        for i in 0..4u32 {
-            for j in 0..4u32 {
-                t.push(i, j, ());
+        // A dense symmetric window at the origin: exactly one per pair.
+        for n in [4usize, 20] {
+            assert_eq!(
+                plan.prune_local(task, &dense(n), 0, 0).nnz(),
+                n * (n - 1) / 2
+            );
+        }
+        // A 2x2 window at (10, 20) is judged on its global indices.
+        let m = dense(2);
+        let kept: Vec<(Index, Index)> = plan
+            .prune_local(task, &m, 10, 20)
+            .iter()
+            .map(|(i, j, _)| (i, j))
+            .collect();
+        let want: Vec<(Index, Index)> = (0..2)
+            .flat_map(|i| (0..2).map(move |j| (i, j)))
+            .filter(|&(i, j)| parity_keep(i + 10, j + 20))
+            .collect();
+        assert_eq!(kept, want);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The view against the copy it replaced: `CsrMatrix::prune` under
+        /// [`BlockPlan::keeps`] on global indices, for both schemes, full
+        /// and partial blocks, at offsets that put the piece below, across
+        /// and above the diagonal.
+        #[test]
+        fn pruned_view_equals_the_pruned_copy(
+            entries in proptest::collection::btree_map((0u32..12, 0u32..15), 0u32..1000, 0..120),
+            row_offset in 0usize..40,
+            col_offset in 0usize..40,
+        ) {
+            let triples = entries.iter().map(|(&(i, j), &v)| (i, j, v)).collect();
+            let m = CsrMatrix::from_triples(Triples::from_entries(12, 15, triples));
+            for scheme in [LoadBalance::Triangular, LoadBalance::IndexBased] {
+                let plan = BlockPlan::new(scheme, 2, 2, ranges(80, 2), ranges(80, 2));
+                for class in [BlockClass::Full, BlockClass::Partial] {
+                    // A triangular full block lies above the diagonal by
+                    // definition; anything may be handed to the others.
+                    let full = (scheme, class) == (LoadBalance::Triangular, BlockClass::Full);
+                    let col_offset = if full { col_offset + 52 } else { col_offset };
+                    let copy = m.prune(|i, j, _| {
+                        plan.keeps(i + row_offset as Index, j + col_offset as Index)
+                    });
+                    let view = plan.prune_local(task_of(&plan, class), &m, row_offset, col_offset);
+                    prop_assert!(view.iter().eq(copy.iter()), "{:?} {:?}", scheme, class);
+                    prop_assert_eq!(view.nnz(), view.iter().count());
+                }
             }
         }
-        let m = CsrMatrix::from_triples(t);
-        let pruned = plan.prune_local(task, &m, 0, 0);
-        // 4x4 dense symmetric window at origin: exactly one per pair.
-        assert_eq!(pruned.nnz(), 6);
     }
 
     #[test]

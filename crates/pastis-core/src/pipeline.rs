@@ -919,7 +919,9 @@ pub fn run_search_traced<C: Communicator + Sync>(
         let col_offset = bs.col_range(task.c).0 + cblock.col_offset();
         let candidates = cblock.nnz_local() as u64;
         let pruned = plan.prune_local(task, cblock.local(), row_offset, col_offset);
-        let mut pairs = Vec::with_capacity(pruned.nnz());
+        // No capacity from `pruned.nnz()`: the threshold passes a fraction
+        // of a percent of the kept entries.
+        let mut pairs = Vec::new();
         for (li, lj, ck) in pruned.iter() {
             if !candidate_passes(ck, params.common_kmer_threshold) {
                 continue;
@@ -960,6 +962,9 @@ pub fn run_search_traced<C: Communicator + Sync>(
             };
             pairs.push(pt);
         }
+        // Freeing the block belongs to this window: the replay's filter
+        // span ends after the same drop.
+        drop(cblock);
         let other_seconds = t_other.elapsed().as_secs_f64();
         block_span.push_arg(names::CTR_CANDIDATES, candidates);
         block_span.push_arg("products", gemm_stats.products);

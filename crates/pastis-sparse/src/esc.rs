@@ -145,6 +145,7 @@ mod tests {
         type A = u32;
         type B = u32;
         type C = Vec<u32>;
+        type Slot = Option<Vec<u32>>;
         fn multiply(&self, a: &u32, b: &u32) -> Vec<u32> {
             vec![a * 100 + b]
         }

@@ -66,7 +66,7 @@ pub use dcsc::{CscMatrix, DcscMatrix};
 pub use distmat::DistSparseMatrix;
 pub use esc::spgemm_esc;
 pub use parallel::{run_units, spgemm_parallel, spgemm_parallel_traced, SpGemmPool};
-pub use semiring::{BoolAndOr, MinPlus, PlusTimes, Semiring};
+pub use semiring::{AccSlot, BoolAndOr, MinPlus, PlusTimes, Semiring};
 pub use spgemm::{spgemm_dense_ref, spgemm_hash, spgemm_heap, SpGemmKind, SpGemmStats};
 pub use spmv::{spmv_dense, spmv_sparse};
 pub use spops::{spadd, spadd_into};

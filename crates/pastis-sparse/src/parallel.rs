@@ -229,7 +229,7 @@ where
         Exec::Scoped(threads) => threads.max(1),
         Exec::Pool(wp) => wp.caller_slot(Engine::Sparse) + 1,
     };
-    let scratches: Vec<Mutex<Option<RowScratch<S::C>>>> =
+    let scratches: Vec<Mutex<Option<RowScratch<S>>>> =
         (0..n_slots).map(|_| Mutex::new(None)).collect();
     let chunk = |u: usize, slot: usize, track: Track| -> Chunk<S::C> {
         let mut guard = scratches[slot].lock().expect("a row chunk panicked");
@@ -283,7 +283,7 @@ fn row_chunk<S>(
     a: &CsrMatrix<S::A>,
     b: &CsrMatrix<S::B>,
     u: usize,
-    scratch: &mut RowScratch<S::C>,
+    scratch: &mut RowScratch<S>,
     track: Track,
     rec: &Recorder,
 ) -> Chunk<S::C>
@@ -872,8 +872,8 @@ mod tests {
             prop_assert_eq!(&cat_heap, &cat_want);
             // Slots of `ncols − 1` columns (the table runs), of exactly
             // `ncols` (the dense array just fits) and the shipped limit.
-            let slot = std::mem::size_of::<Option<u32>>();
-            let cat_slot = std::mem::size_of::<Option<Vec<u32>>>();
+            let slot = std::mem::size_of::<<PlusTimes<u32> as Semiring>::Slot>();
+            let cat_slot = std::mem::size_of::<<Concat as Semiring>::Slot>();
             for cols in [ncols - 1, ncols, DENSE_ACC_LIMIT_BYTES] {
                 let (got, stats, acc) = spgemm_rows(&sr, &a, &b, cols * slot);
                 prop_assert_eq!(&got, &want);

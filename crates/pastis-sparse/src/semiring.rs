@@ -13,6 +13,17 @@
 //! entries), so no `zero()` is needed; `combine` must be associative for
 //! the result to be independent of stage order, which the SUMMA tests
 //! verify for every semiring shipped here.
+//!
+//! The one place that does need "no value yet" is the row kernel's dense
+//! accumulator, which keeps a slot per column of `B` across rows. That
+//! state belongs to the semiring too ([`Semiring::Slot`], an [`AccSlot`]):
+//! `Option<C>` over `multiply` + `combine` serves any semiring, and a
+//! semiring whose `C` has a cheaper way to say "empty" and to absorb a
+//! product (the overlap semiring counts and stores a seed, with no
+//! branch) names its own cell. A slot is an implementation of the same
+//! left fold, never a second definition of it: the heap kernel, ESC, the
+//! table accumulator and SpAdd keep calling `multiply` and `combine`, and
+//! the differential tests hold the two routes to the same bits.
 
 use std::marker::PhantomData;
 
@@ -25,6 +36,11 @@ pub trait Semiring {
     type B;
     /// Element type of the output matrix.
     type C;
+    /// One column's state in the row kernel's dense accumulator;
+    /// `Option<Self::C>` unless the semiring has something cheaper.
+    /// `Send`, because the parallel kernel parks each worker's slots
+    /// between the chunks it claims.
+    type Slot: AccSlot<Self> + Send;
 
     /// The overloaded "multiplication" of one `A`-element with one
     /// `B`-element that share an inner index.
@@ -34,6 +50,61 @@ pub trait Semiring {
     /// Must be associative (and is applied in ascending inner-index order
     /// by the deterministic kernels).
     fn combine(&self, acc: &mut Self::C, incoming: Self::C);
+}
+
+/// One output coordinate's running value in the row kernel's dense
+/// accumulator: empty, or the left fold of the products it has been given.
+///
+/// The law every implementation is tested against: after `n ≥ 1` calls of
+/// [`fold`](AccSlot::fold), [`take`](AccSlot::take) returns `multiply` of
+/// the first product `combine`d with `multiply` of each later one, in call
+/// order, and leaves the slot empty — whatever the slot held in earlier
+/// rows.
+pub trait AccSlot<S: Semiring + ?Sized> {
+    /// A slot holding nothing.
+    fn empty() -> Self;
+
+    /// Fold the product of `a` and `b` in; `true` iff the slot was empty.
+    fn fold(&mut self, sr: &S, a: &S::A, b: &S::B) -> bool;
+
+    /// Whether a product has been folded in since the last `take`.
+    fn is_live(&self) -> bool;
+
+    /// The folded value, leaving the slot empty. Called on live slots only.
+    fn take(&mut self) -> S::C;
+}
+
+/// The slot any semiring can name: the option's tag is the liveness mark.
+impl<S: Semiring + ?Sized> AccSlot<S> for Option<S::C> {
+    #[inline]
+    fn empty() -> Self {
+        None
+    }
+
+    #[inline]
+    fn fold(&mut self, sr: &S, a: &S::A, b: &S::B) -> bool {
+        let product = sr.multiply(a, b);
+        match self {
+            Some(acc) => {
+                sr.combine(acc, product);
+                false
+            }
+            slot => {
+                *slot = Some(product);
+                true
+            }
+        }
+    }
+
+    #[inline]
+    fn is_live(&self) -> bool {
+        self.is_some()
+    }
+
+    #[inline]
+    fn take(&mut self) -> S::C {
+        Option::take(self).expect("take on an empty accumulator slot")
+    }
 }
 
 /// The conventional arithmetic semiring `(+, ×)` over any numeric type.
@@ -49,11 +120,12 @@ impl<T> PlusTimes<T> {
 
 impl<T> Semiring for PlusTimes<T>
 where
-    T: Copy + std::ops::Add<Output = T> + std::ops::Mul<Output = T>,
+    T: Copy + Send + std::ops::Add<Output = T> + std::ops::Mul<Output = T>,
 {
     type A = T;
     type B = T;
     type C = T;
+    type Slot = Option<T>;
 
     #[inline]
     fn multiply(&self, a: &T, b: &T) -> T {
@@ -74,6 +146,7 @@ impl Semiring for BoolAndOr {
     type A = bool;
     type B = bool;
     type C = bool;
+    type Slot = Option<bool>;
 
     #[inline]
     fn multiply(&self, a: &bool, b: &bool) -> bool {
@@ -94,6 +167,7 @@ impl Semiring for MinPlus {
     type A = f64;
     type B = f64;
     type C = f64;
+    type Slot = Option<f64>;
 
     #[inline]
     fn multiply(&self, a: &f64, b: &f64) -> f64 {
@@ -127,6 +201,7 @@ impl<A, B> Semiring for CountShared<A, B> {
     type A = A;
     type B = B;
     type C = u64;
+    type Slot = Option<u64>;
 
     #[inline]
     fn multiply(&self, _a: &A, _b: &B) -> u64 {

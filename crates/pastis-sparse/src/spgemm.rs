@@ -16,11 +16,17 @@
 //! nonzero) decides what an accumulator should be good at, and the kernel
 //! picks from what it can see in its operands — never from a flag:
 //!
-//! * **Dense array** when `b.ncols() × size_of::<Option<C>>()` is at most
+//! * **Dense array** when `b.ncols() × size_of::<S::Slot>()` is at most
 //!   1 MiB, i.e. the array stays cache-resident while a row accumulates:
 //!   every blocked run, every serve stripe, every benchmark workload. One
-//!   `Option<C>` slot per column of `B`; a product finds its slot by
-//!   index, with no hashing and no probing. The row is then drained
+//!   slot per column of `B`; a product finds its slot by index, with no
+//!   hashing and no probing. The slot is the semiring's own type
+//!   ([`Semiring::Slot`]): `Option<C>` over `multiply` + `combine` for
+//!   every semiring of this crate, a 32-byte count-and-seeds cell for the
+//!   overlap semiring, which folds a product in without a branch. The
+//!   product loop has none of its own either: it writes the column to the
+//!   touched list unconditionally and advances the list's cursor by the
+//!   slot's "was empty" answer. The row is then drained
 //!   * by an **in-order scan** of the slots when it touched at least a
 //!     quarter of the columns (the reduced-alphabet regime: Murphy-10,
 //!     k = 5 on 4×4 blocks has rows 79% dense at compression 3.2 — one pass
@@ -34,14 +40,18 @@
 //!
 //! Measured on this host (`results/kernel_spgemm.txt`): 17 → 10 ns per
 //! product in the near-dense regime, 5.7 → 4.3 in the sparse one, against
-//! the table-with-tuple-sort kernel this replaced.
+//! the table-with-tuple-sort kernel this replaced; the overlap semiring's
+//! own slot then takes the near-dense regime from 11 to 5.8.
 //!
-//! All kernels are deterministic: `combine` is applied in ascending inner
+//! All kernels are deterministic: products are folded in ascending inner
 //! index (`k`) order for each output coordinate — Gustavson's loop order
 //! fixes that, whichever accumulator holds the partial sums — so custom
 //! non-commutative accumulations (like PASTIS's seed-position capture)
 //! give identical results regardless of kernel, accumulator or thread
-//! count — a property the tests pin down.
+//! count — a property the tests pin down. A slot is bound by the same
+//! law ([`crate::AccSlot`]): [`spgemm_heap`], ESC, the table accumulator
+//! and SpAdd never see one and keep calling `multiply` and `combine`,
+//! which makes them the independent route the slots are tested against.
 //!
 //! The kernels also report [`SpGemmStats`]: the number of semiring products
 //! (`flops` in the paper's terminology) and merged output nonzeros, whose
@@ -50,7 +60,7 @@
 use std::collections::BinaryHeap;
 
 use crate::csr::CsrMatrix;
-use crate::semiring::Semiring;
+use crate::semiring::{AccSlot, Semiring};
 use crate::triples::Index;
 
 /// Work counters from one SpGEMM invocation.
@@ -147,7 +157,7 @@ impl std::fmt::Display for SpGemmKind {
 const EMPTY: Index = Index::MAX;
 
 /// Largest dense accumulator the row kernel will use, in bytes of
-/// `B`-column slots (`b.ncols() × size_of::<Option<C>>()`). Under it the
+/// `B`-column slots (`b.ncols() × size_of::<S::Slot>()`). Under it the
 /// array stays cache-resident while a row is accumulated (an L2's worth);
 /// a wider `B` goes through the open-addressing table, whose footprint
 /// follows the row instead of the matrix.
@@ -267,36 +277,40 @@ impl<C> HashAccumulator<C> {
 /// a multiply: the dense accumulator, or the table for a `B` too wide for
 /// it.
 ///
-/// The dense accumulator is one `Option` slot per column of `B`; the
-/// option's tag is the liveness mark, and draining a row `take`s every
-/// live slot, so all slots are `None` between rows and nothing is cleared.
-/// `touched` lists the row's live columns in discovery order.
-pub(crate) struct RowScratch<C> {
-    accumulator: Accumulator<C>,
+/// The dense accumulator is one [`Semiring::Slot`] per column of `B`.
+/// Draining a row `take`s every live slot, so all slots are empty between
+/// rows and nothing is cleared. `touched` is a fixed buffer of
+/// `b.ncols() + 1` columns: the row's live columns in discovery order,
+/// then one entry of slack for the unconditional writes below.
+pub(crate) struct RowScratch<S: Semiring> {
+    accumulator: Accumulator<S>,
     touched: Vec<Index>,
     /// Rows per accumulator since this scratch was created.
     pub(crate) acc: AccStats,
 }
 
-enum Accumulator<C> {
+enum Accumulator<S: Semiring> {
     /// One slot per column of `B`.
-    Dense(Vec<Option<C>>),
-    Table(HashAccumulator<C>),
+    Dense(Vec<S::Slot>),
+    Table(HashAccumulator<S::C>),
 }
 
-impl<C> RowScratch<C> {
+impl<S: Semiring> RowScratch<S> {
     /// A scratch for products with a `B` of `ncols` columns: the dense
     /// accumulator iff its slots fit `dense_limit` bytes. A property of
     /// the operand alone, so every worker and every entry point agree.
     pub(crate) fn new(ncols: usize, dense_limit: usize) -> Self {
-        let dense = ncols.saturating_mul(std::mem::size_of::<Option<C>>()) <= dense_limit;
+        let dense = ncols.saturating_mul(std::mem::size_of::<S::Slot>()) <= dense_limit;
+        let (accumulator, touched) = if dense {
+            let slots = (0..ncols).map(|_| S::Slot::empty()).collect();
+            (Accumulator::Dense(slots), vec![0; ncols + 1])
+        } else {
+            let table = HashAccumulator::with_capacity(16);
+            (Accumulator::Table(table), Vec::new())
+        };
         RowScratch {
-            accumulator: if dense {
-                Accumulator::Dense((0..ncols).map(|_| None).collect())
-            } else {
-                Accumulator::Table(HashAccumulator::with_capacity(16))
-            },
-            touched: Vec::new(),
+            accumulator,
+            touched,
             acc: AccStats::default(),
         }
     }
@@ -310,14 +324,14 @@ impl<C> RowScratch<C> {
     /// ascending `k` whichever accumulator holds the partial sums.
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn row_into<S: Semiring<C = C>>(
+    pub(crate) fn row_into(
         &mut self,
         sr: &S,
         a: &CsrMatrix<S::A>,
         b: &CsrMatrix<S::B>,
         i: usize,
         colind: &mut Vec<Index>,
-        vals: &mut Vec<C>,
+        vals: &mut Vec<S::C>,
         stats: &mut SpGemmStats,
     ) {
         let (acols, avals) = a.row(i);
@@ -339,45 +353,40 @@ impl<C> RowScratch<C> {
         };
         debug_assert_eq!(slots.len(), b.ncols(), "scratch built for another B");
         self.acc.dense_rows += 1;
+        // Slots and `touched` as local slices: nothing in the product loop
+        // goes through `self`.
+        let touched = &mut self.touched[..];
+        let mut n = 0;
         for (&k, av) in acols.iter().zip(avals) {
             let (bcols, bvals) = b.row(k as usize);
             stats.products += bcols.len() as u64;
             for (&j, bv) in bcols.iter().zip(bvals) {
-                let product = sr.multiply(av, bv);
-                match &mut slots[j as usize] {
-                    Some(acc) => sr.combine(acc, product),
-                    slot => {
-                        *slot = Some(product);
-                        self.touched.push(j);
-                    }
-                }
+                // No branch on whether the column is new to the row: the
+                // write is unconditional and only the cursor depends on
+                // the slot. With every column live the cursor rests on the
+                // slack entry.
+                touched[n] = j;
+                n += usize::from(slots[j as usize].fold(sr, av, bv));
             }
         }
-        let n = self.touched.len();
         stats.merged_nnz += n as u64;
         if n * 4 >= slots.len() {
             // A dense row: reading the slots in column order costs less
             // than sorting. `touched` is rewritten with the live columns,
-            // ascending; the write is unconditional and only the cursor
-            // depends on the slot, hence one entry of slack.
+            // ascending, again with the cursor as the only dependence.
             self.acc.scan_rows += 1;
-            self.touched.push(0);
             let mut w = 0;
             for (j, slot) in slots.iter().enumerate() {
-                self.touched[w] = j as Index;
-                w += usize::from(slot.is_some());
+                touched[w] = j as Index;
+                w += usize::from(slot.is_live());
             }
             debug_assert_eq!(w, n);
-            self.touched.truncate(n);
         } else {
-            self.touched.sort_unstable();
+            touched[..n].sort_unstable();
         }
-        colind.extend_from_slice(&self.touched);
-        vals.extend(self.touched.drain(..).map(|j| {
-            slots[j as usize]
-                .take()
-                .expect("a touched column holds the row's value")
-        }));
+        let touched = &touched[..n];
+        colind.extend_from_slice(touched);
+        vals.extend(touched.iter().map(|&j| slots[j as usize].take()));
     }
 }
 
@@ -403,7 +412,7 @@ pub(crate) fn spgemm_rows<S: Semiring>(
     rowptr.push(0usize);
     let mut colind: Vec<Index> = Vec::new();
     let mut vals: Vec<S::C> = Vec::new();
-    let mut scratch = RowScratch::new(b.ncols(), dense_limit);
+    let mut scratch = RowScratch::<S>::new(b.ncols(), dense_limit);
     for i in 0..a.nrows() {
         scratch.row_into(sr, a, b, i, &mut colind, &mut vals, &mut stats);
         rowptr.push(colind.len());
@@ -695,6 +704,7 @@ pub(crate) mod oracle {
         type A = u32;
         type B = u32;
         type C = Vec<u32>;
+        type Slot = Option<Vec<u32>>;
         fn multiply(&self, a: &u32, b: &u32) -> Vec<u32> {
             vec![a * 100 + b]
         }
@@ -821,8 +831,43 @@ mod tests {
         assert_eq!((acc.table_rows, acc.dense_rows), (1, 0));
     }
 
-    /// Bytes of one dense-accumulator slot under [`Concat`].
-    const SLOT: usize = std::mem::size_of::<Option<Vec<u32>>>();
+    /// Bytes of one dense-accumulator slot under [`Concat`]: the unit the
+    /// dense limit is counted in.
+    const SLOT: usize = std::mem::size_of::<<Concat as Semiring>::Slot>();
+
+    /// The [`AccSlot`] law for `S::Slot`: `fold`ing the first `n` of
+    /// `products` then `take` is the left fold of `multiply` + `combine`,
+    /// on a slot that has already served a longer row.
+    fn assert_slot_law<S: Semiring>(sr: &S, products: &[(S::A, S::B)])
+    where
+        S::C: PartialEq + std::fmt::Debug,
+    {
+        let mut slot = S::Slot::empty();
+        for (a, b) in products {
+            slot.fold(sr, a, b);
+        }
+        slot.take();
+        for n in 1..=products.len() {
+            assert!(!slot.is_live());
+            let mut want = sr.multiply(&products[0].0, &products[0].1);
+            for (p, (a, b)) in products[..n].iter().enumerate() {
+                assert_eq!(slot.fold(sr, a, b), p == 0, "n={n} p={p}");
+                assert!(slot.is_live());
+                if p > 0 {
+                    sr.combine(&mut want, sr.multiply(a, b));
+                }
+            }
+            assert_eq!(slot.take(), want, "n={n}");
+        }
+        assert!(!slot.is_live());
+    }
+
+    #[test]
+    fn option_slot_is_the_left_fold() {
+        let products: Vec<(u32, u32)> = (1..=5).map(|p| (p, 10 + p)).collect();
+        assert_slot_law(&Concat, &products);
+        assert_slot_law(&PlusTimes::<u32>::new(), &products);
+    }
 
     /// Every kernel's answer for `a ⊗ b` under [`Concat`] must be this.
     fn expect(a: &CsrMatrix<u32>, b: &CsrMatrix<u32>) -> (CsrMatrix<Vec<u32>>, SpGemmStats) {

@@ -143,38 +143,11 @@ pub fn tril_strict<T: Clone>(m: &CsrMatrix<T>) -> CsrMatrix<T> {
 /// off-diagonal pair while preserving the uniform nonzero distribution.
 #[inline]
 pub fn parity_keep(i: Index, j: Index) -> bool {
-    if i == j {
-        return false;
-    }
-    let same_parity = (i % 2) == (j % 2);
-    if j < i {
-        // Lower triangle: keep if both odd or both even.
-        same_parity
-    } else {
-        // Upper triangle: keep if parities differ.
-        !same_parity
-    }
-}
-
-/// Apply [`parity_keep`] to a matrix, with `(row_offset, col_offset)` added
-/// to local indices so the rule is evaluated on *global* coordinates (each
-/// distributed block sees only a window of the overlap matrix).
-pub fn parity_prune<T: Clone>(
-    m: &CsrMatrix<T>,
-    row_offset: usize,
-    col_offset: usize,
-) -> CsrMatrix<T> {
-    m.prune(|i, j, _| parity_keep(i + row_offset as Index, j + col_offset as Index))
-}
-
-/// Keep the strictly-upper-triangular part in *global* coordinates — the
-/// per-block pruning of the triangularity scheme.
-pub fn triu_prune_global<T: Clone>(
-    m: &CsrMatrix<T>,
-    row_offset: usize,
-    col_offset: usize,
-) -> CsrMatrix<T> {
-    m.prune(|i, j, _| (j as usize + col_offset) > (i as usize + row_offset))
+    // One expression, no branch: the pruned view of a block evaluates this
+    // once per stored entry, on a coin-flip input. Lower triangle (`j < i`):
+    // keep if the parities agree; upper: if they differ.
+    let same_parity = (i ^ j) & 1 == 0;
+    (i != j) & (same_parity == (j < i))
 }
 
 #[cfg(test)]
@@ -291,6 +264,10 @@ mod tests {
 
     #[test]
     fn parity_keeps_each_pair_exactly_once() {
+        // Figure 6 right: upper triangle on differing parities, lower on
+        // agreeing ones.
+        assert!(parity_keep(0, 1) && parity_keep(2, 0) && parity_keep(3, 1));
+        assert!(!parity_keep(0, 2) && !parity_keep(1, 0) && !parity_keep(1, 3));
         // For every off-diagonal (i, j), exactly one of (i,j), (j,i) kept.
         for n in [2usize, 3, 8, 17] {
             for i in 0..n as Index {
@@ -306,42 +283,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parity_prune_halves_dense_symmetric() {
-        let n = 20;
-        let m = dense_sym(n);
-        let pruned = parity_prune(&m, 0, 0);
-        // Exactly one per off-diagonal pair: n(n-1)/2.
-        assert_eq!(pruned.nnz(), n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn parity_prune_respects_global_offsets() {
-        // A 2x2 block window at (10, 20) of a larger matrix must evaluate
-        // the rule on global indices.
-        let m = dense_sym(2);
-        let pruned = parity_prune(&m, 10, 20);
-        for (i, j, _) in pruned.iter() {
-            assert!(parity_keep(i + 10, j + 20));
-        }
-        // And agree in count with direct evaluation.
-        let expect = (0..2u32)
-            .flat_map(|i| (0..2u32).map(move |j| (i, j)))
-            .filter(|&(i, j)| parity_keep(i + 10, j + 20))
-            .count();
-        assert_eq!(pruned.nnz(), expect);
-    }
-
-    #[test]
-    fn triu_prune_global_offsets() {
-        let m = dense_sym(3);
-        // Window whose global rows are 5..8 and cols 0..3: everything is
-        // below the diagonal except entries with j+0 > i+5 — none.
-        assert_eq!(triu_prune_global(&m, 5, 0).nnz(), 0);
-        // Window above the diagonal: everything kept.
-        assert_eq!(triu_prune_global(&m, 0, 5).nnz(), 9);
     }
 }
 

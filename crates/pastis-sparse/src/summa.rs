@@ -649,6 +649,7 @@ mod tests {
         type A = u32;
         type B = u32;
         type C = Vec<u32>;
+        type Slot = Option<Vec<u32>>;
         fn multiply(&self, a: &u32, b: &u32) -> Vec<u32> {
             vec![a * 1000 + b]
         }
@@ -816,6 +817,7 @@ mod tests {
         type A = Tick;
         type B = Tick;
         type C = Tick;
+        type Slot = Option<Tick>;
         fn multiply(&self, a: &Tick, b: &Tick) -> Tick {
             Tick(a.0.wrapping_mul(b.0))
         }
@@ -1013,6 +1015,7 @@ mod tests {
         type A = u32;
         type B = u32;
         type C = Vec<u32>;
+        type Slot = Option<Vec<u32>>;
         fn multiply(&self, a: &u32, b: &u32) -> Vec<u32> {
             std::thread::sleep(std::time::Duration::from_micros(300));
             vec![a * 1000 + b]
