@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pastis_bench::bench_dataset;
-use pastis_core::kmer::kmer_matrix_triples;
-use pastis_core::subkmers::kmer_matrix_triples_with_substitutes;
+use pastis_core::kmer::KmerMatrix;
 use pastis_seqio::ReducedAlphabet;
 
 fn bench_kmer_matrix(c: &mut Criterion) {
@@ -19,7 +18,7 @@ fn bench_kmer_matrix(c: &mut Criterion) {
         ("dayhoff6_k6", ReducedAlphabet::Dayhoff6),
     ] {
         group.bench_with_input(BenchmarkId::new(label, residues), &alphabet, |b, &a| {
-            b.iter(|| kmer_matrix_triples(&ds.store, 0, ds.store.len(), 6, a))
+            b.iter(|| KmerMatrix::build(&ds.store, 0..ds.store.len(), 6, a, 0))
         });
     }
     group.finish();
@@ -32,14 +31,7 @@ fn bench_substitute_kmers(c: &mut Criterion) {
     for &m in &[0usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("m_nearest", m), &m, |b, &m| {
             b.iter(|| {
-                kmer_matrix_triples_with_substitutes(
-                    &ds.store,
-                    0,
-                    ds.store.len(),
-                    6,
-                    ReducedAlphabet::Full20,
-                    m,
-                )
+                KmerMatrix::build(&ds.store, 0..ds.store.len(), 6, ReducedAlphabet::Full20, m)
             })
         });
     }

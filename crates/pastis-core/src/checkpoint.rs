@@ -112,10 +112,29 @@ fn push_hex32(s: &mut String, v: u32) {
     }
 }
 
+/// The body of a CRC-framed document: everything before its last
+/// `end <crc32-hex>` trailer line, once the trailer matches the body.
+/// `what` names the format in the error.
+pub(crate) fn checked_body<'a>(text: &'a str, what: &str) -> Result<&'a str, String> {
+    let body_end = text
+        .rfind("end ")
+        .ok_or_else(|| format!("{what} missing end trailer"))?;
+    let (body, trailer) = (&text[..body_end], text[body_end + 4..].trim());
+    let want_crc = u32::from_str_radix(trailer, 16)
+        .map_err(|_| format!("bad {what} crc trailer: {trailer:?}"))?;
+    let got_crc = crc32(body.as_bytes());
+    if got_crc != want_crc {
+        return Err(format!(
+            "{what} crc mismatch: file says {want_crc:08x}, content is {got_crc:08x}"
+        ));
+    }
+    Ok(body)
+}
+
 /// Append a ` <v>` field per value: the body of a number-list line.
 /// Values are formatted a batch at a time into a stack buffer sized for
 /// the worst case, so the string is touched once per batch, not per value.
-fn push_decimal_list<T: Copy + TryInto<u64>>(s: &mut String, values: &[T]) {
+pub(crate) fn push_decimal_list<T: Copy + TryInto<u64>>(s: &mut String, values: &[T]) {
     const BATCH: usize = 64;
     let mut buf = [0u8; BATCH * (1 + MAX_DECIMAL_LEN)];
     for batch in values.chunks(BATCH) {
@@ -168,7 +187,7 @@ fn parse_decimal<T: TryFrom<u64>>(field: &str) -> Option<T> {
 /// The body of a number-list line (what follows its key): a ` <v>` field
 /// per value. `expect` sizes the result and is itself bounded by what the
 /// line could hold, so a forged count cannot force an allocation.
-fn parse_decimal_list<T: TryFrom<u64>>(body: &str, expect: usize) -> Option<Vec<T>> {
+pub(crate) fn parse_decimal_list<T: TryFrom<u64>>(body: &str, expect: usize) -> Option<Vec<T>> {
     let mut out = Vec::with_capacity(expect.min(body.len() / 2));
     let mut bytes = body.bytes();
     let mut next = bytes.next();
@@ -352,19 +371,7 @@ impl Checkpoint {
     /// mismatch (torn write), malformed line — is an `Err` with a
     /// description; the caller treats it as "this file does not exist".
     pub fn parse(text: &str) -> Result<Checkpoint, String> {
-        let body_end = text
-            .rfind("end ")
-            .ok_or_else(|| "checkpoint missing end trailer".to_string())?;
-        let trailer = text[body_end..].strip_prefix("end ").unwrap().trim();
-        let want_crc = u32::from_str_radix(trailer, 16)
-            .map_err(|_| format!("bad checkpoint crc trailer: {trailer:?}"))?;
-        let body = &text[..body_end];
-        let got_crc = crc32(body.as_bytes());
-        if got_crc != want_crc {
-            return Err(format!(
-                "checkpoint crc mismatch: file says {want_crc:08x}, content is {got_crc:08x}"
-            ));
-        }
+        let body = checked_body(text, "checkpoint")?;
 
         let mut lines = body.lines();
         let magic = lines.next().unwrap_or_default();
@@ -637,19 +644,7 @@ impl SpillShard {
     /// mismatch (torn/corrupted write), malformed line — is an `Err`; the
     /// caller recomputes the block instead.
     pub fn parse(text: &str) -> Result<SpillShard, String> {
-        let body_end = text
-            .rfind("end ")
-            .ok_or_else(|| "spill shard missing end trailer".to_string())?;
-        let trailer = text[body_end..].strip_prefix("end ").unwrap().trim();
-        let want_crc = u32::from_str_radix(trailer, 16)
-            .map_err(|_| format!("bad spill shard crc trailer: {trailer:?}"))?;
-        let body = &text[..body_end];
-        let got_crc = crc32(body.as_bytes());
-        if got_crc != want_crc {
-            return Err(format!(
-                "spill shard crc mismatch: file says {want_crc:08x}, content is {got_crc:08x}"
-            ));
-        }
+        let body = checked_body(text, "spill shard")?;
 
         let mut lines = body.lines();
         let magic = lines.next().unwrap_or_default();
@@ -783,19 +778,7 @@ impl IndexShard {
     /// Any structural problem is an `Err`; the caller keeps (or rebuilds)
     /// the in-memory stripe instead.
     pub fn parse(text: &str) -> Result<IndexShard, String> {
-        let body_end = text
-            .rfind("end ")
-            .ok_or_else(|| "index shard missing end trailer".to_string())?;
-        let trailer = text[body_end..].strip_prefix("end ").unwrap().trim();
-        let want_crc = u32::from_str_radix(trailer, 16)
-            .map_err(|_| format!("bad index shard crc trailer: {trailer:?}"))?;
-        let body = &text[..body_end];
-        let got_crc = crc32(body.as_bytes());
-        if got_crc != want_crc {
-            return Err(format!(
-                "index shard crc mismatch: file says {want_crc:08x}, content is {got_crc:08x}"
-            ));
-        }
+        let body = checked_body(text, "index shard")?;
 
         let mut lines = body.lines();
         let magic = lines.next().unwrap_or_default();

@@ -31,13 +31,15 @@ use std::path::{Path, PathBuf};
 use pastis_comm::fault::crc32;
 use pastis_seqio::fasta::write_fasta;
 use pastis_seqio::{FastaStream, ReducedAlphabet, SeqStore};
-use pastis_sparse::{csr_payload_bytes, CsrMatrix, Triple, Triples};
+use pastis_sparse::CsrMatrix;
 use pastis_trace::{names, span, Component, Recorder};
 
-use crate::checkpoint::{digest_bytes, digest_u64, write_atomic, IndexShard};
-use crate::kmer::kmer_matrix_triples;
+use crate::checkpoint::{
+    checked_body, digest_bytes, digest_u64, parse_decimal_list, push_decimal_list, write_atomic,
+    IndexShard,
+};
+use crate::kmer::KmerMatrix;
 use crate::membudget::MemBudget;
-use crate::subkmers::kmer_matrix_triples_with_substitutes;
 
 /// Schema version of the index manifest format.
 pub const INDEX_MANIFEST_SCHEMA_VERSION: u32 = 1;
@@ -162,9 +164,7 @@ impl IndexManifest {
         let _ = writeln!(s, "refs {} {:016x}", self.n_refs, self.refs_digest);
         let _ = writeln!(s, "stripes {} {}", self.n_stripes, self.stripe_cols);
         let _ = write!(s, "colmap {}", self.col_map.len());
-        for c in &self.col_map {
-            let _ = write!(s, " {c}");
-        }
+        push_decimal_list(&mut s, &self.col_map);
         s.push('\n');
         let crc = crc32(s.as_bytes());
         let _ = writeln!(s, "end {crc:08x}");
@@ -178,19 +178,7 @@ impl IndexManifest {
     /// Any truncation, bit flip, version skew, or structural violation
     /// (unsorted column map, inconsistent stripe arithmetic) is an `Err`.
     pub fn parse(text: &str) -> Result<IndexManifest, String> {
-        let body_end = text
-            .rfind("end ")
-            .ok_or_else(|| "index manifest missing end trailer".to_string())?;
-        let trailer = text[body_end..].strip_prefix("end ").unwrap().trim();
-        let want_crc = u32::from_str_radix(trailer, 16)
-            .map_err(|_| format!("bad index manifest crc trailer: {trailer:?}"))?;
-        let body = &text[..body_end];
-        let got_crc = crc32(body.as_bytes());
-        if got_crc != want_crc {
-            return Err(format!(
-                "index manifest crc mismatch: file says {want_crc:08x}, content is {got_crc:08x}"
-            ));
-        }
+        let body = checked_body(text, "index manifest")?;
 
         let mut lines = body.lines();
         let magic = lines.next().unwrap_or_default();
@@ -254,18 +242,15 @@ impl IndexManifest {
             .parse()
             .map_err(|_| "bad stripe width in index manifest".to_string())?;
 
-        let mut it = keyed(lines.next(), "colmap ")?.split_whitespace();
-        let n_cols: usize = it
-            .next()
-            .ok_or("index manifest colmap line missing length")?
+        // `colmap <len>` then one ` <id>` field per entry, the shards'
+        // number-list form.
+        let colmap = keyed(lines.next(), "colmap ")?;
+        let (n_cols, ids) = colmap.split_at(colmap.find(' ').unwrap_or(colmap.len()));
+        let n_cols: usize = n_cols
             .parse()
             .map_err(|_| "bad colmap length in index manifest".to_string())?;
-        let col_map: Vec<u32> = it
-            .map(|t| {
-                t.parse()
-                    .map_err(|_| format!("bad colmap entry in index manifest: {t:?}"))
-            })
-            .collect::<Result<_, _>>()?;
+        let col_map: Vec<u32> = parse_decimal_list(ids, n_cols)
+            .ok_or_else(|| "bad colmap entry in index manifest".to_string())?;
         if lines.next().is_some() {
             return Err("trailing lines in index manifest".to_string());
         }
@@ -407,70 +392,32 @@ pub fn build_index(
     let n = store.len();
     let fingerprint = index_fingerprint(cfg.k, cfg.alphabet, cfg.substitute_kmers, store);
 
-    // 1. Triples of first k-mer positions — the batch pipeline's recipe.
-    let a: Triples<u32> = if cfg.substitute_kmers > 0 {
-        kmer_matrix_triples_with_substitutes(store, 0, n, cfg.k, cfg.alphabet, cfg.substitute_kmers)
-    } else {
-        kmer_matrix_triples(store, 0, n, cfg.k, cfg.alphabet)
-    };
-    let triple_bytes = (a.entries.len() * std::mem::size_of::<Triple<u32>>()) as u64;
-    budget
-        .reserve("index k-mer triples", triple_bytes)
-        .map_err(|e| e.to_string())?;
+    // 1. The batch pipeline's operand recipe: the builder's sorted column
+    // map and `B = Aᵀ` (inner_dim × n_refs, first k-mer positions). Its
+    // scratch is charged before it is allocated.
+    let reserve = |phase, bytes| budget.reserve(phase, bytes).map_err(|e| e.to_string());
+    let (k, substitutes) = (cfg.k, cfg.substitute_kmers);
+    let scratch_bytes = KmerMatrix::peak_bytes(store, 0..n, k, substitutes);
+    reserve("index k-mer sort", scratch_bytes)?;
+    let kmers = KmerMatrix::build(store, 0..n, k, cfg.alphabet, substitutes);
+    let (col_map, bt) = (kmers.ids, kmers.at);
+    budget.release(scratch_bytes);
+    let nnz = bt.nnz();
+    // `B`, its column map, and the stripe cutter's count per entry.
+    let bt_bytes = (bt.payload_bytes() + col_map.len() * 4 + (nnz + 1) * 8) as u64;
+    reserve("index transpose", bt_bytes)?;
 
-    // 2. Column compaction: sorted distinct k-mer ids, the same remap the
-    // batch pipeline gathers collectively (one builder ⇒ local sort).
-    let mut col_map: Vec<u32> = a.entries.iter().map(|e| e.col).collect();
-    col_map.sort_unstable();
-    col_map.dedup();
-    let inner_dim = col_map.len().max(1);
-    let mut compact = Triples::new(n, inner_dim);
-    for e in &a.entries {
-        let col = col_map.binary_search(&e.col).expect("k-mer id present") as u32;
-        compact.push(e.row, col, e.val);
-    }
-    budget
-        .reserve("index compacted triples", triple_bytes)
-        .map_err(|e| e.to_string())?;
-    drop(a);
-    budget.release(triple_bytes);
-
-    // 3. CSR + transpose: `B = Aᵀ` (inner_dim × n_refs), duplicate
-    // (row, k-mer) entries collapsed to the *first* position — the same
-    // keep-min combine the SUMMA operand uses.
-    let keep_min = |acc: &mut u32, inc: u32| {
-        if inc < *acc {
-            *acc = inc;
-        }
-    };
-    let a_csr = CsrMatrix::from_triples_combining(compact, keep_min);
-    let nnz = a_csr.nnz();
-    let csr_bytes = csr_payload_bytes(n, nnz, 4) as u64;
-    budget
-        .reserve("index CSR", csr_bytes)
-        .map_err(|e| e.to_string())?;
-    budget.release(triple_bytes);
-    let bt = a_csr.transpose();
-    let bt_bytes = csr_payload_bytes(inner_dim, nnz, 4) as u64;
-    budget
-        .reserve("index transpose", bt_bytes)
-        .map_err(|e| e.to_string())?;
-    drop(a_csr);
-    budget.release(csr_bytes);
-
-    // 4. Stream the column stripes to disk one at a time: only one stripe
+    // 2. Stream the column stripes to disk one at a time: only one stripe
     // buffer is ever live on top of `B`, so `--mem-budget` bounds the
     // build's peak instead of the whole shard set.
     let n_stripes = n.div_ceil(cfg.stripe_cols);
+    let bounds: Vec<usize> = (0..=n_stripes)
+        .map(|s| (s * cfg.stripe_cols).min(n))
+        .collect();
     let mut shard_bytes = 0u64;
-    for s in 0..n_stripes {
-        let lo = s * cfg.stripe_cols;
-        let hi = (lo + cfg.stripe_cols).min(n);
-        let stripe = bt.extract_cols(lo, hi);
-        let stripe_bytes = csr_payload_bytes(stripe.nrows(), stripe.nnz(), 4) as u64;
-        budget
-            .reserve("index stripe buffer", stripe_bytes)
-            .map_err(|e| e.to_string())?;
+    for (s, stripe) in bt.col_stripes(&bounds).enumerate() {
+        let stripe_bytes = stripe.payload_bytes() as u64;
+        reserve("index stripe buffer", stripe_bytes)?;
         let (nrows, ncols, rowptr, cols, vals) = stripe.into_parts();
         let shard = IndexShard {
             fingerprint,
@@ -491,7 +438,7 @@ pub fn build_index(
     budget.release(bt_bytes);
     drop(bt);
 
-    // 5. The reference sequences (alignment needs the residues at serve
+    // 3. The reference sequences (alignment needs the residues at serve
     // time) and, last, the manifest — a directory without a valid
     // manifest is not an index, so a torn build can never be opened.
     let records = store.to_records();
@@ -833,7 +780,11 @@ mod tests {
             ..IndexBuildConfig::default()
         };
         let report = build_index(&store, &cfg, &dir, &Recorder::disabled()).unwrap();
-        assert!(report.mem_high_water > 0 && report.mem_high_water <= 1 << 20);
+        // The builder's bound is the peak: 5 × 17 windows at 32 bytes. (The
+        // old recipe reported 1104 here, two copies of its 44 per-sequence
+        // deduplicated triples being all it charged; these sequences are
+        // tandem repeats, so they have twice as many windows as nonzeros.)
+        assert_eq!(report.mem_high_water, 85 * 32);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -23,14 +23,13 @@ use pastis_comm::grid::BlockDist1D;
 use pastis_comm::{ImbalanceStats, MachineModel};
 use pastis_seqio::SeqStore;
 use pastis_sparse::semiring::CountShared;
-use pastis_sparse::{spgemm_hash, CsrMatrix, Index, Triples};
+use pastis_sparse::spgemm_hash;
 use pastis_trace::{names, CommOp, Component, TraceSession, Track};
 
 use crate::filter::EdgeFilter;
-use crate::kmer::kmer_matrix_triples;
+use crate::kmer::KmerMatrix;
 use crate::loadbalance::{BlockPlan, LoadBalance};
 use crate::params::SearchParams;
-use crate::subkmers::kmer_matrix_triples_with_substitutes;
 
 /// CPU contention when alignment and the next block's SpGEMM overlap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -308,27 +307,11 @@ fn simulate_inner(
     let n = store.len();
 
     // --- Exact overlap structure, computed serially once.
-    let triples: Triples<u32> = if params.substitute_kmers > 0 {
-        kmer_matrix_triples_with_substitutes(
-            store,
-            0,
-            n,
-            params.k,
-            params.alphabet,
-            params.substitute_kmers,
-        )
-    } else {
-        kmer_matrix_triples(store, 0, n, params.k, params.alphabet)
-    };
-    // Compact the k-mer space so Aᵀ is materializable (CombBLAS would use
-    // DCSC here; compaction is the serial equivalent).
-    let (a_compact, _kmer_cols) = compact_columns(&triples);
-    let a = CsrMatrix::from_triples_combining(a_compact, |x, y| {
-        if y < *x {
-            *x = y;
-        }
-    });
-    let at = a.transpose();
+    // The pipeline's operand recipe: compact columns keep Aᵀ
+    // materializable (CombBLAS would use DCSC here).
+    let (k, substitutes) = (params.k, params.substitute_kmers);
+    let at = KmerMatrix::build(store, 0..n, k, params.alphabet, substitutes).at;
+    let a = at.transpose();
     let (c, _) = spgemm_hash(&CountShared::<u32, u32>::new(), &a, &at);
 
     // --- Partitioning structures.
@@ -1025,21 +1008,6 @@ fn count_parity_kept(r0: usize, r1: usize, c0: usize, c1: usize) -> u64 {
     total
 }
 
-/// Remap column ids to a dense `0..n_distinct` space; returns the remapped
-/// triples and the number of distinct columns.
-fn compact_columns(t: &Triples<u32>) -> (Triples<u32>, usize) {
-    let mut cols: Vec<Index> = t.entries.iter().map(|e| e.col).collect();
-    cols.sort_unstable();
-    cols.dedup();
-    let ncols = cols.len().max(1);
-    let mut out = Triples::new(t.nrows(), ncols);
-    for e in &t.entries {
-        let new_col = cols.binary_search(&e.col).expect("column present") as Index;
-        out.push(e.row, new_col, e.val);
-    }
-    (out, ncols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1550,20 +1518,5 @@ mod tests {
         // Bigger index ⇒ later break-even.
         let b = index_amortization(&m, 1_000_000_000, 150_000_000);
         assert!(b.break_even_runs >= a.break_even_runs);
-    }
-
-    #[test]
-    fn compact_columns_preserves_structure() {
-        let t = Triples::from_entries(
-            3,
-            1_000_000,
-            vec![(0, 999_999, 5u32), (1, 7, 1), (2, 999_999, 2)],
-        );
-        let (c, ncols) = compact_columns(&t);
-        assert_eq!(ncols, 2);
-        assert_eq!(c.nnz(), 3);
-        // Shared column stays shared.
-        let cols: Vec<Index> = c.entries.iter().map(|e| e.col).collect();
-        assert_eq!(cols.iter().filter(|&&x| x == 1).count(), 2);
     }
 }

@@ -35,13 +35,13 @@ use pastis_comm::grid::{BlockDist1D, ProcessGrid};
 use pastis_comm::{Communicator, Component, FaultPlan, FaultyStore, ReduceOp, TimeBreakdown};
 use pastis_pool::{Engine, WorkPool};
 use pastis_seqio::SeqStore;
-use pastis_sparse::{BlockedSumma, CsrMatrix, SpGemmPool, Triples};
+use pastis_sparse::{BlockedSumma, CsrMatrix, SpGemmPool};
 use pastis_trace::{names, span, Recorder};
 
 use crate::autotune::{self, TuneKnobs, TunePolicy, TuneSnapshot};
 use crate::checkpoint::{self, Checkpoint, IndexShard, SpillShard};
 use crate::filter::{candidate_passes, EdgeFilter};
-use crate::kmer::kmer_matrix_triples;
+use crate::kmer::KmerMatrix;
 use crate::loadbalance::{BlockPlan, BlockTask};
 use crate::membudget::MemBudget;
 use crate::overlap::OverlapSemiring;
@@ -49,7 +49,6 @@ use crate::params::{AlignKind, SearchParams};
 use crate::simgraph::{SimilarityEdge, SimilarityGraph};
 use crate::stats::SearchStats;
 use crate::straggler::{detect_stragglers, StragglerReport};
-use crate::subkmers::kmer_matrix_triples_with_substitutes;
 
 /// Per-block timing and counters (this rank's share) — the raw series
 /// behind Figure 5 and Table I.
@@ -178,7 +177,7 @@ const EDGE_BYTES: u64 = std::mem::size_of::<SimilarityEdge>() as u64;
 
 /// The blocked SUMMA of the pipeline: `A` and `Aᵀ` both carry `u32` seed
 /// positions ([`OverlapSemiring`]).
-type KmerSumma = BlockedSumma<u32, u32>;
+pub type KmerSumma = BlockedSumma<u32, u32>;
 
 /// Lifecycle of one scheduled block's locally-produced edges under a
 /// memory budget.
@@ -517,6 +516,66 @@ impl SpillCtx<'_> {
     }
 }
 
+/// Stage 2 of the search: this rank's slice of the k-mer matrix from the
+/// one operand builder, the collective column compaction, and the Blocked
+/// SUMMA's stripes of `A` and `Aᵀ`. Returns the driver, this rank's
+/// nonzero count and the compact inner dimension. Collective.
+pub fn kmer_summa<C: Communicator>(
+    grid: &ProcessGrid<C>,
+    store: &SeqStore,
+    params: &SearchParams,
+) -> (KmerSumma, u64, usize) {
+    let (n, world) = (store.len(), grid.world());
+    let (rank, slice) = (world.rank(), BlockDist1D::new(n, world.size()));
+    let my_rows = slice.part_offset(rank)..slice.part_offset(rank + 1);
+    let (k, alphabet) = (params.k, params.alphabet);
+    let KmerMatrix { ids, at } =
+        KmerMatrix::build(store, my_rows, k, alphabet, params.substitute_kmers);
+    let a_nnz = at.nnz() as u64;
+    // Collectively compact the k-mer column space: `Aᵀ` is stored row-major
+    // per stripe, and 20⁶ = 64M mostly-empty k-mer rows would waste the
+    // memory CombBLAS avoids with DCSC storage. The column map is the
+    // sorted union of every rank's distinct k-mer ids, so it is identical
+    // on all ranks and for every process count — determinism is preserved.
+    let mut gathered = world.all_gather(ids);
+    let blocks = |asked: usize| asked.min(n.max(1));
+    let (br, bc) = (blocks(params.block_rows), blocks(params.block_cols));
+    if world.size() == 1 {
+        // One rank's ids are the union and its operands are the stripes:
+        // row stripes of `A`, and for `Aᵀ` their transposes (or, uncut,
+        // `Aᵀ` as the builder made it), so that neither matrix is held
+        // whole beside both sets of stripes.
+        let inner_dim = gathered[0].len().max(1);
+        drop(gathered);
+        let a = at.transpose();
+        let row_stripes = |parts: usize| {
+            let d = BlockDist1D::new(n, parts);
+            let stripe = |s| a.extract_rows(d.part_offset(s), d.part_offset(s + 1));
+            (0..parts).map(stripe).collect::<Vec<_>>()
+        };
+        let b_stripes = if bc == 1 {
+            vec![at]
+        } else {
+            drop(at);
+            let cut = row_stripes(bc);
+            cut.iter().map(CsrMatrix::transpose).collect()
+        };
+        let dims = (n, inner_dim, n);
+        let bs = BlockedSumma::from_local_stripes(grid, dims, row_stripes(br), b_stripes);
+        return (bs, a_nnz, inner_dim);
+    }
+    let mut col_map = gathered.concat();
+    col_map.sort_unstable();
+    col_map.dedup();
+    let ids = gathered.swap_remove(rank);
+    let a = KmerMatrix { ids, at }.remap(&col_map).to_triples();
+    let at = a.clone().transpose();
+    // Every (row, k-mer) pair has one owner rank and arrives folded.
+    let no_dup = |_: &mut u32, _: u32| unreachable!("k-mer entries are distinct");
+    let bs = BlockedSumma::from_triples(grid, a, at, br, bc, no_dup, no_dup);
+    (bs, a_nnz, col_map.len().max(1))
+}
+
 /// Run the search over `grid`. Every rank passes the same full `store`
 /// (as if all ranks read the same FASTA); each rank *uses* only its slice
 /// for matrix construction and exchanges residues through the
@@ -589,54 +648,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
     // --- 2. k-mer matrix stripes for the Blocked SUMMA.
     let t0 = Instant::now();
     let mut kmer_span = span!(recorder, Component::SparseOther, names::SPAN_KMER_MATRIX);
-    let a: Triples<u32> = if params.substitute_kmers > 0 {
-        kmer_matrix_triples_with_substitutes(
-            store,
-            my_begin,
-            my_end,
-            params.k,
-            params.alphabet,
-            params.substitute_kmers,
-        )
-    } else {
-        kmer_matrix_triples(store, my_begin, my_end, params.k, params.alphabet)
-    };
-    // Collectively compact the k-mer column space: `Aᵀ` is stored row-major
-    // per stripe, and 20⁶ = 64M mostly-empty k-mer rows would waste the
-    // memory CombBLAS avoids with DCSC storage. The remap table is the
-    // sorted union of every rank's distinct k-mer ids, so it is identical
-    // on all ranks and for every process count — determinism is preserved.
-    let mut my_cols: Vec<u32> = a.entries.iter().map(|e| e.col).collect();
-    my_cols.sort_unstable();
-    my_cols.dedup();
-    let gathered = world.all_gather(my_cols);
-    let mut col_map: Vec<u32> = gathered.concat();
-    col_map.sort_unstable();
-    col_map.dedup();
-    let inner_dim = col_map.len().max(1);
-    let mut a_compact = Triples::new(n, inner_dim);
-    for e in a.entries {
-        let col = col_map.binary_search(&e.col).expect("k-mer id present") as u32;
-        a_compact.push(e.row, col, e.val);
-    }
-    let a = a_compact;
-    let a_nnz = a.entries.len() as u64;
-
-    let at = a.clone().transpose();
-    let keep_min = |acc: &mut u32, inc: u32| {
-        if inc < *acc {
-            *acc = inc;
-        }
-    };
-    let mut bs = BlockedSumma::from_triples(
-        grid,
-        a,
-        at,
-        params.block_rows.min(n.max(1)),
-        params.block_cols.min(n.max(1)),
-        keep_min,
-        keep_min,
-    );
+    let (mut bs, a_nnz, inner_dim) = kmer_summa(grid, store, params);
     kmer_span.push_arg("nnz", a_nnz);
     kmer_span.push_arg("inner_dim", inner_dim as u64);
     drop(kmer_span);
@@ -1690,6 +1702,104 @@ mod tests {
 
     fn edges_of(result: &SearchResult) -> Vec<(u32, u32)> {
         result.graph.edges().iter().map(|e| e.key()).collect()
+    }
+
+    /// Stage 2 as it was before the one builder: a comparison sort per
+    /// sequence, triples over the full k-mer space, the column ids sorted
+    /// again for the map, a binary search per entry, a cloned transpose
+    /// and the sorts inside `BlockedSumma::from_triples`.
+    fn old_recipe_summa<C: Communicator>(
+        grid: &ProcessGrid<C>,
+        store: &SeqStore,
+        params: &SearchParams,
+    ) -> KmerSumma {
+        use crate::kmer::distinct_kmers;
+        use crate::subkmers::nearest_kmers;
+        use pastis_sparse::Triples;
+        let (n, world) = (store.len(), grid.world());
+        let slice = BlockDist1D::new(n, world.size());
+        let (k, alphabet) = (params.k, params.alphabet);
+        let mut a = Triples::new(n, alphabet.kmer_space(k));
+        for row in slice.part_offset(world.rank())..slice.part_offset(world.rank() + 1) {
+            let seq = store.seq(row);
+            for (id, pos) in distinct_kmers(seq, k, alphabet) {
+                a.push(row as u32, id, pos);
+                for near in nearest_kmers(seq, pos as usize, k, alphabet, params.substitute_kmers) {
+                    a.push(row as u32, near, pos);
+                }
+            }
+        }
+        let keep_min = |acc: &mut u32, inc: u32| *acc = (*acc).min(inc);
+        a.combine_duplicates(keep_min);
+        let mut my_cols: Vec<u32> = a.entries.iter().map(|e| e.col).collect();
+        my_cols.sort_unstable();
+        my_cols.dedup();
+        let mut col_map: Vec<u32> = world.all_gather(my_cols).concat();
+        col_map.sort_unstable();
+        col_map.dedup();
+        let mut compact = Triples::new(n, col_map.len().max(1));
+        for e in a.entries {
+            let col = col_map.binary_search(&e.col).expect("k-mer id present") as u32;
+            compact.push(e.row, col, e.val);
+        }
+        let at = compact.clone().transpose();
+        let (br, bc) = (params.block_rows.min(n), params.block_cols.min(n));
+        BlockedSumma::from_triples(grid, compact, at, br, bc, keep_min, keep_min)
+    }
+
+    #[test]
+    fn kmer_summa_stripes_equal_the_old_recipe() {
+        let ds = SyntheticDataset::generate(&SyntheticConfig {
+            seed: 31,
+            ..SyntheticConfig::small(60, 31)
+        });
+        fn same_stripes<C: Communicator>(
+            grid: &ProcessGrid<C>,
+            store: &SeqStore,
+            params: &SearchParams,
+        ) {
+            let (new, nnz, inner) = kmer_summa(grid, store, params);
+            let old = old_recipe_summa(grid, store, params);
+            let what = format!(
+                "{}x{} m={} p={}",
+                params.block_rows,
+                params.block_cols,
+                params.substitute_kmers,
+                grid.world().size()
+            );
+            assert_eq!((new.br(), new.bc()), (old.br(), old.bc()), "{what}");
+            let mut local_nnz = 0;
+            for r in 0..new.br() {
+                assert_eq!(new.a_stripe(r), old.a_stripe(r), "A stripe {r}, {what}");
+                assert_eq!(new.a_stripe(r).ncols(), inner, "{what}");
+                local_nnz += new.a_stripe(r).nnz_local();
+            }
+            for c in 0..new.bc() {
+                assert_eq!(new.b_stripe(c), old.b_stripe(c), "B stripe {c}, {what}");
+            }
+            // Every entry this rank built lands on some rank: the local
+            // counts agree in sum.
+            let sum = |x: u64| grid.world().all_reduce(&[x], ReduceOp::Sum)[0];
+            assert_eq!(sum(nnz), sum(local_nnz as u64), "{what}");
+        }
+        for blocks in [1, 3, 4] {
+            for m in [0, 2] {
+                let params = SearchParams {
+                    substitute_kmers: m,
+                    ..SearchParams::test_defaults()
+                }
+                .with_blocking(blocks, blocks);
+                same_stripes(
+                    &ProcessGrid::square(pastis_comm::SelfComm::new()),
+                    &ds.store,
+                    &params,
+                );
+                let store = ds.store.clone();
+                run_threaded(4, move |c| {
+                    same_stripes(&ProcessGrid::square(c.split(0, c.rank())), &store, &params);
+                });
+            }
+        }
     }
 
     #[test]

@@ -47,18 +47,17 @@ use pastis_align::parallel::AlignPool;
 use pastis_comm::MachineModel;
 use pastis_pool::{Engine as PoolEngine, WorkPool};
 use pastis_seqio::SeqStore;
-use pastis_sparse::{CsrMatrix, SpGemmPool, Triples};
+use pastis_sparse::{CsrMatrix, SpGemmPool};
 use pastis_trace::{names, span, Component, Recorder, SpanGuard};
 
 use crate::autotune::{self, TunePolicy};
 use crate::filter::{candidate_passes, EdgeFilter};
 use crate::index::{store_digest, PersistedIndex};
-use crate::kmer::kmer_matrix_triples;
+use crate::kmer::KmerMatrix;
 use crate::overlap::OverlapSemiring;
 use crate::params::{AlignKind, SearchParams};
 use crate::pipeline::{banded_edge, PairTask};
 use crate::simgraph::{SimilarityEdge, SimilarityGraph};
-use crate::subkmers::kmer_matrix_triples_with_substitutes;
 
 /// Admission batching knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,37 +390,15 @@ impl BatchEngine<'_> {
         let manifest = &self.index.manifest;
 
         // A_query: the batch pipeline's operand recipe on the batch's own
-        // little store — triples of first k-mer positions, remapped into
-        // the index's compacted column space (ids the references never
-        // produce cannot match and are dropped), first-position keep-min.
+        // little store, remapped by a merge walk into the index's
+        // compacted column space (ids the references never produce cannot
+        // match and are dropped).
         let mut bstore = SeqStore::new();
         for &q in qids {
             bstore.push(String::new(), self.queries.seq(q as usize).to_vec());
         }
-        let t: Triples<u32> = if p.substitute_kmers > 0 {
-            kmer_matrix_triples_with_substitutes(
-                &bstore,
-                0,
-                bn,
-                p.k,
-                p.alphabet,
-                p.substitute_kmers,
-            )
-        } else {
-            kmer_matrix_triples(&bstore, 0, bn, p.k, p.alphabet)
-        };
-        let mut compact = Triples::new(bn, manifest.inner_dim());
-        for e in &t.entries {
-            if let Ok(c) = manifest.col_map.binary_search(&e.col) {
-                compact.push(e.row, c as u32, e.val);
-            }
-        }
-        let keep_min = |acc: &mut u32, inc: u32| {
-            if inc < *acc {
-                *acc = inc;
-            }
-        };
-        let a_qb = CsrMatrix::from_triples_combining(compact, keep_min);
+        let a_qb = KmerMatrix::build(&bstore, 0..bn, p.k, p.alphabet, p.substitute_kmers)
+            .remap(&manifest.col_map);
 
         // One striped SpGEMM over the overlap semiring: per-entry combine
         // order is ascending k-mer id, exactly the batch SUMMA's order.

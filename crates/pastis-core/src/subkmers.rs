@@ -9,10 +9,8 @@
 
 use pastis_align::matrices::{Blosum62, Scoring};
 use pastis_seqio::ReducedAlphabet;
-use pastis_seqio::SeqStore;
-use pastis_sparse::{Index, Triples};
 
-use crate::kmer::{distinct_kmers, kmer_id};
+use crate::kmer::kmer_id;
 
 /// The `m` highest-scoring single-substitution neighbors of the k-mer at
 /// `seq[pos..pos+k]`, as k-mer ids under `alphabet` (own id excluded,
@@ -71,39 +69,12 @@ pub fn nearest_kmers(
     out
 }
 
-/// Build k-mer matrix triples with substitute k-mers: every distinct k-mer
-/// contributes its own column plus its `m` nearest neighbors (at the same
-/// position). Duplicate (row, column) pairs may occur and must be combined
-/// by the caller (keep the smaller position).
-pub fn kmer_matrix_triples_with_substitutes(
-    store: &SeqStore,
-    seq_begin: usize,
-    seq_end: usize,
-    k: usize,
-    alphabet: ReducedAlphabet,
-    m: usize,
-) -> Triples<u32> {
-    assert!(seq_begin <= seq_end && seq_end <= store.len());
-    let ncols = alphabet.kmer_space(k);
-    let mut t = Triples::new(store.len(), ncols);
-    for row in seq_begin..seq_end {
-        let seq = store.seq(row);
-        for (id, pos) in distinct_kmers(seq, k, alphabet) {
-            t.push(row as Index, id as Index, pos);
-            for nid in nearest_kmers(seq, pos as usize, k, alphabet, m) {
-                t.push(row as Index, nid as Index, pos);
-            }
-        }
-    }
-    // Resolve collisions now so downstream code sees clean triples.
-    t.combine_duplicates(|a, b| *a = (*a).min(b));
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmer::KmerMatrix;
     use pastis_align::matrices::encode;
+    use pastis_seqio::SeqStore;
 
     const FULL: ReducedAlphabet = ReducedAlphabet::Full20;
 
@@ -200,18 +171,10 @@ mod tests {
         let mut store = SeqStore::new();
         store.push("a".into(), encode("MKVLAW").unwrap());
         store.push("b".into(), encode("MKVIAW").unwrap()); // L -> I
-        let exact = kmer_matrix_triples_with_substitutes(&store, 0, 2, 6, FULL, 0);
-        let expanded = kmer_matrix_triples_with_substitutes(&store, 0, 2, 6, FULL, 8);
-        let shared = |t: &Triples<u32>| {
-            let mut by_col = std::collections::HashMap::new();
-            for e in &t.entries {
-                by_col
-                    .entry(e.col)
-                    .or_insert_with(std::collections::HashSet::new)
-                    .insert(e.row);
-            }
-            by_col.values().filter(|rows| rows.len() == 2).count()
-        };
+        let exact = KmerMatrix::build(&store, 0..2, 6, FULL, 0);
+        let expanded = KmerMatrix::build(&store, 0..2, 6, FULL, 8);
+        // Columns of `Aᵀ` (k-mers) that both sequences reach.
+        let shared = |m: &KmerMatrix| (0..m.ids.len()).filter(|&c| m.at.row_nnz(c) == 2).count();
         assert_eq!(shared(&exact), 0);
         assert!(
             shared(&expanded) >= 1,
@@ -223,10 +186,8 @@ mod tests {
     fn expansion_grows_matrix_monotonically() {
         let mut store = SeqStore::new();
         store.push("a".into(), encode("MKVLAWYHEE").unwrap());
-        let base = kmer_matrix_triples_with_substitutes(&store, 0, 1, 5, FULL, 0);
-        let m2 = kmer_matrix_triples_with_substitutes(&store, 0, 1, 5, FULL, 2);
-        let m5 = kmer_matrix_triples_with_substitutes(&store, 0, 1, 5, FULL, 5);
-        assert!(base.nnz() < m2.nnz());
-        assert!(m2.nnz() <= m5.nnz());
+        let nnz = |m: usize| KmerMatrix::build(&store, 0..1, 5, FULL, m).at.nnz();
+        assert!(nnz(0) < nnz(2));
+        assert!(nnz(2) <= nnz(5));
     }
 }

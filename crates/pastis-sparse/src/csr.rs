@@ -130,27 +130,43 @@ impl<T: Clone> CsrMatrix<T> {
         Self::from_triples_combining(t, |_, _| panic!("duplicate coordinate in from_triples"))
     }
 
-    /// Build from triples, folding duplicates with `combine`.
+    /// Build from triples, folding duplicates with `combine`. Triples whose
+    /// rows each arrive in ascending column order (sorted by either
+    /// coordinate first, or the transpose of such a stream) are bucketed
+    /// by row and never sorted.
     pub fn from_triples_combining(
         mut t: Triples<T>,
         combine: impl FnMut(&mut T, T),
     ) -> CsrMatrix<T> {
-        t.combine_duplicates(combine);
         let (nrows, ncols) = (t.nrows(), t.ncols());
-        let mut rowptr = vec![0usize; nrows + 1];
+        let mut last_col: Vec<Option<Index>> = vec![None; nrows];
+        let in_order = t.entries.iter().all(|e| {
+            let seen = last_col.get_mut(e.row as usize);
+            seen.is_some_and(|seen| seen.replace(e.col) < Some(e.col))
+        });
+        if !in_order {
+            t.combine_duplicates(combine);
+        }
+        // Counted one slot late, as in `transpose`: `rowptr[i + 1]` is row
+        // `i`'s cursor until the row is full. A stable scatter by row; the
+        // identity on entries `combine_duplicates` left row-major sorted.
+        let mut rowptr = vec![0usize; nrows + 2];
         for e in &t.entries {
-            rowptr[e.row as usize + 1] += 1;
+            rowptr[e.row as usize + 2] += 1;
         }
-        for i in 0..nrows {
-            rowptr[i + 1] += rowptr[i];
+        for i in 2..rowptr.len() {
+            rowptr[i] += rowptr[i - 1];
         }
-        let mut colind = Vec::with_capacity(t.entries.len());
-        let mut vals = Vec::with_capacity(t.entries.len());
-        // combine_duplicates leaves entries row-major sorted.
+        let mut colind = vec![0 as Index; t.entries.len()];
+        // Every slot is overwritten; the copies stand in for
+        // uninitialised storage.
+        let mut vals: Vec<T> = t.entries.iter().map(|e| e.val.clone()).collect();
         for e in t.entries {
-            colind.push(e.col);
-            vals.push(e.val);
+            let slot = &mut rowptr[e.row as usize + 1];
+            (colind[*slot], vals[*slot]) = (e.col, e.val);
+            *slot += 1;
         }
+        rowptr.pop();
         CsrMatrix {
             nrows,
             ncols,
@@ -171,34 +187,35 @@ impl<T: Clone> CsrMatrix<T> {
 
     /// Transpose (O(nnz + dims) counting transpose; output rows sorted).
     pub fn transpose(&self) -> CsrMatrix<T> {
-        let mut rowptr = vec![0usize; self.ncols + 1];
+        // Counted one slot late, `rowptr[c + 1]` is where output row `c`
+        // starts; filling the row advances it to where row `c + 1` starts,
+        // which is what a row pointer holds there.
+        let mut rowptr = vec![0usize; self.ncols + 2];
         for &c in &self.colind {
-            rowptr[c as usize + 1] += 1;
+            rowptr[c as usize + 2] += 1;
         }
-        for i in 0..self.ncols {
-            rowptr[i + 1] += rowptr[i];
+        for i in 2..rowptr.len() {
+            rowptr[i] += rowptr[i - 1];
         }
-        let mut cursor = rowptr.clone();
         let mut colind = vec![0 as Index; self.nnz()];
-        let mut vals: Vec<Option<T>> = vec![None; self.nnz()];
+        // Every slot is overwritten; the copy stands in for uninitialised
+        // storage.
+        let mut vals = self.vals.clone();
         for i in 0..self.nrows {
             let (cols, rvals) = self.row(i);
             for (&c, v) in cols.iter().zip(rvals) {
-                let slot = cursor[c as usize];
-                cursor[c as usize] += 1;
-                colind[slot] = i as Index;
-                vals[slot] = Some(v.clone());
+                let slot = &mut rowptr[c as usize + 1];
+                (colind[*slot], vals[*slot]) = (i as Index, v.clone());
+                *slot += 1;
             }
         }
+        rowptr.pop();
         CsrMatrix {
             nrows: self.ncols,
             ncols: self.nrows,
             rowptr,
             colind,
-            vals: vals
-                .into_iter()
-                .map(|v| v.expect("transpose fill"))
-                .collect(),
+            vals,
         }
     }
 
@@ -214,37 +231,6 @@ impl<T: Clone> CsrMatrix<T> {
             rowptr,
             colind: self.colind[base..self.rowptr[end]].to_vec(),
             vals: self.vals[base..self.rowptr[end]].to_vec(),
-        }
-    }
-
-    /// Extract columns `[start, end)` as a new `nrows × (end−start)` matrix
-    /// (column indices renumbered).
-    pub fn extract_cols(&self, start: usize, end: usize) -> CsrMatrix<T> {
-        assert!(
-            start <= end && end <= self.ncols,
-            "column range out of bounds"
-        );
-        let mut rowptr = Vec::with_capacity(self.nrows + 1);
-        rowptr.push(0usize);
-        let mut colind = Vec::new();
-        let mut vals = Vec::new();
-        for i in 0..self.nrows {
-            let (cols, rvals) = self.row(i);
-            // Rows are sorted: binary search the window.
-            let lo = cols.partition_point(|&c| (c as usize) < start);
-            let hi = cols.partition_point(|&c| (c as usize) < end);
-            for k in lo..hi {
-                colind.push(cols[k] - start as Index);
-                vals.push(rvals[k].clone());
-            }
-            rowptr.push(colind.len());
-        }
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: end - start,
-            rowptr,
-            colind,
-            vals,
         }
     }
 
@@ -288,6 +274,61 @@ impl<T: Clone> CsrMatrix<T> {
     /// cost accounting).
     pub fn payload_bytes(&self) -> usize {
         crate::csr_payload_bytes(self.nrows, self.nnz(), std::mem::size_of::<T>())
+    }
+}
+
+impl<T: Copy + Default> CsrMatrix<T> {
+    /// Extract columns `[start, end)` as a new `nrows × (end−start)` matrix
+    /// (column indices renumbered).
+    pub fn extract_cols(&self, start: usize, end: usize) -> CsrMatrix<T> {
+        let bounds = [start, end];
+        let mut stripes = self.col_stripes(&bounds);
+        stripes.next().expect("two bounds make one stripe")
+    }
+
+    /// The column stripes `[bounds[s], bounds[s + 1])` in order, each built
+    /// when the iterator is asked for it (a caller that drops one before
+    /// taking the next holds one at a time). A stripe is one flat pass over
+    /// the entries, keeping those in range and counting the kept ones
+    /// before each entry, then one gather of those counts at the row
+    /// boundaries: no loop per row and no branch per entry, which rows of
+    /// one or two entries (a transposed k-mer matrix) would pay for.
+    pub fn col_stripes<'a>(
+        &'a self,
+        bounds: &'a [usize],
+    ) -> impl Iterator<Item = CsrMatrix<T>> + 'a {
+        let mut kept_before = vec![0usize; self.nnz() + 1];
+        bounds.windows(2).map(move |w| {
+            let (start, end) = (w[0], w[1]);
+            assert!(
+                start <= end && end <= self.ncols,
+                "column range out of bounds"
+            );
+            if (start, end) == (0, self.ncols) {
+                return self.clone();
+            }
+            let inside = |c: Index| (start..end).contains(&(c as usize));
+            let kept = self.colind.iter().filter(|&&c| inside(c)).count();
+            // Every entry is written at the cursor and only a kept one
+            // moves it; the slot past the end takes the rest.
+            let mut colind = vec![0 as Index; kept + 1];
+            let mut vals = vec![T::default(); kept + 1];
+            let mut at = 0;
+            for (j, (&c, &v)) in self.colind.iter().zip(&self.vals).enumerate() {
+                (colind[at], vals[at]) = (c.wrapping_sub(start as Index), v);
+                at += usize::from(inside(c));
+                kept_before[j + 1] = at;
+            }
+            colind.truncate(kept);
+            vals.truncate(kept);
+            CsrMatrix {
+                nrows: self.nrows,
+                ncols: end - start,
+                rowptr: self.rowptr.iter().map(|&p| kept_before[p]).collect(),
+                colind,
+                vals,
+            }
+        })
     }
 }
 
@@ -375,6 +416,68 @@ mod tests {
         assert_eq!(sub.get(0, 1), Some(&2.0));
         assert_eq!(sub.get(2, 0), Some(&4.0));
         assert_eq!(sub.nnz(), 2);
+    }
+
+    #[test]
+    fn triples_in_any_order_build_the_same_matrix() {
+        // Row-major and column-major streams keep each row's columns
+        // ascending and are bucketed; a reversed stream is sorted first.
+        let entries = vec![(0, 1, 5u32), (0, 3, 6), (2, 0, 7), (2, 1, 8), (2, 3, 9)];
+        let build =
+            |e: Vec<(Index, Index, u32)>| CsrMatrix::from_triples(Triples::from_entries(3, 4, e));
+        let row_major = build(entries.clone());
+        let mut by_col = entries.clone();
+        by_col.sort_by_key(|e| (e.1, e.0));
+        assert_eq!(build(by_col), row_major);
+        assert_eq!(build(entries.into_iter().rev().collect()), row_major);
+        assert_eq!(row_major.row(2), (&[0, 1, 3][..], &[7, 8, 9][..]));
+        assert_eq!(row_major.rowptr(), &[0, 2, 2, 5]);
+    }
+
+    #[test]
+    fn col_stripes_keep_each_range_in_order() {
+        // Rows of none, one and several entries; stripes of every width,
+        // empty ones included, and a cut that does not start at column 0.
+        let t = Triples::from_entries(
+            5,
+            7,
+            vec![
+                (0, 0, 1u32),
+                (0, 3, 2),
+                (0, 6, 3),
+                (2, 2, 4),
+                (3, 1, 5),
+                (3, 2, 6),
+                (3, 3, 7),
+                (3, 4, 8),
+                (4, 6, 9),
+            ],
+        );
+        let m = CsrMatrix::from_triples(t);
+        for bounds in [
+            vec![0, 7],
+            vec![0, 3, 5, 7],
+            vec![0, 0, 1, 1, 7, 7],
+            vec![2, 4, 6],
+            (0..=7).collect(),
+        ] {
+            let stripes: Vec<CsrMatrix<u32>> = m.col_stripes(&bounds).collect();
+            let want: Vec<CsrMatrix<u32>> = bounds
+                .windows(2)
+                .map(|w| {
+                    let inside = m.iter().filter(|e| (w[0]..w[1]).contains(&(e.1 as usize)));
+                    let entries = inside.map(|(i, j, &v)| (i, j - w[0] as Index, v)).collect();
+                    CsrMatrix::from_triples(Triples::from_entries(5, w[1] - w[0], entries))
+                })
+                .collect();
+            assert_eq!(stripes, want, "bounds {bounds:?}");
+        }
+        let empty = CsrMatrix::<u32>::empty(3, 4);
+        let stripes: Vec<_> = empty.col_stripes(&[0, 2, 4]).collect();
+        assert_eq!(
+            stripes,
+            vec![CsrMatrix::empty(3, 2), CsrMatrix::empty(3, 2)]
+        );
     }
 
     #[test]

@@ -307,70 +307,78 @@ impl<A: DistElem, B: DistElem> BlockedSumma<A, B> {
         combine_a: impl Fn(&mut A, A),
         combine_b: impl Fn(&mut B, B),
     ) -> BlockedSumma<A, B> {
-        assert!(br >= 1 && bc >= 1, "blocking factors must be positive");
         assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
-        assert!(
-            br <= a.nrows().max(1) && bc <= b.ncols().max(1),
-            "more blocks than rows/columns"
-        );
-        let row_stripes = BlockDist1D::new(a.nrows(), br);
-        let col_stripes = BlockDist1D::new(b.ncols(), bc);
         let inner = a.ncols();
-
-        // Partition A's entries by row stripe, reindexing rows to be
-        // stripe-local.
-        let (a_nrows, a_ncols) = (a.nrows(), a.ncols());
+        let (row_stripes, col_stripes) = Self::stripe_dists(a.nrows(), b.ncols(), br, bc);
+        // Partition the entries by stripe, reindexing to stripe-local.
         let mut a_parts: Vec<Triples<A>> = (0..br)
-            .map(|r| Triples::new(row_stripes.part_len(r), a_ncols))
+            .map(|r| Triples::new(row_stripes.part_len(r), inner))
             .collect();
         for e in a.entries {
             let (stripe, local_row) = row_stripes.to_local(e.row as usize);
             a_parts[stripe].push(local_row as u32, e.col, e.val);
         }
-        let _ = a_nrows;
-
-        let (b_nrows, b_ncols) = (b.nrows(), b.ncols());
         let mut b_parts: Vec<Triples<B>> = (0..bc)
-            .map(|c| Triples::new(b_nrows, col_stripes.part_len(c)))
+            .map(|c| Triples::new(inner, col_stripes.part_len(c)))
             .collect();
         for e in b.entries {
             let (stripe, local_col) = col_stripes.to_local(e.col as usize);
             b_parts[stripe].push(e.row, local_col as u32, e.val);
         }
-        let _ = b_ncols;
-
         let a_stripes = a_parts
             .into_iter()
-            .enumerate()
-            .map(|(r, t)| {
-                DistSparseMatrix::from_global_triples(
-                    grid,
-                    row_stripes.part_len(r),
-                    inner,
-                    t,
-                    |x, y| combine_a(x, y),
-                )
-            })
-            .collect();
+            .map(|t| DistSparseMatrix::from_global_triples(grid, t.nrows(), inner, t, &combine_a));
         let b_stripes = b_parts
             .into_iter()
-            .enumerate()
-            .map(|(c, t)| {
-                DistSparseMatrix::from_global_triples(
-                    grid,
-                    inner,
-                    col_stripes.part_len(c),
-                    t,
-                    |x, y| combine_b(x, y),
-                )
-            })
-            .collect();
+            .map(|t| DistSparseMatrix::from_global_triples(grid, inner, t.ncols(), t, &combine_b));
         BlockedSumma {
-            a_stripes,
-            b_stripes,
+            a_stripes: a_stripes.collect(),
+            b_stripes: b_stripes.collect(),
             row_stripes,
             col_stripes,
         }
+    }
+
+    /// Assemble from stripes that are already where they belong:
+    /// `a_blocks[r]` is this rank's block of row stripe `r` of the
+    /// `nrows × inner` matrix `A`, `b_blocks[c]` its block of column stripe
+    /// `c` of the `inner × ncols` matrix `B`. No communication, no sort.
+    pub fn from_local_stripes<C: Communicator>(
+        grid: &ProcessGrid<C>,
+        (nrows, inner, ncols): (usize, usize, usize),
+        a_blocks: Vec<CsrMatrix<A>>,
+        b_blocks: Vec<CsrMatrix<B>>,
+    ) -> BlockedSumma<A, B> {
+        let (row_stripes, col_stripes) =
+            Self::stripe_dists(nrows, ncols, a_blocks.len(), b_blocks.len());
+        let a_stripes = a_blocks.into_iter().enumerate().map(|(r, m)| {
+            DistSparseMatrix::from_local_block(grid, row_stripes.part_len(r), inner, m)
+        });
+        let b_stripes = b_blocks.into_iter().enumerate().map(|(c, m)| {
+            DistSparseMatrix::from_local_block(grid, inner, col_stripes.part_len(c), m)
+        });
+        BlockedSumma {
+            a_stripes: a_stripes.collect(),
+            b_stripes: b_stripes.collect(),
+            row_stripes,
+            col_stripes,
+        }
+    }
+
+    /// The stripe distributions of an `nrows × ncols` product under
+    /// `br × bc` blocking.
+    fn stripe_dists(
+        nrows: usize,
+        ncols: usize,
+        br: usize,
+        bc: usize,
+    ) -> (BlockDist1D, BlockDist1D) {
+        assert!(br >= 1 && bc >= 1, "blocking factors must be positive");
+        assert!(
+            br <= nrows.max(1) && bc <= ncols.max(1),
+            "more blocks than rows/columns"
+        );
+        (BlockDist1D::new(nrows, br), BlockDist1D::new(ncols, bc))
     }
 
     /// Row blocking factor `br`.
