@@ -77,14 +77,7 @@ fn main() {
             let pool = SpGemmPool::serial();
             for r in 0..br {
                 for cc in 0..bc {
-                    let _ = bs.multiply_block_overlapped(
-                        &grid,
-                        &PlusTimes::<f64>::new(),
-                        r,
-                        cc,
-                        &pool,
-                        true,
-                    );
+                    let _ = bs.multiply_block(&grid, &PlusTimes::<f64>::new(), r, cc, &pool, true);
                 }
             }
             let after = grid.row_comm().stats().broadcasts + grid.col_comm().stats().broadcasts;

@@ -13,8 +13,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ledger;
-
 use pastis_comm::MachineModel;
 use pastis_core::{simulate, ScaleConfig, SearchParams};
 use pastis_seqio::{SeqStore, SyntheticConfig, SyntheticDataset};

@@ -16,10 +16,8 @@
 //! (align:sparse ≈ 2:1 on the node, IO < 3%, cwait ≪ 1%); absolute seconds
 //! are explicitly not a reproduction target — see EXPERIMENTS.md.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency–bandwidth parameters of a network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaBeta {
     /// Message startup latency α, in seconds.
     pub alpha: f64,
@@ -28,7 +26,7 @@ pub struct AlphaBeta {
 }
 
 /// Which algorithm a collective is assumed to use when costed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveAlgo {
     /// Binomial/binary tree (the paper's assumption for broadcasts).
     Tree,
@@ -122,7 +120,7 @@ impl AlphaBeta {
 /// merged nonzeros and communicated bytes exactly, and converts them to time
 /// through one of these models. The scaling *shape* therefore comes from the
 /// true partitioned workload; only the unit conversion is synthetic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineModel {
     /// Human-readable preset name.
     pub name: String,

@@ -11,8 +11,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::communicator::{Communicator, ReduceOp};
 
 // The component taxonomy and imbalance summaries moved to `pastis-trace`
@@ -21,7 +19,7 @@ use crate::communicator::{Communicator, ReduceOp};
 pub use pastis_trace::{Component, ImbalanceStats};
 
 /// Seconds spent per [`Component`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimeBreakdown {
     secs: [f64; 6],
 }
@@ -127,7 +125,7 @@ impl fmt::Display for TimeBreakdown {
 /// bulk-synchronous step then advances every rank to the maximum (stragglers
 /// gate the step), which is exactly how component times compose in an SPMD
 /// program with barriers between phases.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VirtualClock {
     now: f64,
     breakdown: TimeBreakdown,

@@ -13,8 +13,8 @@
 //!
 //! # Format (schema version 1)
 //!
-//! A checkpoint is a plain text file (the vendored `serde` is a no-op stub,
-//! so serialization is hand-rolled and auditable). All floats are written
+//! A checkpoint is a plain text file (no serialization dependency, so the
+//! format is hand-rolled and auditable). All floats are written
 //! as `to_bits()` hex so round-trips are bit-exact. Layout:
 //!
 //! ```text
@@ -1083,6 +1083,22 @@ mod tests {
         store2.push("a".into(), encode("MKVLAWYHEE").unwrap());
         store2.push("b".into(), encode("GGSTPNQRCE").unwrap());
         assert_ne!(fp, run_fingerprint(&base, &store2));
+    }
+
+    #[test]
+    fn fingerprints_are_pinned_literals() {
+        // Checkpoints and index manifests on disk carry these values: a
+        // change to either digest, or to what `SearchParams` feeds into
+        // it, orphans every checkpoint and index already written.
+        let mut store = SeqStore::new();
+        store.push("a".into(), encode("MKVLAWYHEE").unwrap());
+        store.push("b".into(), encode("GGSTPNQRCD").unwrap());
+        let p = SearchParams::test_defaults();
+        assert_eq!(run_fingerprint(&p, &store), 0xc55b_9457_2d01_9861);
+        assert_eq!(
+            crate::index::index_fingerprint(p.k, p.alphabet, p.substitute_kmers, &store),
+            0xe202_6b43_42ea_6a39
+        );
     }
 
     #[test]

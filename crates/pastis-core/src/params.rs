@@ -11,7 +11,6 @@ use pastis_align::SimdPolicy;
 use pastis_seqio::ReducedAlphabet;
 use pastis_sparse::SpGemmKind;
 
-use crate::autotune::TunePolicy;
 use crate::loadbalance::LoadBalance;
 
 /// Which alignment kernel the pipeline uses on candidate pairs.
@@ -142,14 +141,6 @@ pub struct SearchParams {
     /// (spilling is the budget's relief valve). Robustness knob — never
     /// affects the output.
     pub spill_dir: Option<PathBuf>,
-    /// Self-tuning policy (`--tune`). `Off` leaves every knob as passed;
-    /// `Auto` seeds the engine split from the cost model and re-splits
-    /// caps / lookahead mid-run from collectively-reduced telemetry;
-    /// `Fixed(spec)` applies a hand-tuned spec once. Scheduling knob —
-    /// every policy produces a bit-identical similarity graph; only wall
-    /// time changes. Excluded from the checkpoint fingerprint for the
-    /// same reason threads/caps/overlap are.
-    pub tune: TunePolicy,
     /// Seeded fault-injection plan applied to spill-shard writes (the
     /// `spill_*` keys of the `--fault` spec). Reads verify CRCs and fall
     /// back to recomputing the affected block, so the output stays
@@ -187,7 +178,6 @@ impl Default for SearchParams {
             straggler_factor: Some(3.0),
             mem_budget: None,
             spill_dir: None,
-            tune: TunePolicy::Off,
             spill_faults: None,
         }
     }
@@ -315,12 +305,6 @@ impl SearchParams {
         self
     }
 
-    /// Set the self-tuning policy, builder style.
-    pub fn with_tune(mut self, tune: TunePolicy) -> SearchParams {
-        self.tune = tune;
-        self
-    }
-
     /// Set the spill-write fault-injection plan, builder style.
     pub fn with_spill_faults(mut self, plan: pastis_comm::FaultPlan) -> SearchParams {
         self.spill_faults = Some(plan);
@@ -366,14 +350,6 @@ impl SearchParams {
         }
         if self.threads.is_none() && (self.align_cap.is_some() || self.spgemm_cap.is_some()) {
             return Err("per-engine caps require the unified pool (--threads)".into());
-        }
-        if let TunePolicy::Fixed(spec) = &self.tune {
-            // Same contradiction as explicit caps without a pool.
-            if self.threads.is_none() && (spec.spgemm_cap.is_some() || spec.align_cap.is_some()) {
-                return Err(
-                    "--tune fixed: engine caps require the unified pool (--threads)".into(),
-                );
-            }
         }
         self.simd.resolve()?;
         if let Some(f) = self.straggler_factor {
@@ -604,29 +580,6 @@ mod tests {
             .with_overlap(true)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn tune_policy_defaults_off_and_validates() {
-        let p = SearchParams::default();
-        assert_eq!(p.tune, TunePolicy::Off);
-        assert!(p.validate().is_ok());
-        // Auto needs nothing else: without --threads it can still pick
-        // blocking/batches; the cap re-split just has no pool to act on.
-        assert!(SearchParams::default()
-            .with_tune(TunePolicy::Auto)
-            .validate()
-            .is_ok());
-        // A fixed spec with engine caps mirrors the caps-require-threads
-        // rule.
-        let spec = TunePolicy::parse("fixed:spgemm=2,align=2").unwrap();
-        let bad = SearchParams::default().with_tune(spec.clone());
-        assert!(bad.validate().unwrap_err().contains("--threads"));
-        let ok = SearchParams::default().with_threads(4).with_tune(spec);
-        assert!(ok.validate().is_ok());
-        // A lookahead/batch-only spec is fine without a pool.
-        let la = TunePolicy::parse("fixed:lookahead=0,batch=64").unwrap();
-        assert!(SearchParams::default().with_tune(la).validate().is_ok());
     }
 
     #[test]

@@ -38,7 +38,6 @@ use pastis_seqio::SeqStore;
 use pastis_sparse::{BlockedSumma, CsrMatrix, SpGemmPool};
 use pastis_trace::{names, span, Recorder};
 
-use crate::autotune::{self, TuneKnobs, TunePolicy, TuneSnapshot};
 use crate::checkpoint::{self, Checkpoint, IndexShard, SpillShard};
 use crate::filter::{candidate_passes, EdgeFilter};
 use crate::kmer::KmerMatrix;
@@ -843,50 +842,6 @@ pub fn run_search_traced<C: Communicator + Sync>(
         wp.set_cap(Engine::Sparse, params.spgemm_cap);
         wp
     });
-    // --- Self-tuning seed (`--tune`). Engine caps and lookahead are
-    // schedule-invariant (the graph is bit-identical for every value),
-    // so nothing decided here or mid-run can change the output. `auto`
-    // seeds the split from the α–β cost model over the already-exchanged
-    // global sequence set — identical inputs on every rank give an
-    // identical seed — unless the user passed explicit caps, which win
-    // as the starting point. `fixed:` applies its hand-tuned spec once
-    // and never adapts.
-    let mut tune_state: Option<TuneKnobs> = None;
-    match (&params.tune, &unified) {
-        (TunePolicy::Auto, Some(wp)) => {
-            let t = wp.threads();
-            let (sp, al) = if params.spgemm_cap.is_some() || params.align_cap.is_some() {
-                (
-                    params.spgemm_cap.unwrap_or(t).clamp(1, t.max(1)),
-                    params.align_cap.unwrap_or(t).clamp(1, t.max(1)),
-                )
-            } else {
-                let mean_len =
-                    seqs.iter().map(|s| s.len() as u64).sum::<u64>() as f64 / n.max(1) as f64;
-                autotune::seed_split(t, &pastis_comm::MachineModel::commodity(), mean_len)
-            };
-            wp.set_cap(Engine::Sparse, Some(sp));
-            wp.set_cap(Engine::Align, Some(al));
-            recorder.add_counter(names::CTR_TUNE_SPGEMM_CAP, sp as f64);
-            recorder.add_counter(names::CTR_TUNE_ALIGN_CAP, al as f64);
-            tune_state = Some(TuneKnobs {
-                spgemm_cap: sp,
-                align_cap: al,
-                lookahead: usize::from(params.pre_blocking),
-            });
-        }
-        (TunePolicy::Fixed(spec), Some(wp)) => {
-            if let Some(c) = spec.spgemm_cap {
-                wp.set_cap(Engine::Sparse, Some(c));
-                recorder.add_counter(names::CTR_TUNE_SPGEMM_CAP, c as f64);
-            }
-            if let Some(c) = spec.align_cap {
-                wp.set_cap(Engine::Align, Some(c));
-                recorder.add_counter(names::CTR_TUNE_ALIGN_CAP, c as f64);
-            }
-        }
-        _ => {}
-    }
     // The intra-rank SpGEMM pool: each SUMMA stage's local multiplication
     // picks a kernel (hash/heap/parallel) per `params.spgemm` and runs row
     // chunks across `spgemm_threads` workers, stitched in row order — the
@@ -901,8 +856,8 @@ pub fn run_search_traced<C: Communicator + Sync>(
     // `bs` is passed in (not captured) so the drive loop can evict and
     // restore stripes between calls under a memory budget. Budgeted runs
     // cover the staged broadcast buffers with a reservation held across
-    // the call (`staging_bound`), so no stage hook is attached — every
-    // accounted byte goes through the checked reserve path.
+    // the call (`staging_bound`), so every accounted byte goes through the
+    // checked reserve path.
     let compute_sparse = |bs: &KmerSumma, task: BlockTask, overlap_on: bool| -> CandidateBatch {
         let mut block_span = span!(recorder, Component::SpGemm, names::SPAN_SUMMA_BLOCK, {
             r: task.r as u64,
@@ -917,7 +872,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
         let acc_before = recorder.is_enabled().then(acc_rows);
         let t_mult = Instant::now();
         let (cblock, gemm_stats) =
-            bs.multiply_block_hooked(grid, &sr, task.r, task.c, &spgemm_pool, overlap_on, None);
+            bs.multiply_block(grid, &sr, task.r, task.c, &spgemm_pool, overlap_on);
         let spgemm_seconds = t_mult.elapsed().as_secs_f64();
         if let Some(before) = acc_before {
             let after = acc_rows();
@@ -1211,26 +1166,13 @@ pub fn run_search_traced<C: Communicator + Sync>(
         Ok(())
     };
 
-    // One drive loop for both schedules, parameterized by the lookahead
-    // depth: depth 0 computes each block's SpGEMM on the critical path
-    // (the serial schedule — the scope spawns nothing); depth 1 is the
-    // pre-blocking software pipeline, aligning block i while the SpGEMM
-    // of block i+1 runs on a concurrent thread. Alignment is purely
-    // local, so the sparse thread is the only one issuing collectives —
-    // the SPMD collective order stays identical on every rank either way.
-    let depth = match &params.tune {
-        // A hand-tuned lookahead overrides `--pre-blocking` (the drive
-        // loop implements depth 0 and 1; deeper specs clamp). The choice
-        // comes from world-uniform params, so the collective schedule
-        // stays identical on every rank.
-        TunePolicy::Fixed(spec) if spec.lookahead.is_some() => {
-            spec.lookahead.unwrap_or_default().min(1)
-        }
-        _ => usize::from(params.pre_blocking),
-    };
-    // Blocks already accounted to the tuner (resume restores per_block;
-    // restored blocks never count toward a live window).
-    let mut tune_window_start = per_block.len();
+    // One drive loop for both schedules: without lookahead each block's
+    // SpGEMM runs on the critical path (the serial schedule — the scope
+    // spawns nothing); with it (`--pre-blocking`) the loop aligns block i
+    // while the SpGEMM of block i+1 runs on a concurrent thread. Alignment
+    // is purely local, so the sparse thread is the only one issuing
+    // collectives — the SPMD collective order stays identical on every
+    // rank either way.
     // Backpressure state (budgeted runs): under sustained pressure the
     // loop first pauses broadcast/SpGEMM prefetching (overlap and
     // pre-blocking lookahead), then shrinks alignment batches — both are
@@ -1242,8 +1184,8 @@ pub fn run_search_traced<C: Communicator + Sync>(
     // charge that failed at the end of iteration i aborts at the top of
     // iteration i+1 (the next collectively-aligned point), and a pressure
     // signal raised on any rank flips the backpressure knobs on every
-    // rank at once — the lookahead depth shapes the collective schedule,
-    // so it must stay uniform across the world.
+    // rank at once — the lookahead shapes the collective schedule, so it
+    // must stay uniform across the world.
     let mut deferred_oom: Option<String> = None;
     let mut pressure_hint = false;
     for idx in start_idx..stop_idx {
@@ -1270,64 +1212,8 @@ pub fn run_search_traced<C: Communicator + Sync>(
                 pressure_hint = false;
             }
         }
-        // --- Self-tuning decision point (`--tune auto`). Mirrors the
-        // backpressure protocol above: window telemetry is reduced
-        // collectively (exact integer microsecond sums, so every rank
-        // holds identical values), then every rank runs the same pure
-        // `decide` on that snapshot — the lookahead depth shapes the
-        // collective schedule and therefore must stay world-uniform,
-        // while the cap re-split is local but still decided from the
-        // same agreed state. The window condition (`per_block` grew) is
-        // itself world-uniform: the BSP loop completes exactly one block
-        // per iteration on every rank.
-        if let (Some(wp), Some(cur)) = (&unified, tune_state.as_mut()) {
-            if per_block.len() > tune_window_start {
-                let _tspan = span!(recorder, Component::Other, names::SPAN_TUNE_DECIDE, {
-                    block: idx as u64,
-                });
-                let (mut sp_us, mut al_us) = (0u64, 0u64);
-                for b in &per_block[tune_window_start..] {
-                    sp_us += (b.sparse_seconds.max(0.0) * 1e6) as u64;
-                    al_us += (b.align_seconds.max(0.0) * 1e6) as u64;
-                }
-                tune_window_start = per_block.len();
-                let local = [sp_us, al_us, sp_us + al_us];
-                let sums = if p > 1 {
-                    world.all_reduce(&local[..2], ReduceOp::Sum)
-                } else {
-                    local[..2].to_vec()
-                };
-                let maxs = if p > 1 {
-                    world.all_reduce(&local[2..], ReduceOp::Max)
-                } else {
-                    local[2..].to_vec()
-                };
-                let snap = TuneSnapshot {
-                    threads: wp.threads(),
-                    sparse_us: sums[0],
-                    align_us: sums[1],
-                    max_rank_us: maxs[0],
-                    sum_rank_us: sums[0] + sums[1],
-                    ranks: p as u32,
-                };
-                let next = autotune::decide(cur, &snap, depth);
-                recorder.add_counter(names::CTR_TUNE_DECISIONS, 1.0);
-                if next != *cur {
-                    wp.set_cap(Engine::Sparse, Some(next.spgemm_cap));
-                    wp.set_cap(Engine::Align, Some(next.align_cap));
-                    recorder.add_counter(names::CTR_TUNE_RESPLITS, 1.0);
-                    recorder.add_counter(names::CTR_TUNE_SPGEMM_CAP, next.spgemm_cap as f64);
-                    recorder.add_counter(names::CTR_TUNE_ALIGN_CAP, next.align_cap as f64);
-                    recorder.add_counter(names::CTR_TUNE_LOOKAHEAD, next.lookahead as f64);
-                    *cur = next;
-                }
-            }
-        }
-        let tuned_depth = tune_state
-            .as_ref()
-            .map_or(depth, |k| k.lookahead.min(depth));
-        let eff_depth = if prefetch_paused { 0 } else { tuned_depth };
-        let next_task = (eff_depth > 0 && idx + 1 < stop_idx).then(|| tasks[idx + 1]);
+        let lookahead = params.pre_blocking && !prefetch_paused;
+        let next_task = (lookahead && idx + 1 < stop_idx).then(|| tasks[idx + 1]);
         let overlap_on = params.overlap && !prefetch_paused;
         // SUMMAs this iteration will actually run: the current block unless
         // its batch was prefetched, plus the pre-blocking lookahead.
@@ -1921,86 +1807,6 @@ mod tests {
                 assert_eq!(*similar, serial.stats.similar_pairs, "p={p}");
             }
         }
-    }
-
-    #[test]
-    fn tune_auto_sweep_is_byte_identical() {
-        use crate::autotune::TunePolicy;
-        use pastis_sparse::SpGemmKind;
-        // The satellite determinism sweep: `--tune auto` must emit the
-        // same TSV bytes as `--tune off` (and as the untuned baseline)
-        // across pool sizes, SpGEMM kernels, and the overlap switch —
-        // tuning moves only schedule-invariant knobs.
-        let ds = SyntheticDataset::generate(&SyntheticConfig::small(60, 5));
-        let base = SearchParams::test_defaults()
-            .with_blocking(3, 3)
-            .with_pre_blocking(true);
-        let tsv = |p: &SearchParams| {
-            run_search_serial(&ds.store, p)
-                .unwrap()
-                .graph
-                .to_tsv_lines()
-        };
-        let want = tsv(&base);
-        assert!(!want.is_empty(), "sweep baseline found no edges");
-        for threads in [1usize, 2, 4] {
-            for kernel in [SpGemmKind::Hash, SpGemmKind::Parallel] {
-                for overlap in [false, true] {
-                    let cfg = base
-                        .clone()
-                        .with_threads(threads)
-                        .with_spgemm(kernel)
-                        .with_overlap(overlap);
-                    let ctx = format!("threads={threads} kernel={kernel:?} overlap={overlap}");
-                    let off = tsv(&cfg.clone().with_tune(TunePolicy::Off));
-                    assert_eq!(off, want, "--tune off diverged at {ctx}");
-                    let auto = tsv(&cfg.clone().with_tune(TunePolicy::Auto));
-                    assert_eq!(auto, want, "--tune auto diverged at {ctx}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tune_auto_resplits_mid_run_on_imbalanced_input() {
-        use crate::autotune::TunePolicy;
-        use pastis_trace::TraceSession;
-        // A fixture the cost model mis-seeds on purpose: the commodity
-        // preset models alignment as the dominant cost (gcups 0 → the
-        // modeled O(len²) term saturates), so the seed gives alignment
-        // the lion's share of the pool. But this run's common-k-mer
-        // filter is so strict that almost no candidate survives to
-        // alignment — the *measured* time is all sparse. The telemetry
-        // loop must notice and move workers from align to SpGEMM.
-        let ds = SyntheticDataset::generate(&SyntheticConfig {
-            n_sequences: 160,
-            mean_len: 200.0,
-            len_sigma: 0.2,
-            singleton_fraction: 1.0,
-            seed: 0xA5A5,
-            ..SyntheticConfig::default()
-        });
-        let params = SearchParams {
-            common_kmer_threshold: 64,
-            ..SearchParams::test_defaults()
-        }
-        .with_blocking(4, 4)
-        .with_threads(4)
-        .with_tune(TunePolicy::Auto);
-        let session = TraceSession::new();
-        let rec = session.recorder(0);
-        let res = run_search_serial_traced(&ds.store, &params, &rec).unwrap();
-        let ctr = rec.counters();
-        let decisions = ctr.get(names::CTR_TUNE_DECISIONS).copied().unwrap_or(0.0);
-        let resplits = ctr.get(names::CTR_TUNE_RESPLITS).copied().unwrap_or(0.0);
-        assert!(decisions >= 1.0, "tuning loop never evaluated: {ctr:?}");
-        assert!(
-            resplits >= 1.0,
-            "no mid-run re-split on an align-misseeded fixture: {ctr:?}"
-        );
-        // And the tuned graph is still exactly the untuned graph.
-        let off = run_search_serial(&ds.store, &params.clone().with_tune(TunePolicy::Off)).unwrap();
-        assert_eq!(res.graph.to_tsv_lines(), off.graph.to_tsv_lines());
     }
 
     #[test]

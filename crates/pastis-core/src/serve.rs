@@ -52,7 +52,6 @@ use pastis_seqio::SeqStore;
 use pastis_sparse::{CsrMatrix, SpGemmPool};
 use pastis_trace::{names, span, Component, Recorder, SpanGuard, Track};
 
-use crate::autotune::{self, TunePolicy};
 use crate::filter::{candidate_passes, EdgeFilter};
 use crate::index::{store_digest, PersistedIndex};
 use crate::kmer::KmerMatrix;
@@ -140,24 +139,6 @@ impl AdmissionBatcher {
             let n = self.queue.len().min(self.full_batch());
             self.drain(n)
         })
-    }
-
-    /// The current batch-size cap.
-    pub fn max_batch(&self) -> usize {
-        self.cfg.max_batch
-    }
-
-    /// The configured lane count.
-    pub fn lanes(&self) -> usize {
-        self.cfg.lanes
-    }
-
-    /// Re-size the batch cap between batches (clamped to ≥ 1) — the
-    /// autotuner's serve-side knob. Batch boundaries never affect
-    /// results (see module docs), so this is always output-safe; queued
-    /// queries are unaffected until the next emission check.
-    pub fn set_max_batch(&mut self, max_batch: usize) {
-        self.cfg.max_batch = max_batch.max(1);
     }
 
     /// End-of-stream drain: emit the next batch regardless of deadlines;
@@ -569,16 +550,11 @@ pub fn serve_queries_traced(
         .resolve()
         .expect("validate() checked the SIMD policy");
     let lanes = simd_backend.lanes();
-    // Batch-size precedence: a hand-tuned `fixed:batch=` spec, then an
-    // explicit `--batch`, then the cost model's recommendation. All are
-    // output-safe — results never depend on batch boundaries.
-    let fixed_batch = match &params.tune {
-        TunePolicy::Fixed(spec) => spec.batch,
-        _ => None,
-    };
-    let max_batch = match (fixed_batch, cfg.max_batch) {
-        (Some(b), _) => b,
-        (None, b) if b > 0 => b,
+    // Batch-size precedence: an explicit `--batch`, then the cost model's
+    // recommendation. Both are output-safe — results never depend on batch
+    // boundaries.
+    let max_batch = match cfg.max_batch {
+        b if b > 0 => b,
         _ => crate::perfmodel::recommended_serve_batch(
             &MachineModel::commodity(),
             lanes,
@@ -590,17 +566,6 @@ pub fn serve_queries_traced(
         lanes,
         max_batch,
         max_wait_us: cfg.max_wait_us,
-    });
-    // `--tune auto`: adapt the admission batch between batches from each
-    // batch's observed wall time (see [`crate::autotune::adapt_serve_batch`]).
-    // The serve conformance tests prove output is identical for every
-    // batch size, so adaptation can never change an answer.
-    let serve_tune = params.tune.is_auto().then(|| {
-        recorder.add_counter(names::CTR_TUNE_SERVE_BATCH, max_batch as f64);
-        (
-            autotune::serve_batch_target_us(&MachineModel::commodity()),
-            4096usize,
-        )
     });
 
     // The same unified/per-engine worker-pool setup as the batch pipeline.
@@ -655,10 +620,7 @@ pub fn serve_queries_traced(
     let epoch = Instant::now();
 
     // Finish one emitted batch: compute, fill results (representatives and
-    // their coalesced followers), close request spans. Under `--tune auto`
-    // (`tune` is `Some((target_us, cap))`) the observed batch wall time
-    // steers the *next* batch's admission size.
-    #[allow(clippy::too_many_arguments)]
+    // their coalesced followers), close request spans.
     fn complete(
         engine: &mut BatchEngine<'_>,
         qids: &[u32],
@@ -667,31 +629,10 @@ pub fn serve_queries_traced(
         cache: &mut Option<ResultCache<Vec<ServeHit>>>,
         inflight: &mut HashMap<Vec<u8>, Vec<usize>>,
         stats: &mut ServeStats,
-        batcher: &mut AdmissionBatcher,
-        tune: Option<(u64, usize)>,
     ) -> Result<(), String> {
         stats.batches += 1;
         engine.recorder.add_counter(names::CTR_SERVE_BATCHES, 1.0);
-        let batch_start = Instant::now();
         let hits = engine.run_batch(qids, stats)?;
-        if let Some((target_us, cap)) = tune {
-            let wall_us = batch_start.elapsed().as_micros() as u64;
-            let cur = batcher.max_batch();
-            let next = autotune::adapt_serve_batch(
-                cur,
-                batcher.lanes(),
-                cap,
-                qids.len(),
-                wall_us,
-                target_us,
-            );
-            if next != cur {
-                batcher.set_max_batch(next);
-                engine
-                    .recorder
-                    .add_counter(names::CTR_TUNE_SERVE_BATCH, next as f64);
-            }
-        }
         for (&q, h) in qids.iter().zip(hits) {
             let h = Arc::new(h);
             let seq = engine.queries.seq(q as usize);
@@ -742,16 +683,16 @@ pub fn serve_queries_traced(
         open[q] = Some(g);
         if let Some(batch) = batcher.push(q as u32, epoch.elapsed().as_micros() as u64) {
             #[rustfmt::skip]
-            complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats, &mut batcher, serve_tune)?;
+            complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats)?;
         }
         while let Some(batch) = batcher.poll(epoch.elapsed().as_micros() as u64) {
             #[rustfmt::skip]
-            complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats, &mut batcher, serve_tune)?;
+            complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats)?;
         }
     }
     while let Some(batch) = batcher.flush() {
         #[rustfmt::skip]
-        complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats, &mut batcher, serve_tune)?;
+        complete(&mut engine, &batch, &mut results, &mut open, &mut cache, &mut inflight, &mut stats)?;
     }
     debug_assert!(inflight.is_empty(), "all coalesced requests drained");
     if let Some(c) = &cache {

@@ -6,10 +6,9 @@
 //! metrics condense to min/avg/max ([`pastis_comm::ImbalanceStats`]).
 
 use pastis_comm::{Communicator, ImbalanceStats, ReduceOp, TimeBreakdown};
-use serde::{Deserialize, Serialize};
 
 /// Counters of one search (per rank, or aggregated).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStats {
     /// Candidate pairs discovered by the SpGEMM (overlap nonzeros before
     /// any pruning — the paper's "discovered candidates").

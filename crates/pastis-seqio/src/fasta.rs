@@ -49,6 +49,9 @@ pub enum FastaError {
         /// The configured bound in bytes.
         limit: usize,
     },
+    /// The input holds more than 2³² sequences: ids travel the pipeline
+    /// as `u32`.
+    TooManySequences,
     /// Underlying I/O failure.
     Io(String),
 }
@@ -68,6 +71,12 @@ impl fmt::Display for FastaError {
             FastaError::RecordTooLarge { id, limit } => {
                 write!(f, "record '{id}' exceeds the {limit}-byte record bound")
             }
+            FastaError::TooManySequences => write!(
+                f,
+                "more than 2^32 sequences: the pipeline's pair tasks, similarity \
+                 edges, and load-balance parity all carry u32 ids — shard the input \
+                 across ranks instead of growing one store past 2^32 sequences"
+            ),
             FastaError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }
@@ -261,7 +270,8 @@ fn encode_residues(id: &str, seq: &str) -> Result<Vec<u8>, FastaError> {
 /// Sequence ids are dense `0..len()` and travel the rest of the pipeline
 /// as `u32` (block-local SUMMA coordinates, pair tasks, similarity edges,
 /// TSV dedup keys). [`SeqStore::push`] therefore refuses to grow a store
-/// past `u32::MAX + 1` sequences, which makes every downstream
+/// past `u32::MAX + 1` sequences (the FASTA constructors return
+/// [`FastaError::TooManySequences`] instead), which makes every downstream
 /// `as u32` narrowing of a store index provably lossless.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeqStore {
@@ -275,12 +285,8 @@ pub struct SeqStore {
 /// carries ~2³² heap vectors of bookkeeping, far past what a test can
 /// allocate, but every `push` routes through this seam unconditionally.
 #[inline]
-fn checked_seq_id(next: usize) -> u32 {
-    u32::try_from(next).expect(
-        "sequence id overflows u32: the pipeline's pair tasks, similarity \
-         edges, and load-balance parity all carry u32 ids — shard the input \
-         across ranks instead of growing one store past 2^32 sequences",
-    )
+fn checked_seq_id(next: usize) -> Result<u32, FastaError> {
+    u32::try_from(next).map_err(|_| FastaError::TooManySequences)
 }
 
 impl SeqStore {
@@ -293,6 +299,7 @@ impl SeqStore {
     pub fn from_records(records: &[FastaRecord]) -> Result<SeqStore, FastaError> {
         let mut store = SeqStore::new();
         for rec in records {
+            checked_seq_id(store.len())?;
             let codes = encode_residues(&rec.id, &rec.seq)?;
             store.push(rec.id.clone(), codes);
         }
@@ -307,6 +314,7 @@ impl SeqStore {
         let mut store = SeqStore::new();
         for rec in stream {
             let rec = rec?;
+            checked_seq_id(store.len())?;
             let codes = encode_residues(&rec.id, &rec.seq)?;
             store.push(rec.id, codes);
         }
@@ -320,7 +328,7 @@ impl SeqStore {
     /// Panics if the new sequence's id would not fit in `u32` — the id
     /// type the rest of the pipeline narrows to.
     pub fn push(&mut self, id: String, codes: Vec<u8>) -> u32 {
-        let seq_id = checked_seq_id(self.ids.len());
+        let seq_id = checked_seq_id(self.ids.len()).unwrap_or_else(|e| panic!("{e}"));
         self.ids.push(id);
         self.seqs.push(codes);
         seq_id
@@ -406,16 +414,17 @@ mod tests {
     #[test]
     fn seq_id_boundary_holds_at_the_u32_edge() {
         // Largest valid id: exactly u32::MAX (a store of 2^32 sequences).
-        assert_eq!(checked_seq_id(u32::MAX as usize), u32::MAX);
-        assert_eq!(checked_seq_id(0), 0);
+        assert_eq!(checked_seq_id(u32::MAX as usize), Ok(u32::MAX));
+        assert_eq!(checked_seq_id(0), Ok(0));
     }
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    #[should_panic(expected = "sequence id overflows u32")]
     fn seq_id_past_the_u32_edge_is_rejected() {
         // The 2^32-th id (index 2^32) is the first that cannot narrow.
-        let _ = checked_seq_id(u32::MAX as usize + 1);
+        let err = checked_seq_id(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err, FastaError::TooManySequences);
+        assert!(err.to_string().contains("2^32 sequences"), "{err}");
     }
 
     #[test]

@@ -70,9 +70,7 @@ pub use semiring::{AccSlot, BoolAndOr, MinPlus, PlusTimes, Semiring};
 pub use spgemm::{spgemm_dense_ref, spgemm_hash, spgemm_heap, SpGemmKind, SpGemmStats};
 pub use spmv::{spmv_dense, spmv_sparse};
 pub use spops::{spadd, spadd_into};
-pub use summa::{
-    summa, summa_with, summa_with_overlap, summa_with_overlap_hooked, BlockedSumma, StageMemHook,
-};
+pub use summa::{summa, BlockedSumma};
 pub use triples::{Index, Triple, Triples};
 
 /// Approximate in-memory footprint in bytes of a CSR matrix with `nnz`

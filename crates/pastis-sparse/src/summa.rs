@@ -35,12 +35,42 @@ use crate::spgemm::SpGemmStats;
 use crate::spops::spadd_into;
 use crate::triples::Triples;
 
-/// Distributed SpGEMM `C = A ⊗ B` via 2D Sparse SUMMA, with the default
-/// serial local kernel ([`SpGemmPool::serial`]). See [`summa_with`] to
-/// select the local kernel / worker count.
+/// The pair of broadcast-received stage inputs (A's block, B's block).
+type StagePair<S> = (
+    Arc<CsrMatrix<<S as Semiring>::A>>,
+    Arc<CsrMatrix<<S as Semiring>::B>>,
+);
+
+/// Distributed SpGEMM `C = A ⊗ B` via 2D Sparse SUMMA. Collective over
+/// `grid`; returns this rank's block of `C` wrapped as a distributed
+/// matrix, plus this rank's local work counters.
 ///
-/// Collective over `grid`; returns this rank's block of `C` wrapped as a
-/// distributed matrix, plus this rank's local work counters.
+/// Each stage's block multiplication runs through `pool` (kernel selection
+/// and intra-rank worker threads); the output is bit-identical for every
+/// pool configuration, since the kernels share one combine-order contract.
+/// The roots broadcast their resident blocks as [`Arc`] handles (no deep
+/// copy of the block on the root), and stage partials are folded with a
+/// move-based union merge ([`spadd_into`]), so accumulation is O(total
+/// nnz) rather than rebuilding and cloning the accumulated block every
+/// stage.
+///
+/// With `overlap` set, the broadcasts are **double-buffered**: while stage
+/// `k`'s local multiply runs on a scoped compute thread, the calling
+/// thread — the rank's single comm-issuing thread — posts stage `k+1`'s
+/// A/B broadcasts, prefetching the received [`Arc`] slots so the
+/// collectives come off the critical path. Every rank still issues exactly
+/// the same collective sequence in the same order (row broadcast of stage
+/// `k`, then column broadcast of stage `k`, for ascending `k` on one
+/// thread), so the broadcast *count and order* are identical with overlap
+/// on or off — only the wall-clock placement moves. Accumulation still
+/// folds stage partials in ascending stage order on the calling thread, so
+/// the result is bit-identical for any kernel, thread count, and overlap
+/// setting.
+///
+/// With telemetry attached to `pool`, each overlapped stage emits a
+/// `spgemm.stage` span (compute side) and a `summa.bcast.prefetch` span on
+/// [`Track::CommPath`] (comm side) whose intervals overlap — the proof the
+/// broadcast really ran concurrently with the multiply.
 ///
 /// # Panics
 ///
@@ -50,119 +80,8 @@ pub fn summa<S, C>(
     sr: &S,
     a: &DistSparseMatrix<S::A>,
     b: &DistSparseMatrix<S::B>,
-) -> (DistSparseMatrix<S::C>, SpGemmStats)
-where
-    S: Semiring + Sync,
-    S::A: DistElem,
-    S::B: DistElem,
-    S::C: DistElem,
-    C: Communicator,
-{
-    summa_with(grid, sr, a, b, &SpGemmPool::serial())
-}
-
-/// [`summa`] with an explicit local-kernel pool: each stage's block
-/// multiplication runs through `pool` (kernel selection + intra-rank
-/// worker threads). Output is bit-identical to [`summa`] for every pool
-/// configuration — the kernels share one combine-order contract.
-///
-/// Stage mechanics: the roots broadcast their resident blocks as [`Arc`]
-/// handles (no deep copy of the block on the root), and stage partials are
-/// folded with a move-based union merge ([`spadd_into`]) so accumulation
-/// is O(total nnz) rather than rebuilding + cloning the accumulated block
-/// every stage.
-pub fn summa_with<S, C>(
-    grid: &ProcessGrid<C>,
-    sr: &S,
-    a: &DistSparseMatrix<S::A>,
-    b: &DistSparseMatrix<S::B>,
-    pool: &SpGemmPool,
-) -> (DistSparseMatrix<S::C>, SpGemmStats)
-where
-    S: Semiring + Sync,
-    S::A: DistElem,
-    S::B: DistElem,
-    S::C: DistElem,
-    C: Communicator,
-{
-    summa_with_overlap(grid, sr, a, b, pool, false)
-}
-
-/// The pair of broadcast-received stage inputs (A's block, B's block).
-type StagePair<S> = (
-    Arc<CsrMatrix<<S as Semiring>::A>>,
-    Arc<CsrMatrix<<S as Semiring>::B>>,
-);
-
-/// Observer of the staged broadcast buffers' lifetimes, so a memory
-/// accountant (the pipeline's `--mem-budget` ledger) can charge the bytes
-/// a SUMMA stage holds resident between receiving its blocks and folding
-/// the stage partial.
-///
-/// Both callbacks fire on the rank's comm-issuing thread, in deterministic
-/// stage order; implementations must not block on the communicator (a
-/// collective inside the hook would deadlock the SPMD schedule). The hook
-/// observes and accounts — it never changes what SUMMA computes, so the
-/// output is bit-identical with or without one attached.
-pub trait StageMemHook: Send + Sync {
-    /// A stage's received broadcast buffers became resident (`bytes` =
-    /// payload bytes of the received A and B blocks).
-    fn on_stage_alloc(&self, bytes: u64);
-    /// The same stage's buffers were dropped after accumulation.
-    fn on_stage_free(&self, bytes: u64);
-}
-
-/// [`summa_with`] with optional **double-buffered broadcasts**: while
-/// stage `k`'s local multiply runs on a scoped compute thread, the calling
-/// thread — the rank's single comm-issuing thread — posts stage `k+1`'s
-/// A/B broadcasts, prefetching the received [`Arc`] slots so the
-/// collectives come off the critical path.
-///
-/// The SPMD contract is unchanged: every rank issues exactly the same
-/// collective sequence in the same order as the phased loop (row broadcast
-/// of stage `k`, then column broadcast of stage `k`, for ascending `k` on
-/// one thread), so the per-communicator broadcast *count and order* are
-/// identical with overlap on or off — only the wall-clock placement moves.
-/// Accumulation still folds stage partials in ascending stage order on the
-/// calling thread, so the result is bit-identical for any kernel, thread
-/// count, and overlap setting.
-///
-/// With telemetry attached to `pool`, each overlapped stage emits a
-/// `spgemm.stage` span (compute side) and a `summa.bcast.prefetch` span on
-/// [`Track::CommPath`] (comm side) whose intervals overlap — the proof the
-/// broadcast really ran concurrently with the multiply.
-pub fn summa_with_overlap<S, C>(
-    grid: &ProcessGrid<C>,
-    sr: &S,
-    a: &DistSparseMatrix<S::A>,
-    b: &DistSparseMatrix<S::B>,
     pool: &SpGemmPool,
     overlap: bool,
-) -> (DistSparseMatrix<S::C>, SpGemmStats)
-where
-    S: Semiring + Sync,
-    S::A: DistElem,
-    S::B: DistElem,
-    S::C: DistElem,
-    C: Communicator,
-{
-    summa_with_overlap_hooked(grid, sr, a, b, pool, overlap, None)
-}
-
-/// [`summa_with_overlap`] with an optional [`StageMemHook`] observing the
-/// staged broadcast buffers: `alloc` fires when a stage's received blocks
-/// become resident (including prefetched stages, which is exactly when the
-/// double buffer holds *two* stages' bytes at once), `free` when they are
-/// dropped after accumulation. Pass `None` for the unhooked behavior; the
-/// output is bit-identical either way.
-pub fn summa_with_overlap_hooked<S, C>(
-    grid: &ProcessGrid<C>,
-    sr: &S,
-    a: &DistSparseMatrix<S::A>,
-    b: &DistSparseMatrix<S::B>,
-    pool: &SpGemmPool,
-    overlap: bool,
-    hook: Option<&dyn StageMemHook>,
 ) -> (DistSparseMatrix<S::C>, SpGemmStats)
 where
     S: Semiring + Sync,
@@ -202,7 +121,7 @@ where
     // block along grid columns (root: grid row k). The roots send their
     // resident blocks as Arc handles — a pointer clone, not a deep copy;
     // receivers only read the block.
-    let issue = |k: usize| -> (StagePair<S>, u64) {
+    let issue = |k: usize| -> StagePair<S> {
         let (a_send, a_bytes) = if my_col == k {
             (a.local_arc(), a.local().payload_bytes())
         } else {
@@ -216,14 +135,7 @@ where
             (Arc::new(CsrMatrix::empty(inner.part_len(k), c_cols)), 0)
         };
         let b_recv = grid.col_comm().broadcast(k, b_send, b_bytes);
-        // Charge the *received* blocks: what this rank actually holds
-        // resident for the stage (roots included — their local block is the
-        // received block).
-        let stage_bytes = (a_recv.payload_bytes() + b_recv.payload_bytes()) as u64;
-        if let Some(h) = hook {
-            h.on_stage_alloc(stage_bytes);
-        }
-        ((a_recv, b_recv), stage_bytes)
+        (a_recv, b_recv)
     };
 
     let recorder = pool.recorder();
@@ -231,9 +143,9 @@ where
     // computed. `None` whenever the broadcasts still have to run on the
     // critical path (always, with overlap off — that branch is exactly the
     // phased loop).
-    let mut staged: Option<(StagePair<S>, u64)> = None;
+    let mut staged: Option<StagePair<S>> = None;
     for k in 0..q {
-        let ((a_recv, b_recv), stage_bytes) = staged.take().unwrap_or_else(|| issue(k));
+        let (a_recv, b_recv) = staged.take().unwrap_or_else(|| issue(k));
         let (partial, pstats) = if overlap && k + 1 < q {
             // Open the compute span on this thread *before* spawning, so
             // its start provably precedes the prefetch span's start — the
@@ -265,9 +177,6 @@ where
             pool.multiply(sr, &a_recv, &b_recv)
         };
         stats.merge(pstats);
-        if let Some(h) = hook {
-            h.on_stage_free(stage_bytes);
-        }
         // Stage partials arrive in ascending inner-index order, so this
         // accumulation preserves the serial combine order; the move-based
         // merge never clones the accumulated values.
@@ -447,53 +356,16 @@ impl<A: DistElem, B: DistElem> BlockedSumma<A, B> {
     }
 
     /// Compute output block `C(r, c) = A(r,·) ⊗ B(·,c)` with one full
-    /// SUMMA (collective). The result is a `stripe_r × stripe_c` matrix
-    /// distributed over the grid; its global position is given by
-    /// [`BlockedSumma::row_range`] / [`BlockedSumma::col_range`].
+    /// SUMMA (collective; see [`summa`] for `pool` and `overlap`). The
+    /// result is a `stripe_r × stripe_c` matrix distributed over the grid;
+    /// its global position is given by [`BlockedSumma::row_range`] /
+    /// [`BlockedSumma::col_range`].
     pub fn multiply_block<S, C>(
         &self,
         grid: &ProcessGrid<C>,
         sr: &S,
         r: usize,
         c: usize,
-    ) -> (DistSparseMatrix<S::C>, SpGemmStats)
-    where
-        S: Semiring<A = A, B = B> + Sync,
-        S::C: DistElem,
-        C: Communicator,
-    {
-        self.multiply_block_with(grid, sr, r, c, &SpGemmPool::serial())
-    }
-
-    /// [`BlockedSumma::multiply_block`] with an explicit local-kernel pool;
-    /// see [`summa_with`].
-    pub fn multiply_block_with<S, C>(
-        &self,
-        grid: &ProcessGrid<C>,
-        sr: &S,
-        r: usize,
-        c: usize,
-        pool: &SpGemmPool,
-    ) -> (DistSparseMatrix<S::C>, SpGemmStats)
-    where
-        S: Semiring<A = A, B = B> + Sync,
-        S::C: DistElem,
-        C: Communicator,
-    {
-        assert!(r < self.br() && c < self.bc(), "block index out of range");
-        summa_with(grid, sr, &self.a_stripes[r], &self.b_stripes[c], pool)
-    }
-
-    /// [`BlockedSumma::multiply_block_with`] with the double-buffered
-    /// broadcast path of [`summa_with_overlap`]: with `overlap` set, stage
-    /// `k+1`'s broadcasts are posted while stage `k`'s local multiply runs
-    /// on a scoped compute thread. Bit-identical to the phased path.
-    pub fn multiply_block_overlapped<S, C>(
-        &self,
-        grid: &ProcessGrid<C>,
-        sr: &S,
-        r: usize,
-        c: usize,
         pool: &SpGemmPool,
         overlap: bool,
     ) -> (DistSparseMatrix<S::C>, SpGemmStats)
@@ -503,44 +375,13 @@ impl<A: DistElem, B: DistElem> BlockedSumma<A, B> {
         C: Communicator,
     {
         assert!(r < self.br() && c < self.bc(), "block index out of range");
-        summa_with_overlap(
+        summa(
             grid,
             sr,
             &self.a_stripes[r],
             &self.b_stripes[c],
             pool,
             overlap,
-        )
-    }
-
-    /// [`BlockedSumma::multiply_block_overlapped`] with an optional
-    /// [`StageMemHook`] charging the staged broadcast buffers to a memory
-    /// accountant; see [`summa_with_overlap_hooked`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn multiply_block_hooked<S, C>(
-        &self,
-        grid: &ProcessGrid<C>,
-        sr: &S,
-        r: usize,
-        c: usize,
-        pool: &SpGemmPool,
-        overlap: bool,
-        hook: Option<&dyn StageMemHook>,
-    ) -> (DistSparseMatrix<S::C>, SpGemmStats)
-    where
-        S: Semiring<A = A, B = B> + Sync,
-        S::C: DistElem,
-        C: Communicator,
-    {
-        assert!(r < self.br() && c < self.bc(), "block index out of range");
-        summa_with_overlap_hooked(
-            grid,
-            sr,
-            &self.a_stripes[r],
-            &self.b_stripes[c],
-            pool,
-            overlap,
-            hook,
         )
     }
 }
@@ -584,7 +425,14 @@ mod tests {
         let grid = ProcessGrid::square(SelfComm::new());
         let da = DistSparseMatrix::from_global_triples(&grid, 10, 8, a, |_, _| {});
         let db = DistSparseMatrix::from_global_triples(&grid, 8, 12, b, |_, _| {});
-        let (c, stats) = summa(&grid, &PlusTimes::new(), &da, &db);
+        let (c, stats) = summa(
+            &grid,
+            &PlusTimes::new(),
+            &da,
+            &db,
+            &SpGemmPool::serial(),
+            false,
+        );
         assert_eq!(c.gather_global(&grid).to_sorted_tuples(), want);
         assert_eq!(stats.merged_nnz as usize, c.nnz_local());
     }
@@ -607,7 +455,14 @@ mod tests {
             };
             let da = DistSparseMatrix::from_global_triples(&grid, n, m, ta, |_, _| {});
             let db = DistSparseMatrix::from_global_triples(&grid, m, l, tb, |_, _| {});
-            let (cm, _) = summa(&grid, &PlusTimes::new(), &da, &db);
+            let (cm, _) = summa(
+                &grid,
+                &PlusTimes::new(),
+                &da,
+                &db,
+                &SpGemmPool::serial(),
+                false,
+            );
             cm.gather_global(&grid).to_sorted_tuples()
         });
         for got in out {
@@ -642,7 +497,14 @@ mod tests {
             };
             let da = DistSparseMatrix::from_global_triples(&grid, n, 7, ta, |_, _| {});
             let dat = da.transpose(&grid);
-            let (cm, _) = summa(&grid, &PlusTimes::new(), &da, &dat);
+            let (cm, _) = summa(
+                &grid,
+                &PlusTimes::new(),
+                &da,
+                &dat,
+                &SpGemmPool::serial(),
+                false,
+            );
             cm.gather_global(&grid).to_sorted_tuples()
         });
         for got in out {
@@ -698,7 +560,7 @@ mod tests {
                 };
                 let da = DistSparseMatrix::from_global_triples(&grid, 6, 6, a, |_, _| {});
                 let db = DistSparseMatrix::from_global_triples(&grid, 6, 6, b, |_, _| {});
-                let (cm, _) = summa(&grid, &Trace, &da, &db);
+                let (cm, _) = summa(&grid, &Trace, &da, &db, &SpGemmPool::serial(), false);
                 cm.gather_global(&grid).to_sorted_tuples()
             });
             for got in out {
@@ -730,7 +592,14 @@ mod tests {
                     let mut got: Vec<(Index, Index, f64)> = Vec::new();
                     for r in 0..bs.br() {
                         for cc in 0..bs.bc() {
-                            let (cb, _) = bs.multiply_block(&grid, &PlusTimes::new(), r, cc);
+                            let (cb, _) = bs.multiply_block(
+                                &grid,
+                                &PlusTimes::new(),
+                                r,
+                                cc,
+                                &SpGemmPool::serial(),
+                                false,
+                            );
                             let (ro, _) = bs.row_range(r);
                             let (co, _) = bs.col_range(cc);
                             for (i, j, v) in cb.gather_global(&grid).to_sorted_tuples() {
@@ -759,14 +628,22 @@ mod tests {
         let full = {
             let da = DistSparseMatrix::from_global_triples(&grid, n, 16, a.clone(), |_, _| {});
             let dat = da.transpose(&grid);
-            let (c, _) = summa(&grid, &PlusTimes::new(), &da, &dat);
+            let (c, _) = summa(
+                &grid,
+                &PlusTimes::new(),
+                &da,
+                &dat,
+                &SpGemmPool::serial(),
+                false,
+            );
             c.nnz_local()
         };
         let bs = BlockedSumma::from_triples(&grid, a, at, 4, 4, |_, _| {}, |_, _| {});
         let mut peak = 0usize;
         for r in 0..4 {
             for c in 0..4 {
-                let (cb, _) = bs.multiply_block(&grid, &PlusTimes::new(), r, c);
+                let (cb, _) =
+                    bs.multiply_block(&grid, &PlusTimes::new(), r, c, &SpGemmPool::serial(), false);
                 peak = peak.max(cb.nnz_local());
             }
         }
@@ -780,7 +657,7 @@ mod tests {
         let a = random_triples(8, 8, 10, 1);
         let b = random_triples(8, 8, 10, 2);
         let bs = BlockedSumma::from_triples(&grid, a, b, 2, 2, |_, _| {}, |_, _| {});
-        let _ = bs.multiply_block(&grid, &PlusTimes::new(), 2, 0);
+        let _ = bs.multiply_block(&grid, &PlusTimes::new(), 2, 0, &SpGemmPool::serial(), false);
     }
 
     #[test]
@@ -794,7 +671,14 @@ mod tests {
                 DistSparseMatrix::from_global_triples(&grid, 4, 4, Triples::new(4, 4), |_, _| {});
             let db = da.clone();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                summa(&grid, &PlusTimes::new(), &da, &db)
+                summa(
+                    &grid,
+                    &PlusTimes::new(),
+                    &da,
+                    &db,
+                    &SpGemmPool::serial(),
+                    false,
+                )
             }))
             .err()
             .and_then(|p| p.downcast_ref::<String>().cloned())
@@ -864,7 +748,7 @@ mod tests {
                 TICK_CLONES.store(0, std::sync::atomic::Ordering::SeqCst);
             }
             grid.world().barrier();
-            let (cm, _) = summa(&grid, &TickRing, &da, &db);
+            let (cm, _) = summa(&grid, &TickRing, &da, &db, &SpGemmPool::serial(), false);
             grid.world().barrier();
             let clones = TICK_CLONES.load(std::sync::atomic::Ordering::SeqCst);
             (cm.nnz_local(), clones)
@@ -914,9 +798,9 @@ mod tests {
                     let bcasts =
                         || grid.row_comm().stats().broadcasts + grid.col_comm().stats().broadcasts;
                     let n0 = bcasts();
-                    let (c_off, _) = summa_with_overlap(&grid, &Trace, &da, &db, &pool, false);
+                    let (c_off, _) = summa(&grid, &Trace, &da, &db, &pool, false);
                     let n1 = bcasts();
-                    let (c_on, _) = summa_with_overlap(&grid, &Trace, &da, &db, &pool, true);
+                    let (c_on, _) = summa(&grid, &Trace, &da, &db, &pool, true);
                     let n2 = bcasts();
                     assert_eq!(n1 - n0, n2 - n1, "overlap changed the collective count");
                     (
@@ -967,7 +851,7 @@ mod tests {
             let pool = SpGemmPool::new(1)
                 .with_kind(SpGemmKind::Parallel)
                 .with_workers(workers.clone());
-            let (cm, _) = summa_with_overlap(&grid, &Trace, &da, &db, &pool, true);
+            let (cm, _) = summa(&grid, &Trace, &da, &db, &pool, true);
             cm.gather_global(&grid).to_sorted_tuples()
         });
         for got in out {
@@ -1003,8 +887,7 @@ mod tests {
                 TICK_CLONES.store(0, std::sync::atomic::Ordering::SeqCst);
             }
             grid.world().barrier();
-            let (cm, _) =
-                summa_with_overlap(&grid, &TickRing, &da, &db, &SpGemmPool::serial(), true);
+            let (cm, _) = summa(&grid, &TickRing, &da, &db, &SpGemmPool::serial(), true);
             grid.world().barrier();
             let clones = TICK_CLONES.load(std::sync::atomic::Ordering::SeqCst);
             (cm.nnz_local(), clones)
@@ -1058,7 +941,7 @@ mod tests {
             let da = DistSparseMatrix::from_global_triples(&grid, 6, 6, a, |_, _| {});
             let db = DistSparseMatrix::from_global_triples(&grid, 6, 6, b, |_, _| {});
             let pool = SpGemmPool::serial().with_recorder(rec);
-            let (cm, _) = summa_with_overlap(&grid, &SlowTrace, &da, &db, &pool, true);
+            let (cm, _) = summa(&grid, &SlowTrace, &da, &db, &pool, true);
             cm.nnz_local()
         });
         assert!(out.iter().all(|&n| n > 0));
@@ -1093,77 +976,6 @@ mod tests {
         }
     }
 
-    /// A ledger hook recording alloc/free balance and the peak.
-    #[derive(Default)]
-    struct LedgerHook {
-        live: std::sync::atomic::AtomicU64,
-        peak: std::sync::atomic::AtomicU64,
-        allocs: std::sync::atomic::AtomicU64,
-        frees: std::sync::atomic::AtomicU64,
-    }
-    impl StageMemHook for LedgerHook {
-        fn on_stage_alloc(&self, bytes: u64) {
-            use std::sync::atomic::Ordering::Relaxed;
-            let now = self.live.fetch_add(bytes, Relaxed) + bytes;
-            self.peak.fetch_max(now, Relaxed);
-            self.allocs.fetch_add(1, Relaxed);
-        }
-        fn on_stage_free(&self, bytes: u64) {
-            use std::sync::atomic::Ordering::Relaxed;
-            self.live.fetch_sub(bytes, Relaxed);
-            self.frees.fetch_add(1, Relaxed);
-        }
-    }
-
-    #[test]
-    fn stage_hook_balances_and_leaves_output_bit_identical() {
-        let (n, m, l) = (12usize, 10usize, 11usize);
-        let a = random_triples(n, m, 40, 51);
-        let b = random_triples(m, l, 35, 52);
-        let want = serial_product(&a, &b);
-        for overlap in [false, true] {
-            let a = a.clone();
-            let b = b.clone();
-            let out = run_threaded(4, move |c| {
-                let world = c.split(0, c.rank());
-                let grid = ProcessGrid::square(world);
-                let (ta, tb) = if c.rank() == 0 {
-                    (a.clone(), b.clone())
-                } else {
-                    (Triples::new(n, m), Triples::new(m, l))
-                };
-                let da = DistSparseMatrix::from_global_triples(&grid, n, m, ta, |_, _| {});
-                let db = DistSparseMatrix::from_global_triples(&grid, m, l, tb, |_, _| {});
-                let hook = LedgerHook::default();
-                let (cm, _) = summa_with_overlap_hooked(
-                    &grid,
-                    &PlusTimes::new(),
-                    &da,
-                    &db,
-                    &SpGemmPool::serial(),
-                    overlap,
-                    Some(&hook),
-                );
-                use std::sync::atomic::Ordering::Relaxed;
-                (
-                    cm.gather_global(&grid).to_sorted_tuples(),
-                    hook.live.load(Relaxed),
-                    hook.peak.load(Relaxed),
-                    hook.allocs.load(Relaxed),
-                    hook.frees.load(Relaxed),
-                )
-            });
-            for (got, live, peak, allocs, frees) in out {
-                assert_eq!(got, want, "overlap={overlap}");
-                assert_eq!(live, 0, "every stage alloc must be freed");
-                assert!(peak > 0, "stages with nonzero payload were charged");
-                // 2x2 grid → 2 stages.
-                assert_eq!(allocs, 2);
-                assert_eq!(frees, 2);
-            }
-        }
-    }
-
     #[test]
     fn stripe_evict_restore_round_trips_bit_exactly() {
         let (n, m) = (14usize, 9usize);
@@ -1190,8 +1002,16 @@ mod tests {
         }
         for r in 0..3 {
             for c in 0..2 {
-                let (got, _) = bs.multiply_block(&grid, &PlusTimes::new(), r, c);
-                let (want, _) = reference.multiply_block(&grid, &PlusTimes::new(), r, c);
+                let (got, _) =
+                    bs.multiply_block(&grid, &PlusTimes::new(), r, c, &SpGemmPool::serial(), false);
+                let (want, _) = reference.multiply_block(
+                    &grid,
+                    &PlusTimes::new(),
+                    r,
+                    c,
+                    &SpGemmPool::serial(),
+                    false,
+                );
                 assert_eq!(
                     got.gather_global(&grid).to_sorted_tuples(),
                     want.gather_global(&grid).to_sorted_tuples(),
@@ -1202,7 +1022,7 @@ mod tests {
     }
 
     #[test]
-    fn summa_with_is_kernel_and_thread_invariant() {
+    fn summa_is_kernel_and_thread_invariant() {
         // The Trace semiring exposes combine order; every pool
         // configuration must reproduce the serial result bit-for-bit.
         let mut ta = Triples::new(9, 9);
@@ -1241,7 +1061,7 @@ mod tests {
                     let da = DistSparseMatrix::from_global_triples(&grid, 9, 9, a, |_, _| {});
                     let db = DistSparseMatrix::from_global_triples(&grid, 9, 9, b, |_, _| {});
                     let pool = SpGemmPool::new(threads).with_kind(kind);
-                    let (cm, _) = summa_with(&grid, &Trace, &da, &db, &pool);
+                    let (cm, _) = summa(&grid, &Trace, &da, &db, &pool, false);
                     cm.gather_global(&grid).to_sorted_tuples()
                 });
                 for got in out {

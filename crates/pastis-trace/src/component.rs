@@ -9,11 +9,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Pipeline components timed separately, following the paper's breakdown
 /// (Table IV: Align / SpGEMM / Sparse (all) / IO / Communication wait).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// Batch pairwise alignment (GPU in the paper).
     Align,
@@ -69,7 +67,7 @@ impl Component {
 
 /// Minimum / average / maximum (and dispersion) of a per-rank metric — the
 /// vertical bars of Figure 7 and the "Imbalance (%)" rows of Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImbalanceStats {
     /// Minimum across ranks.
     pub min: f64,

@@ -66,12 +66,6 @@ pub const SPAN_SERVE_BATCH: &str = "serve.batch";
 /// Loading (and CRC-verifying) one persisted index stripe from disk.
 pub const SPAN_INDEX_LOAD: &str = "index.load";
 
-// --- Autotuner spans (`--tune auto`). ---
-
-/// One collective tuning decision: window telemetry reduction plus the
-/// pure knob computation, at the top of a block-loop iteration.
-pub const SPAN_TUNE_DECIDE: &str = "tune.decide";
-
 // --- Baseline pipeline spans. ---
 
 /// MMseqs2-like baseline: k-mer index build.
@@ -102,7 +96,6 @@ pub const KNOWN_SPANS: &[&str] = &[
     SPAN_SERVE_REQUEST,
     SPAN_SERVE_BATCH,
     SPAN_INDEX_LOAD,
-    SPAN_TUNE_DECIDE,
     SPAN_INDEX_BUILD,
     SPAN_PREFILTER,
     SPAN_PACKAGE_SEED_JOIN,
@@ -244,21 +237,6 @@ pub const CTR_MEM_BACKPRESSURE_PREFETCH_PAUSED: &str = "mem.backpressure.prefetc
 /// Align batches split into smaller sequential slices under pressure.
 pub const CTR_MEM_BACKPRESSURE_BATCH_SHRUNK: &str = "mem.backpressure.batch_shrunk";
 
-// --- Autotuner counters (`--tune`). ---
-
-/// Collective tuning decisions evaluated (one per block-loop window).
-pub const CTR_TUNE_DECISIONS: &str = "tune.decisions";
-/// Decisions that actually re-split the engine caps mid-run.
-pub const CTR_TUNE_RESPLITS: &str = "tune.resplits";
-/// Current SpGEMM-engine worker cap after a seed or re-split.
-pub const CTR_TUNE_SPGEMM_CAP: &str = "tune.spgemm_cap";
-/// Current align-engine worker cap after a seed or re-split.
-pub const CTR_TUNE_ALIGN_CAP: &str = "tune.align_cap";
-/// Current pre-blocking lookahead depth after a tuning decision.
-pub const CTR_TUNE_LOOKAHEAD: &str = "tune.lookahead";
-/// Current serve admission-batch size after a seed or adaptation.
-pub const CTR_TUNE_SERVE_BATCH: &str = "tune.serve_batch";
-
 // --- Spill fault-injection counters (`FaultyStore`). ---
 
 /// Injected spill-write corruptions.
@@ -322,12 +300,6 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     CTR_MEM_HIGH_WATER,
     CTR_MEM_BACKPRESSURE_PREFETCH_PAUSED,
     CTR_MEM_BACKPRESSURE_BATCH_SHRUNK,
-    CTR_TUNE_DECISIONS,
-    CTR_TUNE_RESPLITS,
-    CTR_TUNE_SPGEMM_CAP,
-    CTR_TUNE_ALIGN_CAP,
-    CTR_TUNE_LOOKAHEAD,
-    CTR_TUNE_SERVE_BATCH,
     CTR_FAULT_SPILL_CORRUPTS,
     CTR_FAULT_SPILL_DISK_FULL,
     CTR_FAULT_SPILL_SHORT_WRITES,

@@ -29,7 +29,6 @@ use pastis::core::params::AlignKind;
 use pastis::core::pipeline::{run_search_traced, SearchResult};
 use pastis::core::{
     build_index, IndexBuildConfig, LoadBalance, PersistedIndex, SearchParams, ServeConfig,
-    TunePolicy,
 };
 use pastis::seqio::fasta::{write_fasta, FastaStream, SeqStore};
 use pastis::seqio::{QueryBatchReader, ReducedAlphabet, SyntheticConfig, SyntheticDataset};
@@ -96,14 +95,6 @@ SEARCH/CLUSTER OPTIONS:
                               k+1's row/column broadcasts while stage k's
                               local SpGEMM runs; output is bit-identical
                               with the flag on or off
-    --tune <POLICY>           auto | off | fixed:<k=v,..> — self-tuning of
-                              schedule-invariant knobs. 'auto' seeds the
-                              --threads engine split and serve batch size
-                              from the cost model, then adapts them from
-                              live telemetry between SUMMA stages / serve
-                              batches; 'fixed:' pins spgemm=N,align=N,
-                              batch=N,lookahead=N by hand. Output is
-                              bit-identical for any policy  [default: off]
     --mcl                     cluster with Markov clustering instead of
                               connected components (cluster command only)
     --inflation <FLOAT>       MCL inflation exponent            [default: 2.0]
@@ -343,7 +334,6 @@ const SEARCH_FLAGS: Flags = Flags {
         "spgemm",
         "spgemm-threads",
         "threads",
-        "tune",
         "ranks",
         "trace-out",
         "metrics-json",
@@ -456,9 +446,6 @@ fn parse_search_params(opts: &Opts) -> Result<SearchParams, String> {
         if opts.get("spgemm-threads").is_some() {
             p.spgemm_cap = Some(p.spgemm_threads);
         }
-    }
-    if let Some(t) = opts.get("tune") {
-        p.tune = TunePolicy::parse(t)?;
     }
     p.overlap = opts.has("overlap");
     if let Some(ms) = opts.get("op-timeout-ms") {
@@ -1347,6 +1334,10 @@ mod tests {
         rejects(&["search", "in.fa", "out.tsv", "extra"], &["'extra'"]);
         // Clustering flags are the cluster command's.
         rejects(&["search", "in.fa", "out.tsv", "--mcl"], &["--mcl"]);
+        rejects(
+            &["search", "in.fa", "out.tsv", "--tune", "auto"],
+            &["--tune"],
+        );
     }
 
     #[test]
@@ -1414,7 +1405,21 @@ mod tests {
         // table: a flag CI passes is a flag the table has.
         let ci = include_str!("../../.github/workflows/ci.yml").replace("\\\n", " ");
         let mut seen = 0;
+        let mut variants = 0;
         for line in ci.lines() {
+            // A `for variant in "…" "…"; do` list: each quoted entry is
+            // spliced into a search command line as `$variant`.
+            if let Some(list) = line.trim_start().strip_prefix("for variant in ") {
+                let list = list.split_once("; do").map_or(list, |(l, _)| l);
+                for entry in list.split('"').skip(1).step_by(2) {
+                    let args: Vec<String> = entry.split_whitespace().map(str::to_owned).collect();
+                    if let Err(e) = Opts::parse(&args, &SEARCH_FLAGS) {
+                        panic!("CI loop entry \"{entry}\": {e}");
+                    }
+                    variants += 1;
+                }
+                continue;
+            }
             let Some((_, cmd)) = line.split_once("--bin pastis -- ") else {
                 continue;
             };
@@ -1442,6 +1447,10 @@ mod tests {
         assert!(
             seen > 30,
             "only {seen} pastis invocations found in the CI workflow"
+        );
+        assert!(
+            variants >= 7,
+            "only {variants} loop entries found in the CI workflow"
         );
     }
 
@@ -1713,47 +1722,6 @@ mod tests {
         // Bad values are rejected.
         let bad = Opts::parse(&s(&["--threads", "many"]), &SEARCH_FLAGS).unwrap();
         assert!(parse_search_params(&bad).is_err());
-    }
-
-    #[test]
-    fn tune_flag_parses_policies() {
-        let none = Opts::parse(&[], &SEARCH_FLAGS).unwrap();
-        assert_eq!(parse_search_params(&none).unwrap().tune, TunePolicy::Off);
-
-        let auto = Opts::parse(&s(&["--tune", "auto"]), &SEARCH_FLAGS).unwrap();
-        assert!(parse_search_params(&auto).unwrap().tune.is_auto());
-
-        let fixed = Opts::parse(
-            &s(&[
-                "--threads",
-                "4",
-                "--tune",
-                "fixed:spgemm=1,align=3,batch=64",
-            ]),
-            &SEARCH_FLAGS,
-        )
-        .unwrap();
-        match parse_search_params(&fixed).unwrap().tune {
-            TunePolicy::Fixed(spec) => {
-                assert_eq!(spec.spgemm_cap, Some(1));
-                assert_eq!(spec.align_cap, Some(3));
-                assert_eq!(spec.batch, Some(64));
-                assert_eq!(spec.lookahead, None);
-            }
-            other => panic!("expected fixed policy, got {other}"),
-        }
-
-        // Fixed engine caps without a unified pool are refused (validate()).
-        let no_pool =
-            Opts::parse(&s(&["--tune", "fixed:spgemm=1,align=3"]), &SEARCH_FLAGS).unwrap();
-        let err = parse_search_params(&no_pool).unwrap_err();
-        assert!(err.contains("--threads"), "unhelpful error: {err}");
-
-        // Unknown policies and malformed specs are rejected at parse time.
-        for bad in ["sometimes", "fixed:", "fixed:warp=9", "fixed:spgemm=0"] {
-            let o = Opts::parse(&s(&["--tune", bad]), &SEARCH_FLAGS).unwrap();
-            assert!(parse_search_params(&o).is_err(), "accepted --tune {bad}");
-        }
     }
 
     #[test]
