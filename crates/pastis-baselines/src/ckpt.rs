@@ -190,7 +190,7 @@ pub fn baseline_ckpt_path(dir: &Path, units_done: usize) -> PathBuf {
 /// I/O failures, with the path in the message.
 pub fn save(dir: &Path, ck: &BaselineCheckpoint) -> Result<PathBuf, String> {
     let path = baseline_ckpt_path(dir, ck.units_done);
-    write_atomic(&path, &ck.to_text())?;
+    write_atomic(&path, ck.to_text())?;
     Ok(path)
 }
 

@@ -380,7 +380,7 @@ fn run_inner(
             }
             let idx = KmerIndex::build(store, ids, cfg);
             let _ = std::fs::create_dir_all(dir);
-            if let Err(e) = write_atomic(&path, &idx.to_text(fp, rank)) {
+            if let Err(e) = write_atomic(&path, idx.to_text(fp, rank)) {
                 // Best-effort, like checkpoints: a full disk degrades to
                 // "rebuild next run", never to a failed search.
                 eprintln!("warning: prefilter index save failed (unit {rank}): {e}");

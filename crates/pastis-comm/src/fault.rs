@@ -86,12 +86,12 @@ const SALT_SPILL_STALL_FRAC: u64 = 11;
 /// The reflected IEEE CRC-32 polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Slice-by-8 tables: `CRC32_TABLES[0]` is the classic byte table, and
+/// Slice-by-16 tables: `CRC32_TABLES[0]` is the classic byte table, and
 /// `CRC32_TABLES[k][b]` advances the CRC of byte `b` over `k` further zero
-/// bytes, so eight input bytes fold into the register with eight
+/// bytes, so sixteen input bytes fold into the register with sixteen
 /// independent lookups.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+static CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
@@ -104,7 +104,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
         b += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut b = 0;
         while b < 256 {
             let prev = tables[k - 1][b];
@@ -116,23 +116,22 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (reflected, polynomial 0xEDB88320), the classic IEEE CRC, eight
-/// bytes per step. Frames every on-disk document and p2p frame, so its
-/// values are part of those formats.
+/// CRC-32 (reflected, polynomial 0xEDB88320), the classic IEEE CRC,
+/// sixteen bytes per step. Frames every on-disk document and p2p frame, so
+/// its values are part of those formats.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(16);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize];
+        for (k, &b) in c[4..].iter().enumerate() {
+            crc ^= t[11 - k][b as usize];
+        }
     }
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
@@ -911,12 +910,12 @@ impl FaultyStore {
     /// the message. An `Err` means nothing replaced `path`; the caller
     /// keeps its in-memory copy. Injected corruption and short writes
     /// *succeed* — the damage is caught by the caller's CRC on readback.
-    pub fn write_atomic(&self, path: &Path, content: &str) -> Result<(), String> {
+    pub fn write_atomic(&self, path: &Path, content: &[u8]) -> Result<(), String> {
         let op = self.writes.fetch_add(1, Ordering::Relaxed);
         if !self.plan.has_spill_faults() {
-            return write_file_atomic(path, content.as_bytes());
+            return write_file_atomic(path, content);
         }
-        let mut bytes = content.as_bytes().to_vec();
+        let mut bytes = content.to_vec();
         if self.plan.spill_stall_p > 0.0
             && self.plan.spill_stall_us > 0
             && self.draw(op, SALT_SPILL_STALL) < self.plan.spill_stall_p
@@ -969,16 +968,26 @@ impl FaultyStore {
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
     }
 
+    /// Read a binary shard back; never fault-injected, like
+    /// [`FaultyStore::read_to_string`].
+    ///
+    /// # Errors
+    ///
+    /// Real I/O failures, with the path in the message.
+    pub fn read(&self, path: &Path) -> Result<Vec<u8>, String> {
+        std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))
+    }
+
     /// Whether the file at `path` holds exactly `content`: the read-back
     /// check of a write that must not be lost. Compared a block at a time,
     /// so verifying a shard costs no allocation of its size. Never
     /// fault-injected, like [`FaultyStore::read_to_string`]; an I/O error
     /// is a `false`.
-    pub fn holds(&self, path: &Path, content: &str) -> bool {
+    pub fn holds(&self, path: &Path, content: &[u8]) -> bool {
         let Ok(mut file) = std::fs::File::open(path) else {
             return false;
         };
-        let mut want = content.as_bytes();
+        let mut want = content;
         let mut block = [0u8; 1 << 16];
         loop {
             match file.read(&mut block) {
@@ -1037,7 +1046,7 @@ mod tests {
 
     #[test]
     fn crc32_tables_equal_the_bitwise_definition() {
-        // Every length around the eight-byte step, at every alignment of
+        // Every length around the sixteen-byte step, at every alignment of
         // the tail, plus long random buffers.
         let mut state = 0x5C22u64;
         let mut next = || {
@@ -1307,8 +1316,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = FaultyStore::new(FaultPlan::none(), 0);
         let path = dir.join("nested/shard.spill");
-        store.write_atomic(&path, "payload\n").unwrap();
+        store.write_atomic(&path, b"payload\n").unwrap();
         assert_eq!(store.read_to_string(&path).unwrap(), "payload\n");
+        assert_eq!(store.read(&path).unwrap(), b"payload\n");
+        assert!(store.holds(&path, b"payload\n"));
+        assert!(!store.holds(&path, b"payload"));
+        assert!(!store.holds(&path, b"payload\n\n"));
         assert!(store.fault_stats().is_clean());
         // No stray tmp left behind.
         assert!(!dir.join("nested/shard.spill.tmp").exists());
@@ -1331,11 +1344,11 @@ mod tests {
             let mut outcomes = Vec::new();
             for i in 0..64 {
                 let path = dir.join(format!("{tag}/shard{i}.spill"));
-                let content = format!("shard {i} body body body\n");
+                let content = format!("shard {i} body body body\n").into_bytes();
                 match store.write_atomic(&path, &content) {
                     Err(_) => outcomes.push("disk_full".to_string()),
                     Ok(()) => {
-                        let back = store.read_to_string(&path).unwrap();
+                        let back = store.read(&path).unwrap();
                         outcomes.push(if back == content {
                             "intact".into()
                         } else {
@@ -1380,7 +1393,7 @@ mod tests {
             (0..32)
                 .map(|i| {
                     store
-                        .write_atomic(&dir.join(format!("s{i}.spill")), "x\n")
+                        .write_atomic(&dir.join(format!("s{i}.spill")), b"x\n")
                         .is_ok()
                 })
                 .collect::<Vec<bool>>()

@@ -43,6 +43,7 @@ use pastis_comm::fault::crc32;
 use pastis_comm::{Component, TimeBreakdown};
 use pastis_seqio::SeqStore;
 
+use crate::frame::{FrameError, FrameReader, FrameWriter, Kind};
 use crate::params::SearchParams;
 use crate::pipeline::BlockTiming;
 use crate::simgraph::{SimilarityEdge, SimilarityGraph};
@@ -55,53 +56,22 @@ pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
 // Number fields
 // ---------------------------------------------------------------------------
 //
-// The bulk of a spill shard is numbers: a k-mer index stripe is three
-// long lists of them, an output block one `edge` line per edge. They are
+// The bulk of an edge shard is numbers, one `edge` line per edge. They are
 // written and read here without `fmt` or `FromStr`, digit by digit. The
 // reader is stricter than `str::parse`, never laxer: ASCII digits only
 // (no sign on unsigned fields, no `+` anywhere), fields separated by
 // exactly one ASCII space.
 
-/// "00" "01" … "99": two digits per division when formatting.
-const DIGIT_PAIRS: [u8; 200] = {
-    let mut pairs = [0u8; 200];
-    let mut n = 0;
-    while n < 100 {
-        pairs[2 * n] = b'0' + (n / 10) as u8;
-        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
-        n += 1;
-    }
-    pairs
-};
-
-/// Most decimal digits of a u64.
-const MAX_DECIMAL_LEN: usize = 20;
-
-/// Write `v` in decimal to the front of `out` (at least
-/// [`MAX_DECIMAL_LEN`] long); returns the number of digits written.
-fn write_decimal(out: &mut [u8], mut v: u64) -> usize {
-    let len = v.checked_ilog10().map_or(1, |log| log as usize + 1);
-    let mut at = len;
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        at -= 2;
-        out[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        out[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        out[0] = b'0' + v as u8;
-    }
-    len
-}
-
 /// Append `v` in decimal.
-fn push_decimal(s: &mut String, v: u64) {
-    let mut buf = [0u8; MAX_DECIMAL_LEN];
-    let len = write_decimal(&mut buf, v);
-    s.push_str(std::str::from_utf8(&buf[..len]).expect("ASCII digits"));
+fn push_decimal(s: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while at == buf.len() || v > 0 {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    s.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Append `v` as eight lower-case hex digits.
@@ -115,7 +85,7 @@ fn push_hex32(s: &mut String, v: u32) {
 /// The body of a CRC-framed document: everything before its last
 /// `end <crc32-hex>` trailer line, once the trailer matches the body.
 /// `what` names the format in the error.
-pub(crate) fn checked_body<'a>(text: &'a str, what: &str) -> Result<&'a str, String> {
+fn checked_body<'a>(text: &'a str, what: &str) -> Result<&'a str, String> {
     let body_end = text
         .rfind("end ")
         .ok_or_else(|| format!("{what} missing end trailer"))?;
@@ -129,23 +99,6 @@ pub(crate) fn checked_body<'a>(text: &'a str, what: &str) -> Result<&'a str, Str
         ));
     }
     Ok(body)
-}
-
-/// Append a ` <v>` field per value: the body of a number-list line.
-/// Values are formatted a batch at a time into a stack buffer sized for
-/// the worst case, so the string is touched once per batch, not per value.
-pub(crate) fn push_decimal_list<T: Copy + TryInto<u64>>(s: &mut String, values: &[T]) {
-    const BATCH: usize = 64;
-    let mut buf = [0u8; BATCH * (1 + MAX_DECIMAL_LEN)];
-    for batch in values.chunks(BATCH) {
-        let mut at = 0;
-        for &v in batch {
-            buf[at] = b' ';
-            let v = v.try_into().ok().expect("list values are unsigned");
-            at += 1 + write_decimal(&mut buf[at + 1..], v);
-        }
-        s.push_str(std::str::from_utf8(&buf[..at]).expect("ASCII digits and spaces"));
-    }
 }
 
 /// Append one `edge <i> <j> <score> <ani_bits> <cov_bits> <common>` line.
@@ -182,33 +135,6 @@ fn parse_decimal<T: TryFrom<u64>>(field: &str) -> Option<T> {
         .bytes()
         .fold(0u64, |v, b| v * 10 + u64::from(b - b'0'));
     T::try_from(v).ok()
-}
-
-/// The body of a number-list line (what follows its key): a ` <v>` field
-/// per value. `expect` sizes the result and is itself bounded by what the
-/// line could hold, so a forged count cannot force an allocation.
-pub(crate) fn parse_decimal_list<T: TryFrom<u64>>(body: &str, expect: usize) -> Option<Vec<T>> {
-    let mut out = Vec::with_capacity(expect.min(body.len() / 2));
-    let mut bytes = body.bytes();
-    let mut next = bytes.next();
-    while let Some(b' ') = next {
-        let (mut v, mut digits) = (0u64, 0);
-        loop {
-            next = bytes.next();
-            match next {
-                Some(d @ b'0'..=b'9') => {
-                    v = v.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
-                    digits += 1;
-                }
-                _ => break,
-            }
-        }
-        if digits == 0 || digits > MAX_DIGITS {
-            return None;
-        }
-        out.push(T::try_from(v).ok()?);
-    }
-    next.is_none().then_some(out)
 }
 
 /// The fields of an `edge` line (what follows `edge `).
@@ -518,7 +444,7 @@ pub fn checkpoint_path(dir: &Path, rank: usize, blocks_done: usize) -> PathBuf {
 /// # Errors
 ///
 /// I/O failures, with the path in the message.
-pub fn write_atomic(path: &Path, content: &str) -> Result<(), String> {
+pub fn write_atomic(path: &Path, content: impl AsRef<[u8]>) -> Result<(), String> {
     let parent = path
         .parent()
         .ok_or_else(|| format!("checkpoint path has no parent: {}", path.display()))?;
@@ -536,7 +462,7 @@ pub fn write_atomic(path: &Path, content: &str) -> Result<(), String> {
 /// I/O failures.
 pub fn save(dir: &Path, ck: &Checkpoint) -> Result<PathBuf, String> {
     let path = checkpoint_path(dir, ck.rank, ck.blocks_done);
-    write_atomic(&path, &ck.to_text())?;
+    write_atomic(&path, ck.to_text())?;
     Ok(path)
 }
 
@@ -697,21 +623,21 @@ pub fn spill_path(dir: &Path, rank: usize, block: usize) -> PathBuf {
         .join(format!("block{block:06}.spill"))
 }
 
-/// One rank's local CSR block of an inactive k-mer index stripe, evicted
-/// to disk under memory pressure. Same CRC-framed text family as
-/// [`Checkpoint`] / [`SpillShard`]; the CSR arrays are stored verbatim so
-/// restore is bit-exact:
+/// Version stamp of the binary index-shard frame (version 1 was text).
+pub const INDEX_SHARD_SCHEMA_VERSION: u32 = 2;
+
+/// The index-shard frame.
+const INDEX_SHARD: Kind = Kind(*b"\x89PSTIDX\n", INDEX_SHARD_SCHEMA_VERSION, "PASTIS-IDX ");
+
+/// One CSR stripe of a k-mer index: a persisted index's column stripe,
+/// or one rank's block of an inactive stripe evicted under memory
+/// pressure. A [`crate::frame`] whose body is the header fields, then one
+/// varint per row length, then the columns and values as u32 LE arrays,
+/// so a reload is bit-exact:
 ///
 /// ```text
-/// PASTIS-IDX 1
-/// fingerprint <hex64>
-/// rank <r>
-/// stripe <a|b> <idx>
-/// dims <nrows> <ncols> <nnz>
-/// rowptr <v0> <v1> ... <v_nrows>
-/// cols <c0> ... <c_{nnz-1}>
-/// vals <v0> ... <v_{nnz-1}>
-/// end <crc32-hex>
+/// fingerprint u64 | rank, side (1 = a), stripe, nrows, ncols, nnz
+/// varints | nrows row-length varints | nnz cols u32 | nnz vals u32
 /// ```
 ///
 /// Unlike output-block shards, a stripe shard that fails its CRC is
@@ -742,134 +668,63 @@ pub struct IndexShard {
 }
 
 impl IndexShard {
-    /// Serialize to the schema-v1 text format (CRC trailer included).
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(96 + self.cols.len() * 16 + self.rowptr.len() * 8);
-        let _ = writeln!(s, "PASTIS-IDX {SPILL_SCHEMA_VERSION}");
-        let _ = writeln!(s, "fingerprint {:016x}", self.fingerprint);
-        let _ = writeln!(s, "rank {}", self.rank);
-        let _ = writeln!(
-            s,
-            "stripe {} {}",
-            if self.is_a { "a" } else { "b" },
-            self.stripe
-        );
-        let _ = writeln!(s, "dims {} {} {}", self.nrows, self.ncols, self.cols.len());
-        s.push_str("rowptr");
-        push_decimal_list(&mut s, &self.rowptr);
-        s.push_str("\ncols");
-        push_decimal_list(&mut s, &self.cols);
-        s.push_str("\nvals");
-        push_decimal_list(&mut s, &self.vals);
-        s.push('\n');
-        let crc = crc32(s.as_bytes());
-        let _ = writeln!(s, "end {crc:08x}");
-        s
+    /// Serialize to the binary frame (CRC trailer included).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = FrameWriter::new(&INDEX_SHARD, 40 + self.nrows + 8 * self.cols.len());
+        w.u64(self.fingerprint);
+        let (side, nnz) = (usize::from(self.is_a), self.cols.len());
+        for v in [self.rank, side, self.stripe, self.nrows, self.ncols, nnz] {
+            w.varint(v as u64);
+        }
+        for row in self.rowptr.windows(2) {
+            w.varint((row[1] - row[0]) as u64);
+        }
+        w.u32s(&self.cols);
+        w.u32s(&self.vals);
+        w.finish()
     }
 
-    /// Parse, CRC-check, and structurally validate a schema-v1 index shard.
-    /// The CSR invariants (monotone row pointers ending at `nnz`, sorted
-    /// unique in-bounds columns) are re-checked so even a CRC-colliding
-    /// forgery yields `Err`, never a panic downstream.
-    ///
-    /// # Errors
-    ///
-    /// Any structural problem is an `Err`; the caller keeps (or rebuilds)
-    /// the in-memory stripe instead.
-    pub fn parse(text: &str) -> Result<IndexShard, String> {
-        let body = checked_body(text, "index shard")?;
-
-        let mut lines = body.lines();
-        let magic = lines.next().unwrap_or_default();
-        let version: u32 = magic
-            .strip_prefix("PASTIS-IDX ")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad index shard magic: {magic:?}"))?;
-        if version != SPILL_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported index shard schema version {version} (this build reads {SPILL_SCHEMA_VERSION})"
-            ));
-        }
-
-        fn keyed<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-            let line = line.ok_or_else(|| format!("index shard truncated before {key:?}"))?;
-            line.strip_prefix(key)
-                .ok_or_else(|| format!("expected {key:?} line, got {line:?}"))
-        }
-        fn list_of<T: TryFrom<u64>>(
-            line: Option<&str>,
-            key: &str,
-            expect: usize,
-        ) -> Result<Vec<T>, String> {
-            parse_decimal_list(keyed(line, key)?, expect)
-                .ok_or_else(|| format!("bad {key} entry in index shard"))
-        }
-
-        let fingerprint = u64::from_str_radix(keyed(lines.next(), "fingerprint ")?.trim(), 16)
-            .map_err(|_| "bad fingerprint in index shard".to_string())?;
-        let rank: usize = keyed(lines.next(), "rank ")?
-            .trim()
-            .parse()
-            .map_err(|_| "bad rank in index shard".to_string())?;
-        let mut it = keyed(lines.next(), "stripe ")?.split_whitespace();
-        let is_a = match it.next() {
-            Some("a") => true,
-            Some("b") => false,
-            other => return Err(format!("bad stripe side in index shard: {other:?}")),
+    /// Check the frame and decode it, re-validating the CSR invariants
+    /// (row lengths summing to `nnz`, sorted unique in-bounds columns), so
+    /// even a CRC-colliding forgery yields `Err`, never a panic downstream.
+    /// Every region is cut from the file before `rowptr` is allocated.
+    pub fn from_bytes(bytes: &[u8]) -> Result<IndexShard, FrameError> {
+        let mut r = FrameReader::open(bytes, &INDEX_SHARD)?;
+        let invalid = |why: String| Err(FrameError::Invalid(why));
+        let (fingerprint, rank) = (r.u64("fingerprint")?, r.varint("rank")?);
+        let is_a = match r.varint::<u8>("side")? {
+            0 => false,
+            1 => true,
+            side => return invalid(format!("bad stripe side {side}")),
         };
-        let stripe: usize = it
-            .next()
-            .ok_or("index shard stripe line missing index")?
-            .parse()
-            .map_err(|_| "bad stripe index in index shard".to_string())?;
-        let mut it = keyed(lines.next(), "dims ")?.split_whitespace();
-        let mut dim = |what: &str| -> Result<usize, String> {
-            it.next()
-                .ok_or_else(|| format!("index shard dims line missing {what}"))?
-                .parse()
-                .map_err(|_| format!("bad {what} in index shard"))
-        };
-        let nrows = dim("nrows")?;
-        let ncols = dim("ncols")?;
-        let nnz = dim("nnz")?;
+        let stripe = r.varint("stripe")?;
+        let (nrows, ncols, nnz): (usize, usize, usize) =
+            (r.varint("nrows")?, r.varint("ncols")?, r.varint("nnz")?);
+        let lens = r.varints(nrows as u64, "row lengths")?;
+        let cols = r.u32s(nnz as u64, "cols")?;
+        let vals = r.u32s(nnz as u64, "vals")?;
+        r.finish()?;
 
-        let rowptr: Vec<usize> = list_of(lines.next(), "rowptr", nrows.saturating_add(1))?;
-        let cols: Vec<u32> = list_of(lines.next(), "cols", nnz)?;
-        let vals: Vec<u32> = list_of(lines.next(), "vals", nnz)?;
-        if lines.next().is_some() {
-            return Err("trailing lines in index shard".to_string());
-        }
-
-        // CSR invariants, checked here so downstream from_parts can't panic.
-        if rowptr.len() != nrows + 1 {
-            return Err(format!(
-                "index shard rowptr has {} entries for {nrows} rows",
-                rowptr.len()
-            ));
-        }
-        if cols.len() != nnz || vals.len() != nnz {
-            return Err(format!(
-                "index shard nnz mismatch: dims say {nnz}, got {} cols / {} vals",
-                cols.len(),
-                vals.len()
-            ));
-        }
-        if rowptr.first() != Some(&0) || rowptr.last() != Some(&nnz) {
-            return Err("index shard rowptr does not span [0, nnz]".to_string());
-        }
-        if rowptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err("index shard rowptr not monotone".to_string());
-        }
         if cols.iter().any(|&c| c as usize >= ncols) {
-            return Err("index shard columns not sorted/in-bounds".to_string());
+            return invalid("columns not sorted/in-bounds".to_string());
         }
-        // Most rows of a transposed k-mer stripe hold at most one entry;
-        // only longer ones have an order to check.
-        for (i, w) in rowptr.windows(2).enumerate() {
-            if w[1] - w[0] > 1 && cols[w[0]..w[1]].windows(2).any(|c| c[0] >= c[1]) {
-                return Err(format!("index shard row {i} columns not sorted/in-bounds"));
+        let (mut rowptr, mut end) = (Vec::with_capacity(nrows + 1), 0);
+        rowptr.push(0);
+        for (i, len) in lens.enumerate() {
+            if len > (nnz - end) as u64 {
+                return invalid(format!("row lengths pass nnz {nnz}"));
             }
+            let row = &cols[end..end + len as usize];
+            // Most rows of a transposed k-mer stripe hold at most one
+            // entry; only longer ones have an order to check.
+            if len > 1 && row.windows(2).any(|c| c[0] >= c[1]) {
+                return invalid(format!("row {i} columns not sorted/in-bounds"));
+            }
+            end += row.len();
+            rowptr.push(end);
+        }
+        if end != nnz {
+            return invalid(format!("row lengths sum to {end}, not nnz {nnz}"));
         }
         Ok(IndexShard {
             fingerprint,
@@ -1175,9 +1030,13 @@ mod tests {
     #[test]
     fn index_shard_round_trip_is_bit_exact() {
         let shard = sample_index_shard();
-        let parsed = IndexShard::parse(&shard.to_text()).unwrap();
+        let bytes = shard.to_bytes();
+        let parsed = IndexShard::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, shard);
-        assert_eq!(parsed.to_text(), shard.to_text());
+        assert_eq!(parsed.to_bytes(), bytes);
+        // Decoded arrays are sized by the file.
+        assert!(parsed.rowptr.capacity() <= bytes.len());
+        assert!(4 * (parsed.cols.capacity() + parsed.vals.capacity()) <= bytes.len());
         // An empty stripe (all rows empty) round-trips too.
         let empty = IndexShard {
             is_a: false,
@@ -1187,31 +1046,83 @@ mod tests {
             vals: Vec::new(),
             ..shard
         };
-        assert_eq!(IndexShard::parse(&empty.to_text()).unwrap(), empty);
+        assert_eq!(IndexShard::from_bytes(&empty.to_bytes()).unwrap(), empty);
+    }
+
+    /// The sample shard's frame with its `nrows` and `nnz` header fields
+    /// replaced, CRC recomputed.
+    fn forged_counts(nrows: u64, nnz: u64) -> Vec<u8> {
+        let s = sample_index_shard();
+        let mut w = FrameWriter::new(&INDEX_SHARD, 0);
+        w.u64(s.fingerprint);
+        for v in [2, 1, 5, nrows, 5, nnz, 2, 0, 3] {
+            w.varint(v);
+        }
+        w.u32s(&s.cols);
+        w.u32s(&s.vals);
+        w.finish()
     }
 
     #[test]
     fn index_shard_rejects_corruption_and_forged_structure() {
-        let shard = sample_index_shard();
-        let text = shard.to_text();
-        // Bit flip anywhere in the body.
-        let mut bytes = text.clone().into_bytes();
-        bytes[text.len() / 2] ^= 0x01;
-        assert!(IndexShard::parse(&String::from_utf8(bytes).unwrap()).is_err());
-        // Torn write.
-        assert!(IndexShard::parse(&text[..text.len() / 2]).is_err());
-        // A shard whose CRC is valid but whose CSR invariants are broken
-        // (out-of-bounds column) must parse to Err, not panic downstream.
-        let forged_body = text[..text.rfind("end ").unwrap()].replacen("cols 1 4", "cols 1 9", 1);
-        let forged = format!("{forged_body}end {:08x}\n", crc32(forged_body.as_bytes()));
-        assert!(IndexShard::parse(&forged)
-            .unwrap_err()
-            .contains("not sorted/in-bounds"));
-        // Non-monotone rowptr, again with a self-consistent CRC.
-        let forged_body =
-            text[..text.rfind("end ").unwrap()].replacen("rowptr 0 2 2 5", "rowptr 0 3 2 5", 1);
-        let forged = format!("{forged_body}end {:08x}\n", crc32(forged_body.as_bytes()));
-        assert!(IndexShard::parse(&forged).is_err());
+        let bytes = sample_index_shard().to_bytes();
+        // Every truncation and every single-byte flip is refused.
+        for cut in 0..bytes.len() {
+            assert!(IndexShard::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(IndexShard::from_bytes(&flipped).is_err(), "{at}.{bit}");
+            }
+        }
+        // A frame whose CRC is valid but whose CSR invariants are broken
+        // is an Err, not a panic downstream.
+        let forge = |edit: fn(&mut IndexShard)| {
+            let mut s = sample_index_shard();
+            edit(&mut s);
+            IndexShard::from_bytes(&s.to_bytes())
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(forge(|s| s.cols[1] = 9).contains("not sorted/in-bounds"));
+        assert!(forge(|s| s.cols[1] = 1).contains("row 0 columns not sorted"));
+        assert!(forge(|s| s.rowptr = vec![0, 2, 2, 4]).contains("row lengths sum to 4"));
+        // Forged counts, up to u64::MAX, fail on the bytes left before
+        // anything is sized by them.
+        assert_eq!(
+            IndexShard::from_bytes(&forged_counts(3, 5)).unwrap(),
+            sample_index_shard()
+        );
+        let len = bytes.len() as u64;
+        for (nrows, nnz) in [
+            (4, 5),
+            (2, 5),
+            (len, 5),
+            (u64::MAX, 5),
+            (3, 4),
+            (3, 6),
+            (3, len),
+            (3, u64::MAX / 4 + 1),
+            (3, u64::MAX),
+        ] {
+            let err = IndexShard::from_bytes(&forged_counts(nrows, nnz)).unwrap_err();
+            assert!(
+                matches!(err, FrameError::Truncated(_) | FrameError::Invalid(_)),
+                "{nrows} {nnz}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn text_index_shard_is_refused_naming_its_version() {
+        let v1 = "PASTIS-IDX 1\nfingerprint 00000000000000ab\nrank 0\nstripe b 0\n\
+                  dims 1 1 1\nrowptr 0 1\ncols 0\nvals 3\nend 0badf00d\n";
+        let err = IndexShard::from_bytes(v1.as_bytes()).unwrap_err();
+        assert_eq!(err, FrameError::Legacy("1".to_string()));
+        assert!(err.to_string().contains("version 1"), "{err}");
+        assert!(err.to_string().contains("pastis index build"), "{err}");
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! serving path splits that work: `build_index` constructs the reference
 //! side **once** — the compacted k-mer matrix `B = Aᵀ` (k-mers × refs,
 //! values are first k-mer positions, exactly the operand the batch SUMMA
-//! multiplies) — and persists it as column stripes in the CRC-framed
-//! `PASTIS-IDX 1` shard format from [`crate::checkpoint`], plus one
-//! manifest binding the shards to the build parameters and the reference
-//! set. [`PersistedIndex::open`] reloads the manifest and the reference
+//! multiplies) — and persists it as column stripes, each an
+//! [`IndexShard`] in the binary CRC-framed format of [`crate::frame`], plus
+//! one manifest binding the shards to the build parameters and the
+//! reference set. [`PersistedIndex::open`] reloads the manifest and the reference
 //! sequences, re-verifying every frame, so a query batch only has to form
 //! its own small `A_query` and multiply against the loaded stripes.
 //!
@@ -23,26 +23,25 @@
 //!   (different parameters or references) refuses to serve with a clear
 //!   message instead of silently answering from the wrong matrix;
 //! * shard CSR invariants are re-validated on load (via
-//!   [`IndexShard::parse`]) so even a CRC-colliding forgery yields `Err`.
+//!   [`IndexShard::from_bytes`]) so even a CRC-colliding forgery yields
+//!   `Err`;
+//! * an index written in the text format of version 1 is refused with an
+//!   error naming the version: rebuild it with `pastis index build`.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use pastis_comm::fault::crc32;
 use pastis_seqio::fasta::write_fasta;
 use pastis_seqio::{FastaStream, ReducedAlphabet, SeqStore};
 use pastis_sparse::CsrMatrix;
 use pastis_trace::{names, span, Component, Recorder};
 
-use crate::checkpoint::{
-    checked_body, digest_bytes, digest_u64, parse_decimal_list, push_decimal_list, write_atomic,
-    IndexShard,
-};
+use crate::checkpoint::{digest_bytes, digest_u64, write_atomic, IndexShard};
+use crate::frame::{FrameError, FrameReader, FrameWriter, Kind};
 use crate::kmer::KmerMatrix;
 use crate::membudget::MemBudget;
 
-/// Schema version of the index manifest format.
-pub const INDEX_MANIFEST_SCHEMA_VERSION: u32 = 1;
+/// Schema version of the binary index-manifest frame (version 1 was text).
+pub const INDEX_MANIFEST_SCHEMA_VERSION: u32 = 2;
 
 /// Largest record accepted when reloading `refs.fasta` (matches the CLI's
 /// input bound).
@@ -89,27 +88,28 @@ pub fn alphabet_name(a: ReducedAlphabet) -> &'static str {
     }
 }
 
-/// Inverse of [`alphabet_name`].
-pub fn alphabet_from_name(s: &str) -> Result<ReducedAlphabet, String> {
-    match s {
-        "full20" => Ok(ReducedAlphabet::Full20),
-        "murphy10" => Ok(ReducedAlphabet::Murphy10),
-        "dayhoff6" => Ok(ReducedAlphabet::Dayhoff6),
-        other => Err(format!("unknown alphabet in index manifest: {other:?}")),
-    }
-}
+/// The alphabets by their code in the index manifest.
+const ALPHABETS: [ReducedAlphabet; 3] = [
+    ReducedAlphabet::Full20,
+    ReducedAlphabet::Murphy10,
+    ReducedAlphabet::Dayhoff6,
+];
 
-/// The manifest tying an index directory together: schema-versioned,
-/// CRC-framed, hand-rolled text like the whole checkpoint family.
+/// The index-manifest frame.
+const INDEX_MANIFEST: Kind = Kind(
+    *b"\x89PSTIMF\n",
+    INDEX_MANIFEST_SCHEMA_VERSION,
+    "PASTIS-IDXMAN ",
+);
+
+/// The manifest tying an index directory together: a [`crate::frame`]
+/// whose body binds the shards to the build parameters and the
+/// reference set, with the column map stored as ascending deltas:
 ///
 /// ```text
-/// PASTIS-IDXMAN 1
-/// fingerprint <hex16>
-/// params <k> <alphabet> <substitute-kmers>
-/// refs <n_refs> <store-digest hex16>
-/// stripes <n_stripes> <stripe_cols>
-/// colmap <len> <id0> <id1> ...
-/// end <crc32-hex>
+/// fingerprint u64 | k, alphabet code, substitute-kmers, n_refs varints
+/// | refs digest u64 | stripe_cols, n_stripes, colmap length varints
+/// | colmap delta varints
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexManifest {
@@ -149,146 +149,77 @@ impl IndexManifest {
         (lo, (lo + self.stripe_cols).min(self.n_refs))
     }
 
-    /// Serialize to the schema-v1 text format (CRC trailer included).
-    pub fn to_text(&self) -> String {
-        let mut s = String::with_capacity(96 + self.col_map.len() * 8);
-        let _ = writeln!(s, "PASTIS-IDXMAN {INDEX_MANIFEST_SCHEMA_VERSION}");
-        let _ = writeln!(s, "fingerprint {:016x}", self.fingerprint);
-        let _ = writeln!(
-            s,
-            "params {} {} {}",
-            self.k,
-            alphabet_name(self.alphabet),
-            self.substitute_kmers
-        );
-        let _ = writeln!(s, "refs {} {:016x}", self.n_refs, self.refs_digest);
-        let _ = writeln!(s, "stripes {} {}", self.n_stripes, self.stripe_cols);
-        let _ = write!(s, "colmap {}", self.col_map.len());
-        push_decimal_list(&mut s, &self.col_map);
-        s.push('\n');
-        let crc = crc32(s.as_bytes());
-        let _ = writeln!(s, "end {crc:08x}");
-        s
+    /// Serialize to the binary frame (CRC trailer included).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = FrameWriter::new(&INDEX_MANIFEST, 64 + 2 * self.col_map.len());
+        w.u64(self.fingerprint);
+        let code = ALPHABETS.iter().position(|&a| a == self.alphabet);
+        let code = code.expect("every alphabet has a code");
+        for v in [self.k, code, self.substitute_kmers, self.n_refs] {
+            w.varint(v as u64);
+        }
+        w.u64(self.refs_digest);
+        for v in [self.stripe_cols, self.n_stripes, self.col_map.len()] {
+            w.varint(v as u64);
+        }
+        let mut prev = 0;
+        for &id in &self.col_map {
+            w.varint(u64::from(id - prev));
+            prev = id;
+        }
+        w.finish()
     }
 
-    /// Parse, CRC-check, and structurally validate a schema-v1 manifest.
-    ///
-    /// # Errors
-    ///
-    /// Any truncation, bit flip, version skew, or structural violation
-    /// (unsorted column map, inconsistent stripe arithmetic) is an `Err`.
-    pub fn parse(text: &str) -> Result<IndexManifest, String> {
-        let body = checked_body(text, "index manifest")?;
+    /// Check the frame, decode it, and validate its structure: a column
+    /// map not strictly increasing or inconsistent stripe arithmetic is
+    /// an `Err` too, so even a CRC-colliding forgery cannot poison the
+    /// binary searches downstream.
+    pub fn from_bytes(bytes: &[u8]) -> Result<IndexManifest, FrameError> {
+        let mut r = FrameReader::open(bytes, &INDEX_MANIFEST)?;
+        let invalid = |why: String| Err(FrameError::Invalid(why));
+        let mut m = IndexManifest {
+            fingerprint: r.u64("fingerprint")?,
+            k: r.varint("k")?,
+            alphabet: match ALPHABETS.get(r.varint::<usize>("alphabet")?) {
+                Some(&a) => a,
+                None => return invalid("unknown alphabet code".to_string()),
+            },
+            substitute_kmers: r.varint("substitute-kmers")?,
+            n_refs: r.varint("refs")?,
+            refs_digest: r.u64("refs digest")?,
+            stripe_cols: r.varint("stripe width")?,
+            n_stripes: r.varint("stripes")?,
+            col_map: Vec::new(),
+        };
+        let n_cols = r.varint("colmap length")?;
+        let deltas = r.varints(n_cols, "colmap")?;
+        r.finish()?;
 
-        let mut lines = body.lines();
-        let magic = lines.next().unwrap_or_default();
-        let version: u32 = magic
-            .strip_prefix("PASTIS-IDXMAN ")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad index manifest magic: {magic:?}"))?;
-        if version != INDEX_MANIFEST_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported index manifest schema version {version} \
-                 (this build reads {INDEX_MANIFEST_SCHEMA_VERSION})"
-            ));
+        m.col_map.reserve_exact(n_cols as usize);
+        let mut prev = 0u64;
+        for (i, delta) in deltas.enumerate() {
+            if i > 0 && delta == 0 {
+                return invalid("colmap not strictly increasing".to_string());
+            }
+            prev = prev.saturating_add(delta);
+            match u32::try_from(prev) {
+                Ok(id) => m.col_map.push(id),
+                Err(_) => return invalid("colmap id past u32".to_string()),
+            }
         }
-
-        fn keyed<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-            let line = line.ok_or_else(|| format!("index manifest truncated before {key:?}"))?;
-            line.strip_prefix(key)
-                .ok_or_else(|| format!("expected {key:?} line, got {line:?}"))
-        }
-
-        let fingerprint = u64::from_str_radix(keyed(lines.next(), "fingerprint ")?.trim(), 16)
-            .map_err(|_| "bad fingerprint in index manifest".to_string())?;
-
-        let mut it = keyed(lines.next(), "params ")?.split_whitespace();
-        let k: usize = it
-            .next()
-            .ok_or("index manifest params line missing k")?
-            .parse()
-            .map_err(|_| "bad k in index manifest".to_string())?;
-        let alphabet = alphabet_from_name(
-            it.next()
-                .ok_or("index manifest params line missing alphabet")?,
-        )?;
-        let substitute_kmers: usize = it
-            .next()
-            .ok_or("index manifest params line missing substitute-kmers")?
-            .parse()
-            .map_err(|_| "bad substitute-kmers in index manifest".to_string())?;
-
-        let mut it = keyed(lines.next(), "refs ")?.split_whitespace();
-        let n_refs: usize = it
-            .next()
-            .ok_or("index manifest refs line missing count")?
-            .parse()
-            .map_err(|_| "bad reference count in index manifest".to_string())?;
-        let refs_digest = u64::from_str_radix(
-            it.next().ok_or("index manifest refs line missing digest")?,
-            16,
-        )
-        .map_err(|_| "bad reference digest in index manifest".to_string())?;
-
-        let mut it = keyed(lines.next(), "stripes ")?.split_whitespace();
-        let n_stripes: usize = it
-            .next()
-            .ok_or("index manifest stripes line missing count")?
-            .parse()
-            .map_err(|_| "bad stripe count in index manifest".to_string())?;
-        let stripe_cols: usize = it
-            .next()
-            .ok_or("index manifest stripes line missing width")?
-            .parse()
-            .map_err(|_| "bad stripe width in index manifest".to_string())?;
-
-        // `colmap <len>` then one ` <id>` field per entry, the shards'
-        // number-list form.
-        let colmap = keyed(lines.next(), "colmap ")?;
-        let (n_cols, ids) = colmap.split_at(colmap.find(' ').unwrap_or(colmap.len()));
-        let n_cols: usize = n_cols
-            .parse()
-            .map_err(|_| "bad colmap length in index manifest".to_string())?;
-        let col_map: Vec<u32> = parse_decimal_list(ids, n_cols)
-            .ok_or_else(|| "bad colmap entry in index manifest".to_string())?;
-        if lines.next().is_some() {
-            return Err("trailing lines in index manifest".to_string());
-        }
-
-        // Structural invariants: even a CRC-colliding forgery must come
-        // out as Err, never poison downstream binary searches.
-        if col_map.len() != n_cols {
-            return Err(format!(
-                "index manifest colmap says {n_cols} entries, got {}",
-                col_map.len()
-            ));
-        }
-        if col_map.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("index manifest colmap not strictly increasing".to_string());
-        }
+        let (k, n_refs, cols, n) = (m.k, m.n_refs, m.stripe_cols, m.n_stripes);
         if k == 0 || k > 12 {
-            return Err(format!("index manifest k {k} out of range (1..=12)"));
+            return invalid(format!("k {k} out of range (1..=12)"));
         }
-        if n_refs == 0 || stripe_cols == 0 {
-            return Err("index manifest has empty reference set or zero stripe width".to_string());
+        if n_refs == 0 || cols == 0 {
+            return invalid("empty reference set or zero stripe width".to_string());
         }
-        if n_stripes != n_refs.div_ceil(stripe_cols) {
-            return Err(format!(
-                "index manifest stripe arithmetic inconsistent: \
-                 {n_stripes} stripes of {stripe_cols} cols for {n_refs} refs"
+        if n != n_refs.div_ceil(cols) {
+            return invalid(format!(
+                "stripe arithmetic inconsistent: {n} stripes of {cols} cols for {n_refs} refs"
             ));
         }
-        Ok(IndexManifest {
-            fingerprint,
-            k,
-            alphabet,
-            substitute_kmers,
-            n_refs,
-            refs_digest,
-            stripe_cols,
-            n_stripes,
-            col_map,
-        })
+        Ok(m)
     }
 }
 
@@ -342,7 +273,7 @@ impl Default for IndexBuildConfig {
 pub struct IndexBuildReport {
     /// The manifest as persisted.
     pub manifest: IndexManifest,
-    /// Total bytes of shard text written.
+    /// Total bytes of shard frames written.
     pub shard_bytes: u64,
     /// Nonzeros of the reference matrix.
     pub nnz: u64,
@@ -430,9 +361,9 @@ pub fn build_index(
             cols,
             vals,
         };
-        let text = shard.to_text();
-        shard_bytes += text.len() as u64;
-        write_atomic(&shard_path(dir, s), &text)?;
+        let bytes = shard.to_bytes();
+        shard_bytes += bytes.len() as u64;
+        write_atomic(&shard_path(dir, s), &bytes)?;
         budget.release(stripe_bytes);
     }
     budget.release(bt_bytes);
@@ -458,7 +389,7 @@ pub fn build_index(
         n_stripes,
         col_map,
     };
-    write_atomic(&manifest_path(dir), &manifest.to_text())?;
+    write_atomic(&manifest_path(dir), manifest.to_bytes())?;
     build_span.push_arg("nnz", nnz as u64);
     build_span.push_arg("stripes", n_stripes as u64);
     Ok(IndexBuildReport {
@@ -492,9 +423,9 @@ impl PersistedIndex {
     /// matches the manifest digest, are typed errors.
     pub fn open(dir: &Path) -> Result<PersistedIndex, String> {
         let mpath = manifest_path(dir);
-        let text = std::fs::read_to_string(&mpath)
+        let bytes = std::fs::read(&mpath)
             .map_err(|e| format!("reading index manifest {}: {e}", mpath.display()))?;
-        let manifest = IndexManifest::parse(&text)
+        let manifest = IndexManifest::from_bytes(&bytes)
             .map_err(|e| format!("index manifest {}: {e}", mpath.display()))?;
         let rpath = refs_path(dir);
         let file = std::fs::File::open(&rpath)
@@ -557,10 +488,10 @@ impl PersistedIndex {
     /// Corrupt, foreign, or mis-shaped shards are typed errors.
     pub fn load_stripe(&self, s: usize) -> Result<CsrMatrix<u32>, String> {
         let path = shard_path(&self.dir, s);
-        let text = std::fs::read_to_string(&path)
+        let bytes = std::fs::read(&path)
             .map_err(|e| format!("reading index shard {}: {e}", path.display()))?;
-        let shard =
-            IndexShard::parse(&text).map_err(|e| format!("index shard {}: {e}", path.display()))?;
+        let shard = IndexShard::from_bytes(&bytes)
+            .map_err(|e| format!("index shard {}: {e}", path.display()))?;
         let (lo, hi) = self.manifest.stripe_range(s);
         if shard.fingerprint != self.manifest.fingerprint {
             return Err(format!(
@@ -625,9 +556,8 @@ mod tests {
         d
     }
 
-    #[test]
-    fn manifest_round_trips_bit_identically() {
-        let m = IndexManifest {
+    fn sample_manifest() -> IndexManifest {
+        IndexManifest {
             fingerprint: 0xdead_beef_0123_4567,
             k: 4,
             alphabet: ReducedAlphabet::Murphy10,
@@ -636,40 +566,118 @@ mod tests {
             refs_digest: 0x0123_4567_89ab_cdef,
             stripe_cols: 3,
             n_stripes: 3,
-            col_map: vec![1, 5, 9, 1000],
-        };
-        let text = m.to_text();
-        let back = IndexManifest::parse(&text).unwrap();
+            col_map: vec![0, 5, 9, 1000, u32::MAX],
+        }
+    }
+
+    #[test]
+    fn manifest_round_trips_bit_identically() {
+        let m = sample_manifest();
+        let bytes = m.to_bytes();
+        let back = IndexManifest::from_bytes(&bytes).unwrap();
         assert_eq!(back, m);
-        assert_eq!(back.to_text(), text);
+        assert_eq!(back.to_bytes(), bytes);
+        assert!(back.col_map.capacity() <= bytes.len());
+    }
+
+    /// The sample manifest's frame with its column map re-encoded as
+    /// `len` (the count field) and `deltas`, CRC recomputed.
+    fn forged_colmap(len: u64, deltas: &[u64]) -> Vec<u8> {
+        let empty = IndexManifest {
+            col_map: Vec::new(),
+            ..sample_manifest()
+        }
+        .to_bytes();
+        // Everything up to the column map's length field (one byte, 0).
+        let head = &empty[12..empty.len() - 5];
+        let mut w = FrameWriter::new(&INDEX_MANIFEST, 0);
+        w.bytes(head);
+        w.varint(len);
+        deltas.iter().for_each(|&d| w.varint(d));
+        w.finish()
     }
 
     #[test]
     fn manifest_rejects_corruption_and_skew() {
-        let m = IndexManifest {
-            fingerprint: 1,
-            k: 4,
-            alphabet: ReducedAlphabet::Full20,
-            substitute_kmers: 0,
-            n_refs: 5,
-            refs_digest: 2,
-            stripe_cols: 2,
-            n_stripes: 3,
-            col_map: vec![3, 4],
-        };
-        let text = m.to_text();
-        // Bit flip in the body.
-        let flipped = text.replacen("refs 5", "refs 6", 1);
-        assert!(IndexManifest::parse(&flipped).unwrap_err().contains("crc"));
-        // Truncation.
-        assert!(IndexManifest::parse(&text[..text.len() / 2]).is_err());
-        // Version skew (CRC re-framed so the version check itself fires).
-        let body = text.replacen("PASTIS-IDXMAN 1", "PASTIS-IDXMAN 9", 1);
-        let body = &body[..body.rfind("end ").unwrap()];
-        let reframed = format!("{body}end {:08x}\n", crc32(body.as_bytes()));
-        assert!(IndexManifest::parse(&reframed)
+        let bytes = sample_manifest().to_bytes();
+        // Every truncation and every single-byte flip is refused.
+        for cut in 0..bytes.len() {
+            assert!(
+                IndexManifest::from_bytes(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x40;
+            assert!(IndexManifest::from_bytes(&flipped).is_err(), "byte {at}");
+        }
+        let mut flipped = bytes.clone();
+        flipped[20] ^= 1;
+        assert!(IndexManifest::from_bytes(&flipped)
             .unwrap_err()
-            .contains("schema version"));
+            .to_string()
+            .contains("crc"));
+        // Version skew (CRC re-framed so the version check itself fires).
+        let mut v9 = FrameWriter::new(&Kind(INDEX_MANIFEST.0, 9, ""), 0);
+        v9.bytes(&bytes[12..bytes.len() - 4]);
+        assert!(IndexManifest::from_bytes(&v9.finish())
+            .unwrap_err()
+            .to_string()
+            .contains("schema version 9"));
+        // A self-consistent frame with a broken column map or stripe
+        // arithmetic.
+        let deltas = [0, 5, 4, 991, u64::from(u32::MAX - 1000)];
+        assert_eq!(
+            IndexManifest::from_bytes(&forged_colmap(5, &deltas)).unwrap(),
+            sample_manifest()
+        );
+        let err = |len, d: &[u64]| IndexManifest::from_bytes(&forged_colmap(len, d)).unwrap_err();
+        assert!(err(5, &[0, 5, 0, 991, 7])
+            .to_string()
+            .contains("strictly increasing"));
+        assert!(err(5, &[0, 5, 4, 991, u64::from(u32::MAX)])
+            .to_string()
+            .contains("past u32"));
+        let skewed = IndexManifest {
+            n_stripes: 2,
+            ..sample_manifest()
+        };
+        assert!(IndexManifest::from_bytes(&skewed.to_bytes())
+            .unwrap_err()
+            .to_string()
+            .contains("stripe arithmetic"));
+        // A forged column-map length, up to u64::MAX, fails on the bytes
+        // left before anything is sized by it.
+        for len in [4, 6, bytes.len() as u64, u64::from(u32::MAX), u64::MAX] {
+            assert!(
+                matches!(
+                    err(len, &deltas),
+                    FrameError::Truncated(_) | FrameError::Invalid(_)
+                ),
+                "{len}"
+            );
+        }
+    }
+
+    #[test]
+    fn text_manifest_is_refused_naming_its_version() {
+        let v1 = "PASTIS-IDXMAN 1\nfingerprint 00000000000000ab\nparams 4 full20 0\n\
+                  refs 1 00000000000000cd\nstripes 1 512\ncolmap 1 7\nend 0badf00d\n";
+        let err = IndexManifest::from_bytes(v1.as_bytes())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("text format version 1"), "{err}");
+        assert!(err.contains("re-run `pastis index build`"), "{err}");
+        // Opening a version-1 directory names the manifest file.
+        let dir = tmpdir("v1");
+        std::fs::write(manifest_path(&dir), v1).unwrap();
+        let err = PersistedIndex::open(&dir).unwrap_err();
+        assert!(
+            err.contains("index.manifest") && err.contains("version 1"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -747,18 +755,31 @@ mod tests {
         .unwrap();
         let idx = PersistedIndex::open(&dir).unwrap();
         let p = shard_path(&dir, 0);
-        let text = std::fs::read_to_string(&p).unwrap();
-        // Bit flip → CRC rejection.
-        std::fs::write(&p, text.replacen("stripe b 0", "stripe b 1", 1)).unwrap();
+        let bytes = std::fs::read(&p).unwrap();
+        // Bit flip → CRC rejection; torn write → the same.
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 1;
+        std::fs::write(&p, flipped).unwrap();
         assert!(idx.load_stripe(0).unwrap_err().contains("crc"));
-        // Foreign fingerprint, correctly framed → binding rejection.
-        let mut foreign = IndexShard::parse(&text).unwrap();
+        std::fs::write(&p, &bytes[..bytes.len() - 1]).unwrap();
+        let err = idx.load_stripe(0).unwrap_err();
+        assert!(
+            err.contains("index shard") && err.contains("shard_b0000.idx"),
+            "{err}"
+        );
+        // Foreign fingerprint or another stripe, correctly framed →
+        // binding rejection.
+        let mut foreign = IndexShard::from_bytes(&bytes).unwrap();
         foreign.fingerprint ^= 1;
-        std::fs::write(&p, foreign.to_text()).unwrap();
+        std::fs::write(&p, foreign.to_bytes()).unwrap();
         assert!(idx
             .load_stripe(0)
             .unwrap_err()
             .contains("different index build"));
+        foreign.fingerprint ^= 1;
+        foreign.stripe = 1;
+        std::fs::write(&p, foreign.to_bytes()).unwrap();
+        assert!(idx.load_stripe(0).unwrap_err().contains("is not stripe 0"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,6 +34,7 @@
 pub mod checkpoint;
 pub mod distcc;
 pub mod filter;
+pub mod frame;
 pub mod index;
 pub mod kmer;
 pub mod loadbalance;
@@ -51,10 +52,11 @@ pub mod subkmers;
 
 pub use checkpoint::{
     run_fingerprint, Checkpoint, IndexShard, SpillShard, CHECKPOINT_SCHEMA_VERSION,
-    SPILL_SCHEMA_VERSION,
+    INDEX_SHARD_SCHEMA_VERSION, SPILL_SCHEMA_VERSION,
 };
 pub use distcc::distributed_components;
 pub use filter::EdgeFilter;
+pub use frame::FrameError;
 pub use index::{
     build_index, index_fingerprint, store_digest, IndexBuildConfig, IndexBuildReport,
     IndexManifest, PersistedIndex, INDEX_MANIFEST_SCHEMA_VERSION,

@@ -271,7 +271,7 @@ impl SpillCtx<'_> {
                     block: *idx as u64,
                     bytes: text.len() as u64,
                 });
-                self.io.write_atomic(&path, &text)
+                self.io.write_atomic(&path, text.as_bytes())
             };
             match wrote {
                 Ok(()) => {
@@ -382,18 +382,18 @@ impl SpillCtx<'_> {
             cols,
             vals,
         };
-        let text = shard.to_text();
+        let frame = shard.to_bytes();
         let path = checkpoint::index_spill_path(self.dir, self.rank, is_a, i);
-        // The file must hold exactly the bytes just formatted: that catches
-        // every injected or real write fault, and what `to_text` produces
-        // `parse` accepts (pinned by the shard round-trip tests).
+        // The file must hold exactly the bytes just encoded: that catches
+        // every injected or real write fault, and what `to_bytes` produces
+        // `from_bytes` accepts (pinned by the shard round-trip tests).
         let committed = {
             let _sp = span!(self.recorder, Component::SparseOther, names::SPAN_SPILL_WRITE, {
                 stripe: i as u64,
                 a_side: u64::from(is_a),
-                bytes: text.len() as u64,
+                bytes: frame.len() as u64,
             });
-            self.io.write_atomic(&path, &text).is_ok() && self.io.holds(&path, &text)
+            self.io.write_atomic(&path, &frame).is_ok() && self.io.holds(&path, &frame)
         };
         if committed {
             evicted[i] = true;
@@ -401,7 +401,7 @@ impl SpillCtx<'_> {
             self.accountant.release(bytes);
             self.recorder.add_counter(names::CTR_SPILL_BLOCKS_OUT, 1.0);
             self.recorder
-                .add_counter(names::CTR_SPILL_BYTES_OUT, text.len() as f64);
+                .add_counter(names::CTR_SPILL_BYTES_OUT, frame.len() as f64);
         } else {
             // Damaged or unwritable on disk: the stripe stays resident.
             self.recorder.add_counter(names::CTR_SPILL_CRC_REJECTS, 1.0);
@@ -460,13 +460,13 @@ impl SpillCtx<'_> {
         protect: &[BlockTask],
     ) -> Result<(), String> {
         let path = checkpoint::index_spill_path(self.dir, self.rank, is_a, i);
-        let text = {
+        let frame = {
             let _sp = span!(self.recorder, Component::SparseOther, names::SPAN_SPILL_READ, {
                 stripe: i as u64,
             });
-            self.io.read_to_string(&path)?
+            self.io.read(&path)?
         };
-        let shard = IndexShard::parse(&text).map_err(|e| {
+        let shard = IndexShard::from_bytes(&frame).map_err(|e| {
             format!(
                 "index stripe {} is unreadable ({e}); it was verified at spill \
                  time, so the file was damaged on disk afterwards",
@@ -485,7 +485,7 @@ impl SpillCtx<'_> {
         }
         self.recorder.add_counter(names::CTR_SPILL_BLOCKS_IN, 1.0);
         self.recorder
-            .add_counter(names::CTR_SPILL_BYTES_IN, text.len() as f64);
+            .add_counter(names::CTR_SPILL_BYTES_IN, frame.len() as f64);
         let m = CsrMatrix::from_parts(
             shard.nrows,
             shard.ncols,

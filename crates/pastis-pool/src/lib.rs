@@ -22,6 +22,11 @@
 //!   alongside the workers (bypassing caps — a cap of zero still
 //!   completes), so a job never waits on a fully-busy pool.
 //!
+//! A unit that panics, on a worker or on the submitting thread, is caught
+//! where it ran: no unit is claimed after it, the units already claimed
+//! finish, and [`WorkPool::run`] re-raises the first panic on its caller.
+//! The workers stay alive for the next job.
+//!
 //! Determinism is inherited, not re-proven: unit claims race, but every
 //! unit's result lands in its own slot and [`WorkPool::run`] returns the
 //! slots in unit order, so callers see exactly what a serial loop would
@@ -29,7 +34,9 @@
 //! submitting thread remains the only collective-issuing thread, keeping
 //! the SPMD collective order identical on every rank.
 
+use std::any::Any;
 use std::cell::UnsafeCell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -64,12 +71,16 @@ impl Engine {
 /// One submitted batch: a unit counter plus the lifetime-erased work
 /// closure. Workers claim `next` until it passes `n_units`; each completed
 /// unit bumps `done`, and the submitter waits on `done_cv` for the last.
+/// A panicking unit counts as completed, and so do the units its panic
+/// cancels, so the submitter's wait ends either way.
 struct Job {
     engine: Engine,
     n_units: usize,
     next: AtomicUsize,
     done: Mutex<usize>,
     done_cv: Condvar,
+    /// The first unit's panic, re-raised on the submitter.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Borrow of the submitter's stack closure with the lifetime erased.
     /// Sound because [`WorkPool::run`] blocks until `done == n_units`
     /// (every dereference happens-before the submitter returns), and a
@@ -90,7 +101,8 @@ impl Job {
 
     /// Claim and run units until the counter is exhausted. `slot` is the
     /// executing thread's identity, forwarded to the work closure for
-    /// telemetry (it never affects which unit runs what).
+    /// telemetry (it never affects which unit runs what). A panic is kept
+    /// for the submitter and cancels every unit not yet claimed.
     fn work_on(&self, slot: usize) {
         loop {
             let u = self.next.fetch_add(1, Ordering::Relaxed);
@@ -100,9 +112,18 @@ impl Job {
             // SAFETY: the claim above is unique to this thread, and the
             // submitter is still blocked in `run`, keeping the closure and
             // the result slots alive (see the `work` field invariant).
-            unsafe { (*self.work)(u, slot) };
+            let ran = catch_unwind(AssertUnwindSafe(|| unsafe { (*self.work)(u, slot) }));
+            let mut finished = 1;
+            if let Err(payload) = ran {
+                let mut first = self.panic.lock().expect("nothing panics holding the slot");
+                first.get_or_insert(payload);
+                // Units at or past `next` were never claimed; they will
+                // not be, and they count as done.
+                let unclaimed = self.next.swap(self.n_units, Ordering::Relaxed);
+                finished += self.n_units.saturating_sub(unclaimed);
+            }
             let mut done = self.done.lock().unwrap();
-            *done += 1;
+            *done += finished;
             if *done == self.n_units {
                 self.done_cv.notify_all();
             }
@@ -328,6 +349,11 @@ impl WorkPool {
     ///
     /// Blocks until the whole job is done. Concurrent `run` calls from
     /// different threads interleave freely at unit granularity.
+    ///
+    /// # Panics
+    ///
+    /// With the first panic of a unit, once every claimed unit has
+    /// finished; units not yet claimed then never run.
     pub fn run<R, F>(&self, engine: Engine, n_units: usize, work: F) -> Vec<R>
     where
         R: Send,
@@ -361,6 +387,7 @@ impl WorkPool {
             next: AtomicUsize::new(0),
             done: Mutex::new(0),
             done_cv: Condvar::new(),
+            panic: Mutex::new(None),
             work: work_ptr,
         });
         {
@@ -375,6 +402,14 @@ impl WorkPool {
         {
             let mut jobs = self.handle.inner.jobs.lock().unwrap();
             jobs.retain(|j| !Arc::ptr_eq(j, &job));
+        }
+        let panicked = job
+            .panic
+            .lock()
+            .expect("nothing panics holding the slot")
+            .take();
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
         }
         slots
             .into_iter()
@@ -491,6 +526,66 @@ mod tests {
         pool.set_cap(Engine::Align, Some(0));
         let slots = pool.run(Engine::Align, 16, |_u, slot| slot);
         assert!(slots.iter().all(|&s| s == pool.caller_slot(Engine::Align)));
+    }
+
+    /// Run `job` on a thread of its own and wait at most 10 s for it to
+    /// end: the message of the panic it raised, or `None` if it returned.
+    fn panic_of(pool: &WorkPool, job: impl FnOnce(&WorkPool) + Send + 'static) -> Option<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let pool = pool.clone();
+        let thread = std::thread::spawn(move || {
+            let ended = catch_unwind(AssertUnwindSafe(|| job(&pool)));
+            let message = ended.err().map(|p| match p.downcast::<&str>() {
+                Ok(s) => s.to_string(),
+                Err(p) => *p.downcast::<String>().expect("a string payload"),
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the job ended within 10 s");
+        thread.join().expect("the job thread caught its panic");
+        message
+    }
+
+    /// A job whose units panic on the slots `fails` picks; the others wait
+    /// until one has, so both kinds of thread are sure to take a unit.
+    fn failing_job(pool: &WorkPool, engine: Engine, fails: impl Fn(usize) -> bool + Sync) {
+        let failed = AtomicBool::new(false);
+        pool.run(engine, 64, |_u, slot| {
+            if fails(slot) {
+                failed.store(true, Ordering::Release);
+                panic!(
+                    "unit failed on slot kind {}",
+                    u8::from(slot >= pool.threads())
+                );
+            }
+            while !failed.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        });
+    }
+
+    #[test]
+    fn a_panicking_unit_is_reraised_on_the_caller_and_the_pool_survives() {
+        for threads in [1, 2, 4] {
+            let pool = WorkPool::with_exact_workers(threads);
+            let on_worker = panic_of(&pool, move |p| {
+                failing_job(p, Engine::Align, |slot| slot < threads)
+            });
+            assert_eq!(on_worker.as_deref(), Some("unit failed on slot kind 0"));
+            let on_caller = panic_of(&pool, move |p| {
+                failing_job(p, Engine::Sparse, |slot| slot >= threads)
+            });
+            assert_eq!(on_caller.as_deref(), Some("unit failed on slot kind 1"));
+            // The same workers run the next job whole.
+            let next = panic_of(&pool, |p| {
+                run_with_forced_worker(p, Engine::Align);
+                let got = p.run(Engine::Sparse, 100, |u, _| 3 * u);
+                assert_eq!(got, (0..100).map(|u| 3 * u).collect::<Vec<_>>());
+            });
+            assert_eq!(next, None, "{threads} workers");
+        }
     }
 
     #[test]

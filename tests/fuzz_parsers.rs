@@ -1,13 +1,13 @@
 //! Structure-aware fuzzing of every strict parser in the workspace
 //! (ROADMAP #4, the rusteomics dedicated-fuzz-target pattern).
 //!
-//! The robustness contract for each text format — FASTA, the `FaultPlan`
-//! CLI spec, and the CRC-framed checkpoint / spill / index-shard headers —
-//! is the same: arbitrary bytes must yield `Err`, never a panic, and a
-//! mutated (truncated or byte-flipped) valid document must either fail
-//! parsing or decode to the exact original value. The CRC trailer makes
-//! the second half a hard guarantee rather than a hope: any accepted
-//! mutant must re-render byte-identically.
+//! The robustness contract for each format — FASTA, the `FaultPlan` CLI
+//! spec, the CRC-framed checkpoint / spill text and the binary index
+//! shard and manifest frames — is the same: arbitrary bytes must yield
+//! `Err`, never a panic, and a mutated (truncated or byte-flipped) valid
+//! document must either fail parsing or decode to the exact original
+//! value. The CRC trailer makes the second half a hard guarantee rather
+//! than a hope: any accepted mutant must re-render byte-identically.
 //!
 //! Two input regimes per parser:
 //! * **unstructured** — arbitrary bytes/text, asserting totality;
@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use pastis::baselines::BaselineCheckpoint;
 use pastis::comm::FaultPlan;
 use pastis::core::checkpoint::{Checkpoint, IndexShard, SpillShard};
+use pastis::core::frame::{FrameWriter, Kind};
 use pastis::core::pipeline::BlockTiming;
 use pastis::core::{IndexManifest, SearchStats, SimilarityEdge};
 use pastis::seqio::fasta::{parse_fasta, FastaStream, SeqStore};
@@ -73,6 +74,55 @@ macro_rules! assert_mutation_safe {
     }};
 }
 
+/// The same contract for a binary frame: a cut at `cut % len` and a
+/// byte XORed with a nonzero `flip` either fail or decode to a value that
+/// re-encodes to the original frame.
+macro_rules! assert_frame_mutation_safe {
+    ($parse:path, $doc:expr, $cut:expr, $idx:expr, $flip:expr) => {{
+        let doc: &[u8] = $doc;
+        if let Ok(p) = $parse(&doc[..$cut % doc.len()]) {
+            prop_assert_eq!(p.to_bytes(), doc);
+        }
+        let mut flipped = doc.to_vec();
+        flipped[$idx % doc.len()] ^= $flip;
+        if let Ok(p) = $parse(&flipped) {
+            prop_assert_eq!(p.to_bytes(), doc);
+        }
+    }};
+}
+
+/// A valid index shard frame.
+fn valid_shard() -> Vec<u8> {
+    IndexShard {
+        fingerprint: 1,
+        rank: 0,
+        is_a: false,
+        stripe: 0,
+        nrows: 1,
+        ncols: 1,
+        rowptr: vec![0, 1],
+        cols: vec![0],
+        vals: vec![3],
+    }
+    .to_bytes()
+}
+
+/// A valid index manifest frame.
+fn valid_manifest() -> Vec<u8> {
+    IndexManifest {
+        fingerprint: 1,
+        k: 4,
+        alphabet: ReducedAlphabet::Full20,
+        substitute_kmers: 0,
+        n_refs: 1,
+        refs_digest: 2,
+        stripe_cols: 1,
+        n_stripes: 1,
+        col_map: vec![7],
+    }
+    .to_bytes()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -94,9 +144,23 @@ proptest! {
         let _ = FaultPlan::parse(&s);
         let _ = Checkpoint::parse(&s);
         let _ = SpillShard::parse(&s);
-        let _ = IndexShard::parse(&s);
-        let _ = IndexManifest::parse(&s);
+        let _ = IndexShard::from_bytes(s.as_bytes());
+        let _ = IndexManifest::from_bytes(s.as_bytes());
         let _ = BaselineCheckpoint::parse(&s);
+    }
+
+    #[test]
+    fn index_frames_never_panic_on_arbitrary_sealed_bodies(
+        kind in 0u8..2, body in proptest::collection::vec(0u8..=255, 0..96),
+    ) {
+        // Arbitrary bodies behind a valid magic, version and CRC reach
+        // the decoders themselves, past the frame checks.
+        let magic = if kind == 0 { valid_shard() } else { valid_manifest() };
+        let mut w = FrameWriter::new(&Kind(magic[..8].try_into().unwrap(), 2, ""), body.len());
+        w.bytes(&body);
+        let frame = w.finish();
+        let _ = IndexShard::from_bytes(&frame);
+        let _ = IndexManifest::from_bytes(&frame);
     }
 
     #[test]
@@ -116,8 +180,8 @@ proptest! {
         let _ = FaultPlan::parse(&s);
         let _ = Checkpoint::parse(&s);
         let _ = SpillShard::parse(&s);
-        let _ = IndexShard::parse(&s);
-        let _ = IndexManifest::parse(&s);
+        let _ = IndexShard::from_bytes(s.as_bytes());
+        let _ = IndexManifest::from_bytes(s.as_bytes());
         let _ = BaselineCheckpoint::parse(&s);
     }
 
@@ -185,10 +249,11 @@ proptest! {
         nrows in 0usize..4, ncols in 1u32..8,
         row_masks in proptest::collection::vec(0u64..=u64::MAX, 4),
         vals_raw in proptest::collection::vec(0u32..=u32::MAX, 1..32),
-        cut in 0usize..1_000_000, idx in 0usize..1_000_000, ch in 0x20u8..0x7f,
+        cut in 0usize..1_000_000, idx in 0usize..1_000_000, flip in 1u8..=255,
     ) {
-        // Assemble a CSR that satisfies the invariants IndexShard::parse
-        // enforces: sorted unique in-bounds columns per row.
+        // Assemble a CSR that satisfies the invariants
+        // IndexShard::from_bytes enforces: sorted unique in-bounds columns
+        // per row.
         let mut rowptr = vec![0usize];
         let mut cols: Vec<u32> = Vec::new();
         for mask in row_masks.iter().take(nrows) {
@@ -207,9 +272,9 @@ proptest! {
             cols,
             vals,
         };
-        let doc = sh.to_text();
-        prop_assert_eq!(IndexShard::parse(&doc).expect("valid doc").to_text(), doc.clone());
-        assert_mutation_safe!(IndexShard::parse, &doc, cut, idx, ch);
+        let doc = sh.to_bytes();
+        prop_assert_eq!(IndexShard::from_bytes(&doc).expect("valid frame").to_bytes(), doc.clone());
+        assert_frame_mutation_safe!(IndexShard::from_bytes, &doc, cut, idx, flip);
     }
 
     #[test]
@@ -218,10 +283,10 @@ proptest! {
         k in 1usize..=12, alphabet_idx in 0u8..3, substitute_kmers in 0usize..3,
         n_refs in 1usize..2000, stripe_cols in 1usize..300,
         col_steps in proptest::collection::vec(1u32..5000, 0..24),
-        cut in 0usize..1_000_000, idx in 0usize..1_000_000, ch in 0x20u8..0x7f,
+        cut in 0usize..1_000_000, idx in 0usize..1_000_000, flip in 1u8..=255,
     ) {
         // Strictly-increasing column map from positive increments; stripe
-        // arithmetic derived so the document satisfies parse's invariants.
+        // arithmetic derived so the frame satisfies from_bytes' invariants.
         let mut acc = 0u32;
         let col_map: Vec<u32> = col_steps.iter().map(|&s| { acc += s; acc - 1 }).collect();
         let alphabet = [
@@ -240,9 +305,9 @@ proptest! {
             n_stripes: n_refs.div_ceil(stripe_cols),
             col_map,
         };
-        let doc = m.to_text();
-        prop_assert_eq!(IndexManifest::parse(&doc).expect("valid doc").to_text(), doc.clone());
-        assert_mutation_safe!(IndexManifest::parse, &doc, cut, idx, ch);
+        let doc = m.to_bytes();
+        prop_assert_eq!(IndexManifest::from_bytes(&doc).expect("valid frame").to_bytes(), doc.clone());
+        assert_frame_mutation_safe!(IndexManifest::from_bytes, &doc, cut, idx, flip);
     }
 
     #[test]
