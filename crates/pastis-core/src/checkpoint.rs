@@ -42,6 +42,7 @@ use std::path::{Path, PathBuf};
 use pastis_comm::fault::crc32;
 use pastis_comm::{Component, TimeBreakdown};
 use pastis_seqio::SeqStore;
+use pastis_sparse::CsrMatrix;
 
 use crate::frame::{FrameError, FrameReader, FrameWriter, Kind};
 use crate::params::SearchParams;
@@ -623,21 +624,24 @@ pub fn spill_path(dir: &Path, rank: usize, block: usize) -> PathBuf {
         .join(format!("block{block:06}.spill"))
 }
 
-/// Version stamp of the binary index-shard frame (version 1 was text).
-pub const INDEX_SHARD_SCHEMA_VERSION: u32 = 2;
+/// Version stamp of the binary index-shard frame (version 1 was text,
+/// version 2 listed every row of the row space).
+pub const INDEX_SHARD_SCHEMA_VERSION: u32 = 3;
 
 /// The index-shard frame.
 const INDEX_SHARD: Kind = Kind(*b"\x89PSTIDX\n", INDEX_SHARD_SCHEMA_VERSION, "PASTIS-IDX ");
 
-/// One CSR stripe of a k-mer index: a persisted index's column stripe,
-/// or one rank's block of an inactive stripe evicted under memory
-/// pressure. A [`crate::frame`] whose body is the header fields, then one
-/// varint per row length, then the columns and values as u32 LE arrays,
-/// so a reload is bit-exact:
+/// One stripe of a k-mer index by its nonempty rows (so its bytes follow
+/// its nonzeros, not its row space): a persisted index's column stripe
+/// (rows are raw k-mer ids), or one rank's block of an inactive stripe
+/// evicted under memory pressure. A [`crate::frame`] whose body is the
+/// header, the row ids as deltas (the first id, then each gap), one
+/// length per listed row, then the columns and values as u32 LE arrays:
 ///
 /// ```text
-/// fingerprint u64 | rank, side (1 = a), stripe, nrows, ncols, nnz
-/// varints | nrows row-length varints | nnz cols u32 | nnz vals u32
+/// fingerprint u64 | rank, side (1 = a), stripe, nrows, ncols, nnr, nnz
+/// varints | nnr row-id delta varints | nnr row-length varints
+/// | nnz cols u32 | nnz vals u32
 /// ```
 ///
 /// Unlike output-block shards, a stripe shard that fails its CRC is
@@ -654,11 +658,14 @@ pub struct IndexShard {
     pub is_a: bool,
     /// Stripe index within its blocking dimension.
     pub stripe: usize,
-    /// Local row count.
+    /// The row space: every listed row id is below it.
     pub nrows: usize,
     /// Local column count.
     pub ncols: usize,
-    /// CSR row pointers (`nrows + 1` entries).
+    /// Ids of the nonempty rows, strictly increasing.
+    pub rows: Vec<u32>,
+    /// Row pointers over `rows` (`rows.len() + 1` entries, every row
+    /// nonempty).
     pub rowptr: Vec<usize>,
     /// CSR column indices.
     pub cols: Vec<u32>,
@@ -668,13 +675,68 @@ pub struct IndexShard {
 }
 
 impl IndexShard {
+    /// The shard of a stripe held as a CSR over its whole row space (the
+    /// pipeline's): its nonempty rows.
+    pub fn from_csr(
+        fingerprint: u64,
+        rank: usize,
+        is_a: bool,
+        stripe: usize,
+        m: CsrMatrix<u32>,
+    ) -> IndexShard {
+        let (nrows, ncols, dense, cols, vals) = m.into_parts();
+        // Sized exactly: this runs beside the dense row pointer, when the
+        // pipeline is short of memory.
+        let nnr = dense.windows(2).filter(|row| row[1] > row[0]).count();
+        let (mut rows, mut rowptr) = (Vec::with_capacity(nnr), Vec::with_capacity(nnr + 1));
+        rowptr.push(0);
+        for (i, row) in dense.windows(2).enumerate() {
+            if row[1] > row[0] {
+                rows.push(i as u32);
+                rowptr.push(row[1]);
+            }
+        }
+        IndexShard {
+            fingerprint,
+            rank,
+            is_a,
+            stripe,
+            nrows,
+            ncols,
+            rows,
+            rowptr,
+            cols,
+            vals,
+        }
+    }
+
+    /// The stripe back as a CSR over its whole row space, the rows not
+    /// listed empty.
+    pub fn into_csr(self) -> CsrMatrix<u32> {
+        let mut dense = Vec::with_capacity(self.nrows + 1);
+        dense.push(0);
+        for (&row, &end) in self.rows.iter().zip(&self.rowptr[1..]) {
+            let start = *dense.last().expect("starts at 0");
+            dense.resize(row as usize + 1, start);
+            dense.push(end);
+        }
+        dense.resize(self.nrows + 1, self.cols.len());
+        CsrMatrix::from_parts(self.nrows, self.ncols, dense, self.cols, self.vals)
+    }
+
     /// Serialize to the binary frame (CRC trailer included).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = FrameWriter::new(&INDEX_SHARD, 40 + self.nrows + 8 * self.cols.len());
+        let (side, nnr, nnz) = (usize::from(self.is_a), self.rows.len(), self.cols.len());
+        let mut w = FrameWriter::new(&INDEX_SHARD, 48 + 3 * nnr + 8 * nnz);
         w.u64(self.fingerprint);
-        let (side, nnz) = (usize::from(self.is_a), self.cols.len());
-        for v in [self.rank, side, self.stripe, self.nrows, self.ncols, nnz] {
+        let header = [self.rank, side, self.stripe, self.nrows, self.ncols];
+        for v in header.into_iter().chain([nnr, nnz]) {
             w.varint(v as u64);
+        }
+        let mut prev = 0;
+        for &row in &self.rows {
+            w.varint(u64::from(row - prev));
+            prev = row;
         }
         for row in self.rowptr.windows(2) {
             w.varint((row[1] - row[0]) as u64);
@@ -684,10 +746,12 @@ impl IndexShard {
         w.finish()
     }
 
-    /// Check the frame and decode it, re-validating the CSR invariants
-    /// (row lengths summing to `nnz`, sorted unique in-bounds columns), so
-    /// even a CRC-colliding forgery yields `Err`, never a panic downstream.
-    /// Every region is cut from the file before `rowptr` is allocated.
+    /// Check the frame and decode it, re-validating every invariant (row
+    /// ids strictly increasing and inside the row space, every listed row
+    /// nonempty, row lengths summing to `nnz`, sorted unique in-bounds
+    /// columns), so even a CRC-colliding forgery yields `Err`, never a
+    /// panic downstream. Every count is held against the bytes left before
+    /// anything is allocated for it.
     pub fn from_bytes(bytes: &[u8]) -> Result<IndexShard, FrameError> {
         let mut r = FrameReader::open(bytes, &INDEX_SHARD)?;
         let invalid = |why: String| Err(FrameError::Invalid(why));
@@ -698,33 +762,52 @@ impl IndexShard {
             side => return invalid(format!("bad stripe side {side}")),
         };
         let stripe = r.varint("stripe")?;
-        let (nrows, ncols, nnz): (usize, usize, usize) =
-            (r.varint("nrows")?, r.varint("ncols")?, r.varint("nnz")?);
-        let lens = r.varints(nrows as u64, "row lengths")?;
-        let cols = r.u32s(nnz as u64, "cols")?;
-        let vals = r.u32s(nnz as u64, "vals")?;
-        r.finish()?;
-
-        if cols.iter().any(|&c| c as usize >= ncols) {
-            return invalid("columns not sorted/in-bounds".to_string());
+        let (nrows, ncols): (usize, usize) = (r.varint("nrows")?, r.varint("ncols")?);
+        let (nnr, nnz): (u64, u64) = (r.varint("nonempty rows")?, r.varint("nnz")?);
+        // An id and a length, a byte or more each, for every listed row.
+        let nnr = r.count(nnr, 2, "row ids")?;
+        let mut rows = Vec::with_capacity(nnr);
+        let mut id = 0u64;
+        for i in 0..nnr {
+            let gap: u64 = r.varint("row ids")?;
+            if i > 0 && gap == 0 {
+                return invalid("row ids not strictly increasing".to_string());
+            }
+            id = id.saturating_add(gap);
+            match u32::try_from(id) {
+                Ok(row) if id < nrows as u64 => rows.push(row),
+                _ => return invalid(format!("row id {id} past the row space {nrows}")),
+            }
         }
-        let (mut rowptr, mut end) = (Vec::with_capacity(nrows + 1), 0);
+        let mut rowptr = Vec::with_capacity(nnr + 1);
         rowptr.push(0);
-        for (i, len) in lens.enumerate() {
-            if len > (nnz - end) as u64 {
+        let mut end = 0u64;
+        for &row in &rows {
+            let len: u64 = r.varint("row lengths")?;
+            if len == 0 {
+                return invalid(format!("row {row} is listed but empty"));
+            }
+            end = end.saturating_add(len);
+            if end > nnz {
                 return invalid(format!("row lengths pass nnz {nnz}"));
             }
-            let row = &cols[end..end + len as usize];
-            // Most rows of a transposed k-mer stripe hold at most one
-            // entry; only longer ones have an order to check.
-            if len > 1 && row.windows(2).any(|c| c[0] >= c[1]) {
-                return invalid(format!("row {i} columns not sorted/in-bounds"));
-            }
-            end += row.len();
-            rowptr.push(end);
+            rowptr.push(end as usize);
         }
         if end != nnz {
             return invalid(format!("row lengths sum to {end}, not nnz {nnz}"));
+        }
+        let cols = r.u32s(nnz, "cols")?;
+        let vals = r.u32s(nnz, "vals")?;
+        r.finish()?;
+
+        for (row, at) in rows.iter().zip(rowptr.windows(2)) {
+            // Ascending with the last in bounds: all in bounds.
+            let row_cols = &cols[at[0]..at[1]];
+            if row_cols.windows(2).any(|c| c[0] >= c[1])
+                || row_cols[row_cols.len() - 1] as usize >= ncols
+            {
+                return invalid(format!("row {row} columns not sorted/in-bounds"));
+            }
         }
         Ok(IndexShard {
             fingerprint,
@@ -733,6 +816,7 @@ impl IndexShard {
             stripe,
             nrows,
             ncols,
+            rows,
             rowptr,
             cols,
             vals,
@@ -1013,15 +1097,16 @@ mod tests {
     }
 
     fn sample_index_shard() -> IndexShard {
-        // 3x5 CSR: row0 = {1:7, 4:9}, row1 = {}, row2 = {0:1, 2:2, 3:3}
+        // Row space 9, 5 columns: row 2 = {1:7, 4:9}, row 7 = {0:1, 2:2, 3:3}.
         IndexShard {
             fingerprint: 0xABCD_EF01_2345_6789,
             rank: 2,
             is_a: true,
             stripe: 5,
-            nrows: 3,
+            nrows: 9,
             ncols: 5,
-            rowptr: vec![0, 2, 2, 5],
+            rows: vec![2, 7],
+            rowptr: vec![0, 2, 5],
             cols: vec![1, 4, 0, 2, 3],
             vals: vec![7, 9, 1, 2, 3],
         }
@@ -1035,13 +1120,13 @@ mod tests {
         assert_eq!(parsed, shard);
         assert_eq!(parsed.to_bytes(), bytes);
         // Decoded arrays are sized by the file.
-        assert!(parsed.rowptr.capacity() <= bytes.len());
+        assert!(8 * parsed.rowptr.capacity() + 4 * parsed.rows.capacity() <= bytes.len());
         assert!(4 * (parsed.cols.capacity() + parsed.vals.capacity()) <= bytes.len());
-        // An empty stripe (all rows empty) round-trips too.
+        // A stripe with no nonempty row round-trips too.
         let empty = IndexShard {
             is_a: false,
-            nrows: 2,
-            rowptr: vec![0, 0, 0],
+            rows: Vec::new(),
+            rowptr: vec![0],
             cols: Vec::new(),
             vals: Vec::new(),
             ..shard
@@ -1049,15 +1134,39 @@ mod tests {
         assert_eq!(IndexShard::from_bytes(&empty.to_bytes()).unwrap(), empty);
     }
 
-    /// The sample shard's frame with its `nrows` and `nnz` header fields
-    /// replaced, CRC recomputed.
-    fn forged_counts(nrows: u64, nnz: u64) -> Vec<u8> {
+    #[test]
+    fn spill_round_trip_of_a_dense_stripe_is_bit_exact() {
+        // Empty rows at both ends and in the middle, and a matrix with no
+        // entry at all: dense CSR → frame → dense CSR is the same matrix.
+        let triples = |nrows, ncols, e: Vec<(u32, u32, u32)>| {
+            CsrMatrix::from_triples(pastis_sparse::Triples::from_entries(nrows, ncols, e))
+        };
+        for m in [
+            triples(7, 4, vec![(2, 1, 5), (2, 3, 6), (3, 0, 1), (5, 2, 8)]),
+            triples(3, 2, vec![(0, 0, 1), (2, 1, 2)]),
+            triples(4, 3, Vec::new()),
+            triples(1, 1, vec![(0, 0, 9)]),
+        ] {
+            let shard = IndexShard::from_csr(7, 1, false, 3, m.clone());
+            assert!(shard.rowptr.windows(2).all(|r| r[1] > r[0]));
+            let back = IndexShard::from_bytes(&shard.to_bytes()).unwrap();
+            assert_eq!(back, shard);
+            assert_eq!(back.into_csr(), m);
+        }
+        let shard = IndexShard::from_csr(7, 1, false, 3, triples(7, 4, vec![(2, 1, 5)]));
+        assert_eq!((shard.nrows, shard.rows.as_slice()), (7, &[2][..]));
+    }
+
+    /// The sample shard's frame with its counts, row-id deltas and row
+    /// lengths replaced, CRC recomputed.
+    fn forged(nrows: u64, nnr: u64, nnz: u64, gaps: &[u64], lens: &[u64]) -> Vec<u8> {
         let s = sample_index_shard();
         let mut w = FrameWriter::new(&INDEX_SHARD, 0);
         w.u64(s.fingerprint);
-        for v in [2, 1, 5, nrows, 5, nnz, 2, 0, 3] {
+        for v in [2, 1, 5, nrows, 5, nnr, nnz] {
             w.varint(v);
         }
+        gaps.iter().chain(lens).for_each(|&v| w.varint(v));
         w.u32s(&s.cols);
         w.u32s(&s.vals);
         w.finish()
@@ -1077,8 +1186,8 @@ mod tests {
                 assert!(IndexShard::from_bytes(&flipped).is_err(), "{at}.{bit}");
             }
         }
-        // A frame whose CRC is valid but whose CSR invariants are broken
-        // is an Err, not a panic downstream.
+        // A frame whose CRC is valid but whose structure is broken is an
+        // Err, not a panic downstream.
         let forge = |edit: fn(&mut IndexShard)| {
             let mut s = sample_index_shard();
             edit(&mut s);
@@ -1087,41 +1196,68 @@ mod tests {
                 .to_string()
         };
         assert!(forge(|s| s.cols[1] = 9).contains("not sorted/in-bounds"));
-        assert!(forge(|s| s.cols[1] = 1).contains("row 0 columns not sorted"));
-        assert!(forge(|s| s.rowptr = vec![0, 2, 2, 4]).contains("row lengths sum to 4"));
+        assert!(forge(|s| s.cols[1] = 1).contains("row 2 columns not sorted"));
+        assert!(forge(|s| s.rowptr = vec![0, 2, 4]).contains("row lengths sum to 4"));
+        let ok = forged(9, 2, 5, &[2, 5], &[2, 3]);
+        assert_eq!(IndexShard::from_bytes(&ok).unwrap(), sample_index_shard());
+        let refused = |nrows, gaps: &[u64], lens: &[u64]| {
+            IndexShard::from_bytes(&forged(nrows, 2, 5, gaps, lens))
+                .unwrap_err()
+                .to_string()
+        };
+        // A zero gap (a row listed twice), an id past the row space, a
+        // listed row with no entry, lengths that do not sum to nnz.
+        assert!(refused(9, &[2, 0], &[2, 3]).contains("not strictly increasing"));
+        assert!(refused(7, &[2, 5], &[2, 3]).contains("row id 7 past the row space 7"));
+        assert!(
+            refused(u64::MAX, &[2, u64::from(u32::MAX)], &[2, 3]).contains("past the row space")
+        );
+        assert!(refused(9, &[2, 5], &[0, 5]).contains("row 2 is listed but empty"));
+        assert!(refused(9, &[2, 5], &[2, 2]).contains("row lengths sum to 4"));
+        assert!(refused(9, &[2, 5], &[2, 4]).contains("row lengths pass nnz"));
         // Forged counts, up to u64::MAX, fail on the bytes left before
         // anything is sized by them.
-        assert_eq!(
-            IndexShard::from_bytes(&forged_counts(3, 5)).unwrap(),
-            sample_index_shard()
-        );
         let len = bytes.len() as u64;
-        for (nrows, nnz) in [
-            (4, 5),
-            (2, 5),
+        for (nnr, nnz) in [
+            (3, 5),
             (len, 5),
+            (u64::from(u32::MAX), 5),
             (u64::MAX, 5),
-            (3, 4),
-            (3, 6),
-            (3, len),
-            (3, u64::MAX / 4 + 1),
-            (3, u64::MAX),
+            (2, 4),
+            (2, 6),
+            (2, len),
+            (2, u64::MAX / 4 + 1),
+            (2, u64::MAX),
+            (u64::MAX, u64::MAX),
         ] {
-            let err = IndexShard::from_bytes(&forged_counts(nrows, nnz)).unwrap_err();
+            let err = IndexShard::from_bytes(&forged(9, nnr, nnz, &[2, 5], &[2, 3])).unwrap_err();
             assert!(
                 matches!(err, FrameError::Truncated(_) | FrameError::Invalid(_)),
-                "{nrows} {nnz}: {err}"
+                "{nnr} {nnz}: {err}"
             );
         }
     }
 
     #[test]
-    fn text_index_shard_is_refused_naming_its_version() {
+    fn text_and_version_2_index_shards_are_refused_naming_their_version() {
         let v1 = "PASTIS-IDX 1\nfingerprint 00000000000000ab\nrank 0\nstripe b 0\n\
                   dims 1 1 1\nrowptr 0 1\ncols 0\nvals 3\nend 0badf00d\n";
         let err = IndexShard::from_bytes(v1.as_bytes()).unwrap_err();
         assert_eq!(err, FrameError::Legacy("1".to_string()));
         assert!(err.to_string().contains("version 1"), "{err}");
+        assert!(err.to_string().contains("pastis index build"), "{err}");
+        // A version-2 shard as that format's `pastis index build` wrote it
+        // (one reference "MKVLAW", k = 4: a row per k-mer of the index).
+        const V2: [u8; 57] = [
+            0x89, 0x50, 0x53, 0x54, 0x49, 0x44, 0x58, 0x0a, 0x02, 0x00, 0x00, 0x00, 0x71, 0x91,
+            0x8b, 0x2c, 0xfd, 0xeb, 0xbf, 0x39, 0x00, 0x00, 0x00, 0x03, 0x01, 0x03, 0x01, 0x01,
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0xc4, 0x92, 0x6c,
+            0xd0,
+        ];
+        let err = IndexShard::from_bytes(&V2).unwrap_err();
+        assert_eq!(err, FrameError::Version(2));
+        assert!(err.to_string().contains("version 2"), "{err}");
         assert!(err.to_string().contains("pastis index build"), "{err}");
     }
 

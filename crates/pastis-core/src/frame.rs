@@ -49,7 +49,11 @@ impl fmt::Display for FrameError {
                 f,
                 "crc mismatch: file says {stored:08x}, content is {computed:08x}"
             ),
-            FrameError::Version(v) => write!(f, "unsupported schema version {v}"),
+            FrameError::Version(v) => write!(
+                f,
+                "schema version {v}, which this build does not read: \
+                 re-run `pastis index build`"
+            ),
             FrameError::Legacy(v) => write!(
                 f,
                 "text format version {v}, which this build no longer reads: \
@@ -154,7 +158,20 @@ impl<'a> FrameReader<'a> {
 
     /// A LEB128 varint as a `T`; an overlong spelling or a value `T`
     /// cannot hold is an `Err`.
+    #[inline]
     pub(crate) fn varint<T: TryFrom<u64>>(&mut self, field: &'static str) -> Result<T, FrameError> {
+        // One byte (most row ids and lengths) is canonical: decoded inline.
+        if let Some((&b, rest)) = self.0.split_first().filter(|(&b, _)| b < 0x80) {
+            if let Ok(v) = T::try_from(u64::from(b)) {
+                self.0 = rest;
+                return Ok(v);
+            }
+        }
+        self.long_varint(field)
+    }
+
+    #[inline(never)]
+    fn long_varint<T: TryFrom<u64>>(&mut self, field: &'static str) -> Result<T, FrameError> {
         let (mut v, mut shift) = (0u64, 0);
         for (at, &b) in self.0.iter().enumerate() {
             if (shift == 63 && b > 1) || (b == 0 && shift > 0) {
@@ -171,28 +188,19 @@ impl<'a> FrameReader<'a> {
         Err(FrameError::Truncated(field))
     }
 
-    /// The next `n` varints, each checked here, without allocating; the
-    /// iterator decodes them again.
-    pub(crate) fn varints(
-        &mut self,
+    /// `n` items of at least `min_bytes` each, held against the bytes
+    /// left: an `Err` if they cannot fit, so that `n` may size an
+    /// allocation.
+    pub(crate) fn count(
+        &self,
         n: u64,
+        min_bytes: u64,
         field: &'static str,
-    ) -> Result<impl Iterator<Item = u64> + 'a, FrameError> {
-        let start = self.0;
-        for _ in 0..n {
-            self.one_byte().map_or_else(|| self.varint(field), Ok)?;
+    ) -> Result<usize, FrameError> {
+        if n.saturating_mul(min_bytes) > self.0.len() as u64 {
+            return Err(FrameError::Truncated(field));
         }
-        let mut run = FrameReader(&start[..start.len() - self.0.len()]);
-        Ok(std::iter::from_fn(move || {
-            run.one_byte().or_else(|| run.varint(field).ok())
-        }))
-    }
-
-    /// A varint of one byte (most row lengths), taken; `None` otherwise.
-    fn one_byte(&mut self) -> Option<u64> {
-        let (&b, rest) = self.0.split_first().filter(|(&b, _)| b < 0x80)?;
-        self.0 = rest;
-        Some(u64::from(b))
+        Ok(n as usize)
     }
 
     /// `n` u32 LE values, allocated once the file is known to hold them.
@@ -236,7 +244,7 @@ mod tests {
         let mut r = reopen(&frame).unwrap();
         assert_eq!(r.bytes(1, "a").unwrap(), [7]);
         assert_eq!(r.u64("b").unwrap(), 0xDEAD_BEEF_0123_4567);
-        let run: Vec<u64> = r.varints(7, "c").unwrap().collect();
+        let run: Vec<u64> = (0..7).map(|_| r.varint("c").unwrap()).collect();
         assert_eq!(run, values);
         assert_eq!(r.u32s(2, "d").unwrap(), [1, u32::MAX]);
         r.finish().unwrap();
@@ -285,8 +293,8 @@ mod tests {
             let mut r = reopen(&frame).unwrap();
             r.varint::<u64>("n").unwrap();
             assert_eq!(r.u32s(n, "x").err(), Some(FrameError::Truncated("x")));
-            let mut r = reopen(&frame).unwrap();
-            assert!(r.varints(n.max(10), "x").is_err());
+            let r = reopen(&frame).unwrap();
+            assert!(r.count(n.max(10), 1, "x").is_err());
         }
         // What does fit is sized by the file, not by the count.
         let mut r = reopen(&frame).unwrap();

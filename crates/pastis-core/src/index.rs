@@ -3,12 +3,13 @@
 //!
 //! The batch pipeline forms `C = A·Aᵀ` from scratch on every run. The
 //! serving path splits that work: `build_index` constructs the reference
-//! side **once** — the compacted k-mer matrix `B = Aᵀ` (k-mers × refs,
-//! values are first k-mer positions, exactly the operand the batch SUMMA
-//! multiplies) — and persists it as column stripes, each an
-//! [`IndexShard`] in the binary CRC-framed format of [`crate::frame`], plus
-//! one manifest binding the shards to the build parameters and the
-//! reference set. [`PersistedIndex::open`] reloads the manifest and the reference
+//! side **once** — the k-mer matrix `B = Aᵀ` (k-mers × refs, values are
+//! first k-mer positions, exactly the operand the batch SUMMA multiplies)
+//! — and persists it as column stripes, each the [`KmerMatrix`] of its own
+//! references stored by its nonempty k-mer rows as an [`IndexShard`] in
+//! the binary CRC-framed format of [`crate::frame`], plus one manifest
+//! binding the shards to the build parameters and the reference set.
+//! [`PersistedIndex::open`] reloads the manifest and the reference
 //! sequences, re-verifying every frame, so a query batch only has to form
 //! its own small `A_query` and multiply against the loaded stripes.
 //!
@@ -25,14 +26,16 @@
 //! * shard CSR invariants are re-validated on load (via
 //!   [`IndexShard::from_bytes`]) so even a CRC-colliding forgery yields
 //!   `Err`;
-//! * an index written in the text format of version 1 is refused with an
-//!   error naming the version: rebuild it with `pastis index build`.
+//! * an index written in the text format of version 1, or in the binary
+//!   format of version 2 (a row for every k-mer of the index in every
+//!   stripe), is refused with an error naming the version: rebuild it
+//!   with `pastis index build`.
 
 use std::path::{Path, PathBuf};
 
 use pastis_seqio::fasta::write_fasta;
 use pastis_seqio::{FastaStream, ReducedAlphabet, SeqStore};
-use pastis_sparse::CsrMatrix;
+use pastis_sparse::{CsrMatrix, Index};
 use pastis_trace::{names, span, Component, Recorder};
 
 use crate::checkpoint::{digest_bytes, digest_u64, write_atomic, IndexShard};
@@ -40,8 +43,9 @@ use crate::frame::{FrameError, FrameReader, FrameWriter, Kind};
 use crate::kmer::KmerMatrix;
 use crate::membudget::MemBudget;
 
-/// Schema version of the binary index-manifest frame (version 1 was text).
-pub const INDEX_MANIFEST_SCHEMA_VERSION: u32 = 2;
+/// Schema version of the binary index-manifest frame (version 1 was text,
+/// version 2 carried the index's column map).
+pub const INDEX_MANIFEST_SCHEMA_VERSION: u32 = 3;
 
 /// Largest record accepted when reloading `refs.fasta` (matches the CLI's
 /// input bound).
@@ -103,14 +107,17 @@ const INDEX_MANIFEST: Kind = Kind(
 );
 
 /// The manifest tying an index directory together: a [`crate::frame`]
-/// whose body binds the shards to the build parameters and the
-/// reference set, with the column map stored as ascending deltas:
+/// whose body binds the shards to the build parameters and the reference
+/// set:
 ///
 /// ```text
 /// fingerprint u64 | k, alphabet code, substitute-kmers, n_refs varints
-/// | refs digest u64 | stripe_cols, n_stripes, colmap length varints
-/// | colmap delta varints
+/// | refs digest u64 | stripe_cols, n_stripes varints
 /// ```
+///
+/// There is no column map: each stripe lists its own nonempty rows by
+/// raw k-mer id, and a query batch is relabelled into them stripe by
+/// stripe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexManifest {
     /// Index identity ([`index_fingerprint`]); every shard carries it too.
@@ -129,20 +136,9 @@ pub struct IndexManifest {
     pub stripe_cols: usize,
     /// Stripe count (`ceil(n_refs / stripe_cols)`).
     pub n_stripes: usize,
-    /// Sorted distinct k-mer ids of the reference matrix: the compacted
-    /// inner dimension, identical to the batch pipeline's collective
-    /// column compaction. Query k-mers are remapped through it by binary
-    /// search; ids absent here cannot match any reference and are dropped.
-    pub col_map: Vec<u32>,
 }
 
 impl IndexManifest {
-    /// The compacted inner dimension (`col_map.len().max(1)`), the row
-    /// count of every `B` stripe.
-    pub fn inner_dim(&self) -> usize {
-        self.col_map.len().max(1)
-    }
-
     /// Column range `[lo, hi)` of stripe `s` in global reference ids.
     pub fn stripe_range(&self, s: usize) -> (usize, usize) {
         let lo = s * self.stripe_cols;
@@ -151,7 +147,7 @@ impl IndexManifest {
 
     /// Serialize to the binary frame (CRC trailer included).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = FrameWriter::new(&INDEX_MANIFEST, 64 + 2 * self.col_map.len());
+        let mut w = FrameWriter::new(&INDEX_MANIFEST, 64);
         w.u64(self.fingerprint);
         let code = ALPHABETS.iter().position(|&a| a == self.alphabet);
         let code = code.expect("every alphabet has a code");
@@ -159,25 +155,19 @@ impl IndexManifest {
             w.varint(v as u64);
         }
         w.u64(self.refs_digest);
-        for v in [self.stripe_cols, self.n_stripes, self.col_map.len()] {
+        for v in [self.stripe_cols, self.n_stripes] {
             w.varint(v as u64);
-        }
-        let mut prev = 0;
-        for &id in &self.col_map {
-            w.varint(u64::from(id - prev));
-            prev = id;
         }
         w.finish()
     }
 
-    /// Check the frame, decode it, and validate its structure: a column
-    /// map not strictly increasing or inconsistent stripe arithmetic is
-    /// an `Err` too, so even a CRC-colliding forgery cannot poison the
-    /// binary searches downstream.
+    /// Check the frame, decode it, and validate its structure: a `k` out
+    /// of range or inconsistent stripe arithmetic is an `Err` too, so even
+    /// a CRC-colliding forgery cannot poison the stripe loads downstream.
     pub fn from_bytes(bytes: &[u8]) -> Result<IndexManifest, FrameError> {
         let mut r = FrameReader::open(bytes, &INDEX_MANIFEST)?;
         let invalid = |why: String| Err(FrameError::Invalid(why));
-        let mut m = IndexManifest {
+        let m = IndexManifest {
             fingerprint: r.u64("fingerprint")?,
             k: r.varint("k")?,
             alphabet: match ALPHABETS.get(r.varint::<usize>("alphabet")?) {
@@ -189,24 +179,8 @@ impl IndexManifest {
             refs_digest: r.u64("refs digest")?,
             stripe_cols: r.varint("stripe width")?,
             n_stripes: r.varint("stripes")?,
-            col_map: Vec::new(),
         };
-        let n_cols = r.varint("colmap length")?;
-        let deltas = r.varints(n_cols, "colmap")?;
         r.finish()?;
-
-        m.col_map.reserve_exact(n_cols as usize);
-        let mut prev = 0u64;
-        for (i, delta) in deltas.enumerate() {
-            if i > 0 && delta == 0 {
-                return invalid("colmap not strictly increasing".to_string());
-            }
-            prev = prev.saturating_add(delta);
-            match u32::try_from(prev) {
-                Ok(id) => m.col_map.push(id),
-                Err(_) => return invalid("colmap id past u32".to_string()),
-            }
-        }
         let (k, n_refs, cols, n) = (m.k, m.n_refs, m.stripe_cols, m.n_stripes);
         if k == 0 || k > 12 {
             return invalid(format!("k {k} out of range (1..=12)"));
@@ -285,11 +259,11 @@ pub struct IndexBuildReport {
 /// CRC'd, fingerprint-bound column stripes plus a manifest and the
 /// reference sequences themselves.
 ///
-/// The matrix is built exactly as the batch pipeline builds its SUMMA
-/// operand: triples of first k-mer positions, collectively-compacted
-/// column space (here trivially collective — one builder), transpose, so
-/// a serve-side `A_query × B_stripe` SpGEMM reproduces the batch overlap
-/// values bit-for-bit.
+/// Each stripe is built on its own, exactly as the batch pipeline builds
+/// its SUMMA operand (first k-mer positions, smallest kept, the same
+/// builder) but over the stripe's references only, and stored by its
+/// nonempty k-mer rows; a serve-side `A_query × B_stripe` SpGEMM over the
+/// relabelled query reproduces the batch overlap values bit-for-bit.
 ///
 /// # Errors
 ///
@@ -323,40 +297,36 @@ pub fn build_index(
     let n = store.len();
     let fingerprint = index_fingerprint(cfg.k, cfg.alphabet, cfg.substitute_kmers, store);
 
-    // 1. The batch pipeline's operand recipe: the builder's sorted column
-    // map and `B = Aᵀ` (inner_dim × n_refs, first k-mer positions). Its
-    // scratch is charged before it is allocated.
+    // 1. One stripe at a time: the builder over the stripe's references
+    // (its scratch charged before it is allocated), its columns shifted to
+    // the stripe, then the shard written. Only one stripe is ever live, so
+    // `--mem-budget` bounds the build's peak, not the whole index.
     let reserve = |phase, bytes| budget.reserve(phase, bytes).map_err(|e| e.to_string());
     let (k, substitutes) = (cfg.k, cfg.substitute_kmers);
-    let scratch_bytes = KmerMatrix::peak_bytes(store, 0..n, k, substitutes);
-    reserve("index k-mer sort", scratch_bytes)?;
-    let kmers = KmerMatrix::build(store, 0..n, k, cfg.alphabet, substitutes);
-    let (col_map, bt) = (kmers.ids, kmers.at);
-    budget.release(scratch_bytes);
-    let nnz = bt.nnz();
-    // `B`, its column map, and the stripe cutter's count per entry.
-    let bt_bytes = (bt.payload_bytes() + col_map.len() * 4 + (nnz + 1) * 8) as u64;
-    reserve("index transpose", bt_bytes)?;
-
-    // 2. Stream the column stripes to disk one at a time: only one stripe
-    // buffer is ever live on top of `B`, so `--mem-budget` bounds the
-    // build's peak instead of the whole shard set.
     let n_stripes = n.div_ceil(cfg.stripe_cols);
-    let bounds: Vec<usize> = (0..=n_stripes)
-        .map(|s| (s * cfg.stripe_cols).min(n))
-        .collect();
-    let mut shard_bytes = 0u64;
-    for (s, stripe) in bt.col_stripes(&bounds).enumerate() {
-        let stripe_bytes = stripe.payload_bytes() as u64;
+    let (mut shard_bytes, mut nnz) = (0u64, 0usize);
+    for s in 0..n_stripes {
+        let (lo, hi) = (s * cfg.stripe_cols, ((s + 1) * cfg.stripe_cols).min(n));
+        let scratch_bytes = KmerMatrix::peak_bytes(store, lo..hi, k, substitutes);
+        reserve("index k-mer sort", scratch_bytes)?;
+        let KmerMatrix { ids, at } = KmerMatrix::build(store, lo..hi, k, cfg.alphabet, substitutes);
+        budget.release(scratch_bytes);
+        let stripe_bytes = (at.payload_bytes() + ids.len() * 4) as u64;
         reserve("index stripe buffer", stripe_bytes)?;
-        let (nrows, ncols, rowptr, cols, vals) = stripe.into_parts();
+        let (_, _, mut rowptr, mut cols, vals) = at.into_parts();
+        // A stripe with no k-mer has the builder's one empty row, which
+        // is not listed.
+        rowptr.truncate(ids.len() + 1);
+        cols.iter_mut().for_each(|c| *c -= lo as Index);
+        nnz += cols.len();
         let shard = IndexShard {
             fingerprint,
             rank: 0,
             is_a: false,
             stripe: s,
-            nrows,
-            ncols,
+            nrows: cfg.alphabet.kmer_space(k),
+            ncols: hi - lo,
+            rows: ids,
             rowptr,
             cols,
             vals,
@@ -366,10 +336,8 @@ pub fn build_index(
         write_atomic(&shard_path(dir, s), &bytes)?;
         budget.release(stripe_bytes);
     }
-    budget.release(bt_bytes);
-    drop(bt);
 
-    // 3. The reference sequences (alignment needs the residues at serve
+    // 2. The reference sequences (alignment needs the residues at serve
     // time) and, last, the manifest — a directory without a valid
     // manifest is not an index, so a torn build can never be opened.
     let records = store.to_records();
@@ -387,7 +355,6 @@ pub fn build_index(
         refs_digest: store_digest(store),
         stripe_cols: cfg.stripe_cols,
         n_stripes,
-        col_map,
     };
     write_atomic(&manifest_path(dir), manifest.to_bytes())?;
     build_span.push_arg("nnz", nnz as u64);
@@ -479,32 +446,35 @@ impl PersistedIndex {
         Ok(())
     }
 
-    /// Load stripe `s`: read its shard, CRC-check, re-validate the CSR
-    /// invariants, and verify it is *this* index's stripe `s` (fingerprint,
-    /// side, stripe number, dimensions all bound by the manifest).
+    /// Load stripe `s`: read its shard, CRC-check, re-validate it, and
+    /// verify it is *this* index's stripe `s` (fingerprint, side, stripe
+    /// number, row space and width bound by the manifest). It comes back
+    /// as the [`KmerMatrix`] of its references over the stripe's columns,
+    /// so its memory follows its nonzeros, not the k-mer space.
     ///
     /// # Errors
     ///
     /// Corrupt, foreign, or mis-shaped shards are typed errors.
-    pub fn load_stripe(&self, s: usize) -> Result<CsrMatrix<u32>, String> {
+    pub fn load_stripe(&self, s: usize) -> Result<KmerMatrix, String> {
         let path = shard_path(&self.dir, s);
         let bytes = std::fs::read(&path)
             .map_err(|e| format!("reading index shard {}: {e}", path.display()))?;
         let shard = IndexShard::from_bytes(&bytes)
             .map_err(|e| format!("index shard {}: {e}", path.display()))?;
-        let (lo, hi) = self.manifest.stripe_range(s);
-        if shard.fingerprint != self.manifest.fingerprint {
+        let m = &self.manifest;
+        let (lo, hi) = m.stripe_range(s);
+        if shard.fingerprint != m.fingerprint {
             return Err(format!(
                 "index shard {} belongs to a different index build \
                  (fingerprint {:016x}, manifest {:016x}); rebuild the index",
                 path.display(),
                 shard.fingerprint,
-                self.manifest.fingerprint
+                m.fingerprint
             ));
         }
         if shard.is_a
             || shard.stripe != s
-            || shard.nrows != self.manifest.inner_dim()
+            || shard.nrows != m.alphabet.kmer_space(m.k)
             || shard.ncols != hi - lo
         {
             return Err(format!(
@@ -513,19 +483,20 @@ impl PersistedIndex {
                 path.display()
             ));
         }
-        Ok(CsrMatrix::from_parts(
-            shard.nrows,
-            shard.ncols,
-            shard.rowptr,
-            shard.cols,
-            shard.vals,
-        ))
+        // No k-mer at all: the builder's one empty row.
+        let (ids, mut rowptr) = (shard.rows, shard.rowptr);
+        rowptr.resize(rowptr.len().max(2), 0);
+        let at = CsrMatrix::from_parts(ids.len().max(1), hi - lo, rowptr, shard.cols, shard.vals);
+        Ok(KmerMatrix { ids, at })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::SearchParams;
+    use crate::pipeline::run_search_serial;
+    use crate::serve::{serve_queries, ServeConfig};
     use pastis_align::matrices::encode;
 
     fn tiny_store() -> SeqStore {
@@ -566,7 +537,6 @@ mod tests {
             refs_digest: 0x0123_4567_89ab_cdef,
             stripe_cols: 3,
             n_stripes: 3,
-            col_map: vec![0, 5, 9, 1000, u32::MAX],
         }
     }
 
@@ -577,24 +547,6 @@ mod tests {
         let back = IndexManifest::from_bytes(&bytes).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.to_bytes(), bytes);
-        assert!(back.col_map.capacity() <= bytes.len());
-    }
-
-    /// The sample manifest's frame with its column map re-encoded as
-    /// `len` (the count field) and `deltas`, CRC recomputed.
-    fn forged_colmap(len: u64, deltas: &[u64]) -> Vec<u8> {
-        let empty = IndexManifest {
-            col_map: Vec::new(),
-            ..sample_manifest()
-        }
-        .to_bytes();
-        // Everything up to the column map's length field (one byte, 0).
-        let head = &empty[12..empty.len() - 5];
-        let mut w = FrameWriter::new(&INDEX_MANIFEST, 0);
-        w.bytes(head);
-        w.varint(len);
-        deltas.iter().for_each(|&d| w.varint(d));
-        w.finish()
     }
 
     #[test]
@@ -625,20 +577,8 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("schema version 9"));
-        // A self-consistent frame with a broken column map or stripe
-        // arithmetic.
-        let deltas = [0, 5, 4, 991, u64::from(u32::MAX - 1000)];
-        assert_eq!(
-            IndexManifest::from_bytes(&forged_colmap(5, &deltas)).unwrap(),
-            sample_manifest()
-        );
-        let err = |len, d: &[u64]| IndexManifest::from_bytes(&forged_colmap(len, d)).unwrap_err();
-        assert!(err(5, &[0, 5, 0, 991, 7])
-            .to_string()
-            .contains("strictly increasing"));
-        assert!(err(5, &[0, 5, 4, 991, u64::from(u32::MAX)])
-            .to_string()
-            .contains("past u32"));
+        // A self-consistent frame with broken stripe arithmetic, a k out
+        // of range, or bytes left over.
         let skewed = IndexManifest {
             n_stripes: 2,
             ..sample_manifest()
@@ -647,21 +587,25 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("stripe arithmetic"));
-        // A forged column-map length, up to u64::MAX, fails on the bytes
-        // left before anything is sized by it.
-        for len in [4, 6, bytes.len() as u64, u64::from(u32::MAX), u64::MAX] {
-            assert!(
-                matches!(
-                    err(len, &deltas),
-                    FrameError::Truncated(_) | FrameError::Invalid(_)
-                ),
-                "{len}"
-            );
-        }
+        let k13 = IndexManifest {
+            k: 13,
+            ..sample_manifest()
+        };
+        assert!(IndexManifest::from_bytes(&k13.to_bytes())
+            .unwrap_err()
+            .to_string()
+            .contains("k 13 out of range"));
+        let mut longer = FrameWriter::new(&INDEX_MANIFEST, 0);
+        longer.bytes(&bytes[12..bytes.len() - 4]);
+        longer.varint(1);
+        assert!(IndexManifest::from_bytes(&longer.finish())
+            .unwrap_err()
+            .to_string()
+            .contains("trailing bytes"));
     }
 
     #[test]
-    fn text_manifest_is_refused_naming_its_version() {
+    fn text_and_version_2_manifests_are_refused_naming_their_version() {
         let v1 = "PASTIS-IDXMAN 1\nfingerprint 00000000000000ab\nparams 4 full20 0\n\
                   refs 1 00000000000000cd\nstripes 1 512\ncolmap 1 7\nend 0badf00d\n";
         let err = IndexManifest::from_bytes(v1.as_bytes())
@@ -669,14 +613,29 @@ mod tests {
             .to_string();
         assert!(err.contains("text format version 1"), "{err}");
         assert!(err.contains("re-run `pastis index build`"), "{err}");
-        // Opening a version-1 directory names the manifest file.
-        let dir = tmpdir("v1");
-        std::fs::write(manifest_path(&dir), v1).unwrap();
-        let err = PersistedIndex::open(&dir).unwrap_err();
-        assert!(
-            err.contains("index.manifest") && err.contains("version 1"),
-            "{err}"
-        );
+        // A version-2 manifest as that format's `pastis index build` wrote
+        // it (one reference "MKVLAW", k = 4, its three k-mers' column map).
+        const V2: [u8; 47] = [
+            0x89, 0x50, 0x53, 0x54, 0x49, 0x4d, 0x46, 0x0a, 0x02, 0x00, 0x00, 0x00, 0x71, 0x91,
+            0x8b, 0x2c, 0xfd, 0xeb, 0xbf, 0x39, 0x04, 0x00, 0x00, 0x01, 0x09, 0xf5, 0x0a, 0x29,
+            0xb2, 0x7f, 0x68, 0x40, 0x01, 0x01, 0x03, 0xb8, 0xec, 0x05, 0xfe, 0x26, 0xbb, 0xaf,
+            0x03, 0xc6, 0xab, 0xe3, 0xe5,
+        ];
+        let err = IndexManifest::from_bytes(&V2).unwrap_err().to_string();
+        assert!(err.contains("schema version 2"), "{err}");
+        assert!(err.contains("re-run `pastis index build`"), "{err}");
+        // Opening a version-1 or version-2 directory names the manifest
+        // file and the version.
+        let dir = tmpdir("old");
+        for (old, version) in [(v1.as_bytes(), "version 1"), (&V2[..], "version 2")] {
+            std::fs::write(manifest_path(&dir), old).unwrap();
+            let err = PersistedIndex::open(&dir).unwrap_err();
+            assert!(
+                err.contains("index.manifest") && err.contains(version),
+                "{err}"
+            );
+            assert!(err.contains("pastis index build"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -692,14 +651,25 @@ mod tests {
         let idx = PersistedIndex::open(&dir).unwrap();
         assert_eq!(idx.manifest, report.manifest);
         assert_eq!(store_digest(&idx.refs), store_digest(&store));
-        // Every stripe reloads and matches a fresh in-memory build.
+        // Every stripe reloads as the builder's matrix of its references,
+        // columns local to the stripe.
         let mut total_nnz = 0usize;
         for s in 0..idx.manifest.n_stripes {
             let stripe = idx.load_stripe(s).unwrap();
-            assert_eq!(stripe.nrows(), idx.manifest.inner_dim());
             let (lo, hi) = idx.manifest.stripe_range(s);
-            assert_eq!(stripe.ncols(), hi - lo);
-            total_nnz += stripe.nnz();
+            let want = KmerMatrix::build(&store, lo..hi, 4, ReducedAlphabet::Full20, 0);
+            assert_eq!(stripe.ids, want.ids);
+            assert_eq!(stripe.at.nrows(), want.ids.len().max(1));
+            assert_eq!(stripe.at.ncols(), hi - lo);
+            let shifted: Vec<(Index, Index, u32)> = want
+                .at
+                .iter()
+                .map(|(r, c, &v)| (r, c - lo as Index, v))
+                .collect();
+            let got: Vec<(Index, Index, u32)> =
+                stripe.at.iter().map(|(r, c, &v)| (r, c, v)).collect();
+            assert_eq!(got, shifted);
+            total_nnz += stripe.at.nnz();
         }
         assert_eq!(total_nnz as u64, report.nnz);
         // A second build writes byte-identical files.
@@ -717,6 +687,139 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn stripes_built_alone_equal_the_whole_matrix_cut_into_stripes() {
+        // The old route: `B` over every reference, cut by columns, each
+        // stripe's nonempty rows named through the whole matrix's ids.
+        let store = tiny_store();
+        for (substitutes, stripe_cols) in [(0, 1), (0, 2), (2, 2), (2, 3), (1, 5)] {
+            let n = store.len();
+            let whole = KmerMatrix::build(&store, 0..n, 4, ReducedAlphabet::Full20, substitutes);
+            let bounds: Vec<usize> = (0..=n.div_ceil(stripe_cols))
+                .map(|s| (s * stripe_cols).min(n))
+                .collect();
+            let dir = tmpdir(&format!("routes{substitutes}{stripe_cols}"));
+            let cfg = IndexBuildConfig {
+                substitute_kmers: substitutes,
+                stripe_cols,
+                ..IndexBuildConfig::default()
+            };
+            build_index(&store, &cfg, &dir, &Recorder::disabled()).unwrap();
+            let idx = PersistedIndex::open(&dir).unwrap();
+            for (s, cut) in whole.at.col_stripes(&bounds).enumerate() {
+                let cut = IndexShard::from_csr(0, 0, false, s, cut);
+                let ids: Vec<u32> = cut.rows.iter().map(|&r| whole.ids[r as usize]).collect();
+                let alone = idx.load_stripe(s).unwrap();
+                assert_eq!(alone.ids, ids, "stripe {s}");
+                let (_, _, rowptr, cols, vals) = alone.at.into_parts();
+                assert_eq!((&rowptr, &cols, &vals), (&cut.rowptr, &cut.cols, &cut.vals));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Heap bytes a loaded stripe holds, by capacity.
+    fn allocated_bytes(stripe: KmerMatrix) -> usize {
+        let (_, _, rowptr, cols, vals) = stripe.at.into_parts();
+        4 * stripe.ids.capacity() + 8 * rowptr.capacity() + 4 * (cols.capacity() + vals.capacity())
+    }
+
+    #[test]
+    fn loaded_stripes_hold_memory_by_nonzeros_not_by_the_kmer_space() {
+        // One reference per stripe, so every stripe holds a few dozen of
+        // the 160 000 possible 4-mer rows.
+        let store = tiny_store();
+        let dir = tmpdir("memory");
+        let cfg = IndexBuildConfig {
+            stripe_cols: 1,
+            ..IndexBuildConfig::default()
+        };
+        build_index(&store, &cfg, &dir, &Recorder::disabled()).unwrap();
+        let idx = PersistedIndex::open(&dir).unwrap();
+        assert_eq!(idx.manifest.n_stripes, store.len());
+        for s in 0..idx.manifest.n_stripes {
+            let stripe = idx.load_stripe(s).unwrap();
+            let (nnz, nnr) = (stripe.at.nnz(), stripe.ids.len());
+            assert!(nnr > 0 && nnz >= nnr, "stripe {s}");
+            let held = allocated_bytes(stripe);
+            assert!(
+                held <= 16 * nnz + 16 * nnr + 64,
+                "stripe {s}: {held} bytes for {nnz} nonzeros in {nnr} rows"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stripe_of_references_shorter_than_k_round_trips_and_serves() {
+        // The last stripe's references are all shorter than k = 4: it has
+        // no nonempty row at all.
+        let mut store = tiny_store();
+        store.push("short0".to_string(), encode("MKV").unwrap());
+        store.push("short1".to_string(), encode("WP").unwrap());
+        let dir = tmpdir("shorter");
+        let cfg = IndexBuildConfig {
+            stripe_cols: 5,
+            ..IndexBuildConfig::default()
+        };
+        build_index(&store, &cfg, &dir, &Recorder::disabled()).unwrap();
+        let idx = PersistedIndex::open(&dir).unwrap();
+        assert_eq!(idx.manifest.n_stripes, 2);
+        let empty = idx.load_stripe(1).unwrap();
+        assert!(empty.ids.is_empty());
+        assert_eq!(
+            (empty.at.nrows(), empty.at.ncols(), empty.at.nnz()),
+            (1, 2, 0)
+        );
+        let shard = IndexShard::from_bytes(&std::fs::read(shard_path(&dir, 1)).unwrap()).unwrap();
+        assert_eq!(IndexShard::from_bytes(&shard.to_bytes()).unwrap(), shard);
+        assert!(shard.rows.is_empty() && shard.rowptr == [0]);
+        // Served back as its own queries: the batch search's rows.
+        let params = SearchParams::test_defaults();
+        let want = run_search_serial(&store, &params)
+            .unwrap()
+            .graph
+            .to_tsv_lines();
+        let out = serve_queries(&idx, &store, &ServeConfig::from_params(params)).unwrap();
+        assert!(out.stats.self_mode);
+        assert_eq!(out.lines, want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_rows_do_not_depend_on_the_stripe_width() {
+        let store = tiny_store();
+        let mut queries = SeqStore::new();
+        for (n, pick) in [3usize, 0, 4, 1, 0].into_iter().enumerate() {
+            queries.push(format!("q{n}"), store.seq(pick).to_vec());
+        }
+        let params = SearchParams::test_defaults();
+        let batch = run_search_serial(&store, &params)
+            .unwrap()
+            .graph
+            .to_tsv_lines();
+        let cfg = ServeConfig::from_params(params);
+        let mut general = None;
+        for stripe_cols in [1, 2, 64, store.len()] {
+            let dir = tmpdir(&format!("width{stripe_cols}"));
+            let build = IndexBuildConfig {
+                stripe_cols,
+                ..IndexBuildConfig::default()
+            };
+            build_index(&store, &build, &dir, &Recorder::disabled()).unwrap();
+            let idx = PersistedIndex::open(&dir).unwrap();
+            assert_eq!(serve_queries(&idx, &store, &cfg).unwrap().lines, batch);
+            let rows = serve_queries(&idx, &queries, &cfg).unwrap().lines;
+            assert!(!rows.is_empty());
+            assert_eq!(
+                general.get_or_insert_with(|| rows.clone()),
+                &rows,
+                "{stripe_cols}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -778,6 +881,12 @@ mod tests {
             .contains("different index build"));
         foreign.fingerprint ^= 1;
         foreign.stripe = 1;
+        std::fs::write(&p, foreign.to_bytes()).unwrap();
+        assert!(idx.load_stripe(0).unwrap_err().contains("is not stripe 0"));
+        // A row space other than the index's k-mer space, as a shard of a
+        // k = 5 index would have.
+        foreign.stripe = 0;
+        foreign.nrows = ReducedAlphabet::Full20.kmer_space(5);
         std::fs::write(&p, foreign.to_bytes()).unwrap();
         assert!(idx.load_stripe(0).unwrap_err().contains("is not stripe 0"));
         let _ = std::fs::remove_dir_all(&dir);

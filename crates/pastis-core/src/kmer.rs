@@ -113,7 +113,10 @@ fn window_count(store: &SeqStore, rows: Range<usize>, k: usize) -> usize {
     rows.map(|r| (store.seq_len(r) + 1).saturating_sub(k)).sum()
 }
 
-/// The k-mer matrix of a row range, sorted by k-mer id.
+/// The k-mer matrix of a row range, sorted by k-mer id. A loaded index
+/// stripe is one too: the matrix of the stripe's references, its columns
+/// local to the stripe.
+#[derive(Debug, Clone, PartialEq)]
 pub struct KmerMatrix {
     /// Sorted distinct k-mer ids: the run boundaries of the sorted stream
     /// and the column map (`at`'s row `c` is k-mer `ids[c]`).
@@ -187,35 +190,50 @@ impl KmerMatrix {
     }
 
     /// `A` (`store.len() × col_map.len().max(1)`) over an external,
-    /// strictly increasing column map: one merge walk of the two id lists
-    /// finds k-mer `col_map[c]`'s column `c`; k-mers absent from the map
-    /// are dropped. Memory follows this matrix, not the map's length.
+    /// strictly increasing column map: [`KmerMatrix::columns_in`], then
+    /// [`relabel`] of `Aᵀ`'s transpose; k-mers absent from the map are
+    /// dropped. Memory follows this matrix, not the map's length.
     pub fn remap(&self, col_map: &[u32]) -> CsrMatrix<u32> {
-        // Each own k-mer's column in the map, `Index::MAX` if it has none.
+        let mut target = Vec::new();
+        self.columns_in(col_map, &mut target);
+        relabel(&self.at.transpose(), &target, col_map.len().max(1))
+    }
+
+    /// Each own k-mer's column in the strictly increasing `col_map`,
+    /// `Index::MAX` if it has none, into `target` (cleared first): one
+    /// merge walk of the two id lists.
+    pub fn columns_in(&self, col_map: &[u32], target: &mut Vec<Index>) {
+        target.clear();
         let mut theirs = 0;
-        let target = self.ids.iter().map(|&id| {
+        target.extend(self.ids.iter().map(|&id| {
             while theirs < col_map.len() && col_map[theirs] < id {
                 theirs += 1;
             }
             let found = col_map.get(theirs).filter(|&&theirs| theirs == id);
             found.map_or(Index::MAX, |_| theirs as Index)
-        });
-        let target: Vec<Index> = target.collect();
-        // `A` over the own columns, then renamed and thinned row by row
-        // (own and map columns ascend together, so rows stay sorted).
-        let (nrows, _, rowptr, colind, vals) = self.at.transpose().into_parts();
-        let (mut ptr, mut kept_cols, mut kept_vals) = (vec![0], Vec::new(), Vec::new());
-        for row in rowptr.windows(2) {
-            for (&own, &pos) in colind[row[0]..row[1]].iter().zip(&vals[row[0]..row[1]]) {
-                if target[own as usize] != Index::MAX {
-                    kept_cols.push(target[own as usize]);
-                    kept_vals.push(pos);
-                }
-            }
-            ptr.push(kept_cols.len());
-        }
-        CsrMatrix::from_parts(nrows, col_map.len().max(1), ptr, kept_cols, kept_vals)
+        }));
     }
+}
+
+/// `a` with column `c` renamed `target[c]`, and dropped where that is
+/// `Index::MAX`, `ncols` wide. A monotone `target` (as
+/// [`KmerMatrix::columns_in`] makes) keeps every row sorted, so products
+/// over the result still combine in ascending k-mer order.
+pub fn relabel(a: &CsrMatrix<u32>, target: &[Index], ncols: usize) -> CsrMatrix<u32> {
+    let mut rowptr = Vec::with_capacity(a.nrows() + 1);
+    rowptr.push(0);
+    let (mut cols, mut vals) = (Vec::new(), Vec::new());
+    for i in 0..a.nrows() {
+        let (own, positions) = a.row(i);
+        for (&c, &pos) in own.iter().zip(positions) {
+            if target[c as usize] != Index::MAX {
+                cols.push(target[c as usize]);
+                vals.push(pos);
+            }
+        }
+        rowptr.push(cols.len());
+    }
+    CsrMatrix::from_parts(a.nrows(), ncols, rowptr, cols, vals)
 }
 
 /// The triples of the k-mer matrix `A` for the sequence rows

@@ -370,18 +370,8 @@ impl SpillCtx<'_> {
             self.recorder.add_counter(names::CTR_SPILL_BLOCKS_OUT, 1.0);
             return;
         }
-        let (nrows, ncols, rowptr, cols, vals) = block.into_parts();
-        let shard = IndexShard {
-            fingerprint: self.fingerprint,
-            rank: self.rank,
-            is_a,
-            stripe: i,
-            nrows,
-            ncols,
-            rowptr,
-            cols,
-            vals,
-        };
+        // Written by its nonempty rows; read back as the CSR it was.
+        let shard = IndexShard::from_csr(self.fingerprint, self.rank, is_a, i, block);
         let frame = shard.to_bytes();
         let path = checkpoint::index_spill_path(self.dir, self.rank, is_a, i);
         // The file must hold exactly the bytes just encoded: that catches
@@ -405,13 +395,7 @@ impl SpillCtx<'_> {
         } else {
             // Damaged or unwritable on disk: the stripe stays resident.
             self.recorder.add_counter(names::CTR_SPILL_CRC_REJECTS, 1.0);
-            let m = CsrMatrix::from_parts(
-                shard.nrows,
-                shard.ncols,
-                shard.rowptr,
-                shard.cols,
-                shard.vals,
-            );
+            let m = shard.into_csr();
             if is_a {
                 bs.restore_a_stripe(i, m);
             } else {
@@ -486,13 +470,9 @@ impl SpillCtx<'_> {
         self.recorder.add_counter(names::CTR_SPILL_BLOCKS_IN, 1.0);
         self.recorder
             .add_counter(names::CTR_SPILL_BYTES_IN, frame.len() as f64);
-        let m = CsrMatrix::from_parts(
-            shard.nrows,
-            shard.ncols,
-            shard.rowptr,
-            shard.cols,
-            shard.vals,
-        );
+        // Freed before the dense row pointer is allocated.
+        drop(frame);
+        let m = shard.into_csr();
         let bytes;
         if is_a {
             bs.restore_a_stripe(i, m);

@@ -15,21 +15,24 @@
 //!   hit vector against the reference set — content-determined, so
 //!   serving with the cache on is bit-identical to serving with it off.
 //! * The batch engine — forms `A_query` exactly as the batch pipeline
-//!   forms its SUMMA operand (same k-mer triples, first-position keep-min
-//!   combine, remap through the index's compacted column space), runs one
-//!   striped SpGEMM against the loaded shards
-//!   ([`SpGemmPool::multiply_striped`]), and aligns candidates through
-//!   the same [`AlignPool`] kernels and edge construction as
-//!   [`crate::pipeline`].
+//!   forms its SUMMA operand (the one builder, [`KmerMatrix::build`],
+//!   first positions, smallest kept), once per batch and transposed once;
+//!   relabels it into each loaded stripe's own nonempty k-mer rows by a
+//!   merge walk of the two sorted id lists (k-mers a stripe lacks cannot
+//!   match there and are dropped); runs one striped SpGEMM over those
+//!   `(A_s, B_s)` pairs ([`SpGemmPool::multiply_striped`]); and aligns
+//!   candidates through the same [`AlignPool`] kernels and edge
+//!   construction as [`crate::pipeline`].
 //!
 //! **Conformance contract** (pinned by `tests/serve_e2e.rs` and the unit
 //! tests below): serving the reference set back as queries against its own
 //! index emits a TSV byte-identical to the batch `pastis search` run —
 //! for any admission batch split, thread count, SIMD backend, SpGEMM
-//! kernel, and cache setting. The argument: per-entry overlap values
-//! combine in ascending-k-mer order in both paths (single-stage Gustavson
-//! here, pinned rank-invariant in batch), alignment results are per-pair
-//! and batching-independent, and edge construction is shared code.
+//! kernel, stripe width, and cache setting. The argument: per-entry
+//! overlap values combine in ascending-k-mer order in both paths
+//! (single-stage Gustavson here over a monotone relabelling, pinned
+//! rank-invariant in batch), alignment results are per-pair and
+//! batching-independent, and edge construction is shared code.
 //!
 //! Telemetry: one `serve.request` span per query (admission → result,
 //! the latency series behind the serve p50/p95/p99 report, on
@@ -49,12 +52,12 @@ use pastis_align::parallel::AlignPool;
 use pastis_comm::MachineModel;
 use pastis_pool::{Engine as PoolEngine, WorkPool};
 use pastis_seqio::SeqStore;
-use pastis_sparse::{CsrMatrix, SpGemmPool};
+use pastis_sparse::SpGemmPool;
 use pastis_trace::{names, span, Component, Recorder, SpanGuard, Track};
 
 use crate::filter::{candidate_passes, EdgeFilter};
 use crate::index::{store_digest, PersistedIndex};
-use crate::kmer::KmerMatrix;
+use crate::kmer::{relabel, KmerMatrix};
 use crate::overlap::OverlapSemiring;
 use crate::params::{AlignKind, SearchParams};
 use crate::pipeline::{banded_edge, PairTask};
@@ -332,7 +335,7 @@ struct BatchEngine<'a> {
     spgemm: SpGemmPool,
     align: AlignPool,
     recorder: &'a Recorder,
-    stripes: Vec<Option<CsrMatrix<u32>>>,
+    stripes: Vec<Option<KmerMatrix>>,
     stripes_loaded: u64,
     /// The query stream is the reference set: only pairs with
     /// `reference id > query id` are ever emitted.
@@ -372,27 +375,27 @@ impl BatchEngine<'_> {
         });
         let bn = qids.len();
         let p = self.params;
-        let manifest = &self.index.manifest;
 
         // A_query: the batch pipeline's operand recipe on the batch's own
-        // little store, remapped by a merge walk into the index's
-        // compacted column space (ids the references never produce cannot
-        // match and are dropped).
+        // little store, transposed once, then relabelled per stripe into
+        // that stripe's rows by a merge walk of the sorted k-mer ids.
         let mut bstore = SeqStore::new();
         for &q in qids {
             bstore.push(String::new(), self.queries.seq(q as usize).to_vec());
         }
-        let a_qb = KmerMatrix::build(&bstore, 0..bn, p.k, p.alphabet, p.substitute_kmers)
-            .remap(&manifest.col_map);
+        let kmers = KmerMatrix::build(&bstore, 0..bn, p.k, p.alphabet, p.substitute_kmers);
+        let a_qb = kmers.at.transpose();
+        let mut target = Vec::new();
+        let per_stripe = self.stripes.iter().map(|s| {
+            let s = s.as_ref().expect("loaded");
+            kmers.columns_in(&s.ids, &mut target);
+            (relabel(&a_qb, &target, s.at.nrows()), &s.at)
+        });
 
         // One striped SpGEMM over the overlap semiring: per-entry combine
         // order is ascending k-mer id, exactly the batch SUMMA's order.
         let sr = OverlapSemiring;
-        let (c, gemm_stats) = self.spgemm.multiply_striped(
-            &sr,
-            &a_qb,
-            self.stripes.iter().map(|s| s.as_ref().expect("loaded")),
-        );
+        let (c, gemm_stats) = self.spgemm.multiply_striped(&sr, bn, per_stripe);
         bspan.push_arg("products", gemm_stats.products);
 
         // Candidate selection + seed extraction, shared predicates.

@@ -88,7 +88,7 @@ impl<T> CsrMatrix<T> {
     }
 
     /// Number of rows that contain at least one nonzero (relevant for
-    /// hypersparsity decisions; cf. [`crate::DcscMatrix`]).
+    /// hypersparsity decisions).
     pub fn nonempty_rows(&self) -> usize {
         (0..self.nrows).filter(|&i| self.row_nnz(i) > 0).count()
     }

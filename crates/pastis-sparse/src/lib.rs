@@ -9,8 +9,10 @@
 //!
 //! * [`Triples`] — coordinate (COO) form, the interchange format.
 //! * [`CsrMatrix`] — compressed sparse rows, the local compute format.
-//! * [`CscMatrix`] / [`DcscMatrix`] — (doubly) compressed sparse columns,
-//!   CombBLAS's storage for ordinary and hypersparse blocks.
+//!   CombBLAS keeps hypersparse blocks in DCSC; here a hypersparse operand
+//!   (an index stripe) is a CSR over its nonempty rows only, with their
+//!   ids beside it, and the other operand is relabelled into those rows
+//!   (`pastis_core::kmer`), so the row kernels below serve it too.
 //! * [`Semiring`] — user-defined multiply/combine pairs; the overlap
 //!   discovery "multiplication" of the paper is SpGEMM over a custom
 //!   semiring whose values carry k-mer seed positions.
@@ -20,8 +22,6 @@
 //!   semiring-generic and bit-identical to each
 //!   other; [`SpGemmPool`] selects between them per multiplication
 //!   ([`SpGemmKind`]).
-//! * [`spgemm_esc`] — the outer-product expand–sort–compress kernel over
-//!   DCSC operands for hypersparse blocks.
 //! * [`spmv_dense`] / [`spmv_sparse`] — semiring matrix–vector products
 //!   (the primitive the similarity graph's downstream clustering uses).
 //! * [`DistSparseMatrix`] — a matrix 2D-block-distributed over a
@@ -50,9 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod csr;
-pub mod dcsc;
 pub mod distmat;
-pub mod esc;
 pub mod parallel;
 pub mod semiring;
 pub mod spgemm;
@@ -62,9 +60,7 @@ pub mod summa;
 pub mod triples;
 
 pub use csr::CsrMatrix;
-pub use dcsc::{CscMatrix, DcscMatrix};
 pub use distmat::DistSparseMatrix;
-pub use esc::spgemm_esc;
 pub use parallel::{run_units, spgemm_parallel, spgemm_parallel_traced, SpGemmPool};
 pub use semiring::{AccSlot, BoolAndOr, MinPlus, PlusTimes, Semiring};
 pub use spgemm::{spgemm_dense_ref, spgemm_hash, spgemm_heap, SpGemmKind, SpGemmStats};

@@ -477,11 +477,14 @@ impl SpGemmPool {
     }
 
     /// The serving path's transpose-product entry point: multiply one
-    /// query-block matrix against `B = Aᵀ` stored as column stripes (the
-    /// persisted index layout — each stripe holds a contiguous range of
-    /// reference columns, rows renumbered to the stripe), and stitch the
-    /// per-stripe products back into one `a.nrows() × Σ stripe widths`
-    /// matrix with globally ascending column ids.
+    /// query block against `B = Aᵀ` stored as column stripes (the persisted
+    /// index layout — each stripe holds a contiguous range of reference
+    /// columns), one `(A_s, B_s)` pair per stripe, and stitch the products
+    /// back into one `nrows × Σ stripe widths` matrix with globally
+    /// ascending column ids. Each stripe keeps only its nonempty inner
+    /// rows, so `A_s` is the query block with its inner columns relabelled
+    /// into that stripe's rows (a monotone relabelling drops no product and
+    /// keeps their order).
     ///
     /// Each per-stripe product goes through [`SpGemmPool::multiply`], so
     /// per-entry combine order is the serial Gustavson order for every
@@ -491,8 +494,8 @@ impl SpGemmPool {
     pub fn multiply_striped<'b, S>(
         &self,
         sr: &S,
-        a: &CsrMatrix<S::A>,
-        stripes: impl IntoIterator<Item = &'b CsrMatrix<S::B>>,
+        nrows: usize,
+        stripes: impl IntoIterator<Item = (CsrMatrix<S::A>, &'b CsrMatrix<S::B>)>,
     ) -> (CsrMatrix<S::C>, SpGemmStats)
     where
         S: Semiring + Sync,
@@ -508,12 +511,12 @@ impl SpGemmPool {
             cols: std::vec::IntoIter<Index>,
             vals: std::vec::IntoIter<V>,
         }
-        let nrows = a.nrows();
         let mut stats = SpGemmStats::default();
         let mut parts: Vec<Part<S::C>> = Vec::new();
         let (mut total_cols, mut total_nnz) = (0usize, 0usize);
-        for b in stripes {
-            let (c, st) = self.multiply(sr, a, b);
+        for (a, b) in stripes {
+            assert_eq!(a.nrows(), nrows, "a stripe's operand has other rows");
+            let (c, st) = self.multiply(sr, &a, b);
             stats.merge(st);
             let (_, ncols, rowptr, colind, vals) = c.into_parts();
             total_nnz += colind.len();
@@ -561,6 +564,7 @@ mod tests {
     use crate::semiring::PlusTimes;
     use crate::spgemm::oracle::{random_matrix, spgemm_table_oracle, Concat};
     use crate::spgemm::{spgemm_dense_ref, spgemm_hash};
+    use crate::triples::Triples;
     use pastis_trace::TraceSession;
 
     #[test]
@@ -585,19 +589,43 @@ mod tests {
         let pool = SpGemmPool::new(3);
         let (want, want_stats) = spgemm_hash(&sr, &a, &b);
         for width in [1usize, 7, 16, 53, 60] {
-            let mut stripes = Vec::new();
+            // Each stripe keeps its nonempty inner rows only, and `A` is
+            // relabelled into them (inner columns no stripe row matches
+            // are dropped), as the serving path stores and multiplies.
+            let (mut a_parts, mut b_parts) = (Vec::new(), Vec::new());
             let mut lo = 0;
             while lo < b.ncols() {
                 let hi = (lo + width).min(b.ncols());
-                stripes.push(b.extract_cols(lo, hi));
+                let stripe = b.extract_cols(lo, hi);
+                let kept: Vec<usize> = (0..stripe.nrows())
+                    .filter(|&k| stripe.row_nnz(k) > 0)
+                    .collect();
+                let mut b_s = Triples::new(kept.len(), hi - lo);
+                let mut a_s = Triples::new(a.nrows(), kept.len());
+                for (at, &k) in kept.iter().enumerate() {
+                    let (cols, vals) = stripe.row(k);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        b_s.push(at as Index, c, v);
+                    }
+                }
+                for (i, k, &v) in a.iter() {
+                    if let Ok(at) = kept.binary_search(&(k as usize)) {
+                        a_s.push(i, at as Index, v);
+                    }
+                }
+                a_parts.push(CsrMatrix::from_triples(a_s));
+                b_parts.push(CsrMatrix::from_triples(b_s));
                 lo = hi;
             }
-            let (got, stats) = pool.multiply_striped(&sr, &a, stripes.iter());
+            let stripes = a_parts.into_iter().zip(&b_parts);
+            let (got, stats) = pool.multiply_striped(&sr, a.nrows(), stripes);
             assert_eq!(got, want, "width {width}");
             assert_eq!(stats.merged_nnz, want_stats.merged_nnz, "width {width}");
+            assert_eq!(stats.products, want_stats.products, "width {width}");
         }
         // No stripes at all: an empty product with zero columns.
-        let (empty, _) = pool.multiply_striped(&sr, &a, std::iter::empty());
+        let none = std::iter::empty::<(CsrMatrix<u32>, &CsrMatrix<u32>)>();
+        let (empty, _) = pool.multiply_striped(&sr, a.nrows(), none);
         assert_eq!(empty.nrows(), a.nrows());
         assert_eq!(empty.ncols(), 0);
         assert_eq!(empty.nnz(), 0);

@@ -19,9 +19,12 @@ use proptest::prelude::*;
 use pastis::baselines::BaselineCheckpoint;
 use pastis::comm::FaultPlan;
 use pastis::core::checkpoint::{Checkpoint, IndexShard, SpillShard};
-use pastis::core::frame::{FrameWriter, Kind};
+use pastis::core::frame::{FrameError, FrameWriter, Kind};
 use pastis::core::pipeline::BlockTiming;
-use pastis::core::{IndexManifest, SearchStats, SimilarityEdge};
+use pastis::core::{
+    IndexManifest, SearchStats, SimilarityEdge, INDEX_MANIFEST_SCHEMA_VERSION,
+    INDEX_SHARD_SCHEMA_VERSION,
+};
 use pastis::seqio::fasta::{parse_fasta, FastaStream, SeqStore};
 use pastis::seqio::ReducedAlphabet;
 
@@ -98,8 +101,9 @@ fn valid_shard() -> Vec<u8> {
         rank: 0,
         is_a: false,
         stripe: 0,
-        nrows: 1,
+        nrows: 8,
         ncols: 1,
+        rows: vec![5],
         rowptr: vec![0, 1],
         cols: vec![0],
         vals: vec![3],
@@ -118,7 +122,6 @@ fn valid_manifest() -> Vec<u8> {
         refs_digest: 2,
         stripe_cols: 1,
         n_stripes: 1,
-        col_map: vec![7],
     }
     .to_bytes()
 }
@@ -155,8 +158,11 @@ proptest! {
     ) {
         // Arbitrary bodies behind a valid magic, version and CRC reach
         // the decoders themselves, past the frame checks.
-        let magic = if kind == 0 { valid_shard() } else { valid_manifest() };
-        let mut w = FrameWriter::new(&Kind(magic[..8].try_into().unwrap(), 2, ""), body.len());
+        let (magic, version) = match kind {
+            0 => (valid_shard(), INDEX_SHARD_SCHEMA_VERSION),
+            _ => (valid_manifest(), INDEX_MANIFEST_SCHEMA_VERSION),
+        };
+        let mut w = FrameWriter::new(&Kind(magic[..8].try_into().unwrap(), version, ""), body.len());
         w.bytes(&body);
         let frame = w.finish();
         let _ = IndexShard::from_bytes(&frame);
@@ -246,17 +252,24 @@ proptest! {
     #[test]
     fn index_shard_mutations_err_or_decode_identically(
         fingerprint in 0u64..=u64::MAX, rank in 0usize..6, side in 0u8..2, stripe in 0usize..6,
-        nrows in 0usize..4, ncols in 1u32..8,
+        nnr in 0usize..4, ncols in 1u32..8, first_row in 0u32..(1 << 30),
+        row_gaps in proptest::collection::vec(1u32..300, 4), space_pad in 1usize..3,
         row_masks in proptest::collection::vec(0u64..=u64::MAX, 4),
         vals_raw in proptest::collection::vec(0u32..=u32::MAX, 1..32),
         cut in 0usize..1_000_000, idx in 0usize..1_000_000, flip in 1u8..=255,
     ) {
-        // Assemble a CSR that satisfies the invariants
-        // IndexShard::from_bytes enforces: sorted unique in-bounds columns
-        // per row.
+        // Assemble a stripe that satisfies the invariants
+        // IndexShard::from_bytes enforces: strictly increasing row ids
+        // inside the row space, every listed row nonempty, sorted unique
+        // in-bounds columns per row.
+        let mut rows = Vec::new();
         let mut rowptr = vec![0usize];
         let mut cols: Vec<u32> = Vec::new();
-        for mask in row_masks.iter().take(nrows) {
+        let mut id = first_row;
+        for (gap, mask) in row_gaps.iter().zip(&row_masks).take(nnr) {
+            let mask = (mask & ((1u64 << ncols) - 1)).max(1);
+            rows.push(id);
+            id += gap;
             cols.extend((0..ncols).filter(|c| mask & (1u64 << c) != 0));
             rowptr.push(cols.len());
         }
@@ -266,8 +279,9 @@ proptest! {
             rank,
             is_a: side == 0,
             stripe,
-            nrows,
+            nrows: rows.last().map_or(0, |&r| r as usize) + space_pad,
             ncols: ncols as usize,
+            rows,
             rowptr,
             cols,
             vals,
@@ -278,17 +292,47 @@ proptest! {
     }
 
     #[test]
+    fn index_shard_forged_counts_fail_before_allocating(
+        big in (0u64..=u64::MAX, 0u64..=u64::MAX), small in (0u64..4, 0u64..4), pick in 0u8..4,
+    ) {
+        // The valid shard's nonempty-row and nonzero counts replaced,
+        // each small or anywhere up to u64::MAX, the CRC re-sealed. Only
+        // the true counts decode, into arrays no larger than the file;
+        // every other pair is refused on the bytes left.
+        let nnr = if pick & 1 == 0 { small.0 } else { big.0 };
+        let nnz = if pick & 2 == 0 { small.1 } else { big.1 };
+        let magic: [u8; 8] = valid_shard()[..8].try_into().unwrap();
+        let mut w = FrameWriter::new(&Kind(magic, INDEX_SHARD_SCHEMA_VERSION, ""), 32);
+        w.u64(1);
+        for v in [0, 0, 0, 8, 1, nnr, nnz, 5, 1] {
+            w.varint(v);
+        }
+        w.u32s(&[0, 3]);
+        let frame = w.finish();
+        match IndexShard::from_bytes(&frame) {
+            Ok(sh) => {
+                prop_assert_eq!((nnr, nnz), (1, 1));
+                prop_assert_eq!(sh.to_bytes(), valid_shard());
+                let held = 4 * sh.rows.capacity() + 8 * sh.rowptr.capacity()
+                    + 4 * (sh.cols.capacity() + sh.vals.capacity());
+                prop_assert!(held <= frame.len(), "{} bytes held for a {}-byte frame", held, frame.len());
+            }
+            Err(e) => prop_assert!(
+                matches!(e, FrameError::Truncated(_) | FrameError::Invalid(_)),
+                "{nnr} {nnz}: {e}"
+            ),
+        }
+    }
+
+    #[test]
     fn index_manifest_mutations_err_or_decode_identically(
         fingerprint in 0u64..=u64::MAX, refs_digest in 0u64..=u64::MAX,
         k in 1usize..=12, alphabet_idx in 0u8..3, substitute_kmers in 0usize..3,
         n_refs in 1usize..2000, stripe_cols in 1usize..300,
-        col_steps in proptest::collection::vec(1u32..5000, 0..24),
         cut in 0usize..1_000_000, idx in 0usize..1_000_000, flip in 1u8..=255,
     ) {
-        // Strictly-increasing column map from positive increments; stripe
-        // arithmetic derived so the frame satisfies from_bytes' invariants.
-        let mut acc = 0u32;
-        let col_map: Vec<u32> = col_steps.iter().map(|&s| { acc += s; acc - 1 }).collect();
+        // Stripe arithmetic derived so the frame satisfies from_bytes'
+        // invariants.
         let alphabet = [
             ReducedAlphabet::Full20,
             ReducedAlphabet::Murphy10,
@@ -303,7 +347,6 @@ proptest! {
             refs_digest,
             stripe_cols,
             n_stripes: n_refs.div_ceil(stripe_cols),
-            col_map,
         };
         let doc = m.to_bytes();
         prop_assert_eq!(IndexManifest::from_bytes(&doc).expect("valid frame").to_bytes(), doc.clone());
