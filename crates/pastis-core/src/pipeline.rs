@@ -35,7 +35,7 @@ use pastis_comm::grid::{BlockDist1D, ProcessGrid};
 use pastis_comm::{Communicator, Component, FaultPlan, FaultyStore, ReduceOp, TimeBreakdown};
 use pastis_pool::{Engine, WorkPool};
 use pastis_seqio::SeqStore;
-use pastis_sparse::{BlockedSumma, CsrMatrix, SpGemmPool};
+use pastis_sparse::{BlockedSumma, SpGemmPool};
 use pastis_trace::{names, span, Recorder};
 
 use crate::checkpoint::{self, Checkpoint, IndexShard, SpillShard};
@@ -120,12 +120,11 @@ struct SeqSlice {
 
 impl SeqSlice {
     fn from_store(store: &SeqStore, begin: usize, end: usize) -> SeqSlice {
-        let mut lens = Vec::with_capacity(end - begin);
-        let mut residues = Vec::new();
-        for i in begin..end {
-            let s = store.seq(i);
-            lens.push(s.len() as u32);
-            residues.extend_from_slice(s);
+        let ids = begin..end;
+        let lens: Vec<u32> = ids.clone().map(|i| store.seq(i).len() as u32).collect();
+        let mut residues = Vec::with_capacity(lens.iter().map(|&l| l as usize).sum());
+        for i in ids {
+            residues.extend_from_slice(store.seq(i));
         }
         SeqSlice {
             begin,
@@ -137,14 +136,53 @@ impl SeqSlice {
     fn bytes(&self) -> usize {
         self.residues.len() + self.lens.len() * 4 + 16
     }
+}
 
-    fn unpack_into(&self, seqs: &mut [Vec<u8>]) {
-        let mut off = 0usize;
-        for (idx, &len) in self.lens.iter().enumerate() {
-            let len = len as usize;
-            seqs[self.begin + idx] = self.residues[off..off + len].to_vec();
-            off += len;
+/// The assembled sequences, held once: every residue in one buffer in id
+/// order, and where each sequence starts (one more offset at the end).
+struct SeqSet {
+    residues: Vec<u8>,
+    offsets: Vec<usize>,
+}
+
+impl SeqSet {
+    fn with_capacity(n: usize) -> SeqSet {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        SeqSet {
+            residues: Vec::new(),
+            offsets,
         }
+    }
+
+    /// Append the slice that starts at the next id. The first residues are
+    /// moved in, not copied (at p = 1 that is the whole set).
+    fn append(&mut self, slice: SeqSlice) {
+        debug_assert_eq!(
+            slice.begin + 1,
+            self.offsets.len(),
+            "slices arrive in id order"
+        );
+        let mut end = self.residues.len();
+        for &len in &slice.lens {
+            end += len as usize;
+            self.offsets.push(end);
+        }
+        if self.residues.is_empty() {
+            self.residues = slice.residues;
+        } else {
+            self.residues.extend_from_slice(&slice.residues);
+        }
+    }
+
+    fn seq(&self, id: u32) -> &[u8] {
+        let id = id as usize;
+        &self.residues[self.offsets[id]..self.offsets[id + 1]]
+    }
+
+    /// The bytes the set holds.
+    fn bytes(&self) -> u64 {
+        (self.residues.capacity() + self.offsets.capacity() * std::mem::size_of::<usize>()) as u64
     }
 }
 
@@ -188,6 +226,87 @@ enum BlockEdges {
     /// Edges merged into the similarity graph (the charge now rides the
     /// graph itself and is never released).
     Merged,
+}
+
+/// When each operand stripe of a run window is read for the last time. The
+/// Blocked SUMMA forms one output block at a time, so a stripe is needed
+/// only until the sparse phase of the last scheduled block that reads it
+/// has returned, and is dropped then rather than at the end of the run.
+struct StripeLives {
+    /// A stripes, then B stripes: how many of the window's tasks must have
+    /// had their sparse phase before the stripe can go (0 when no task of
+    /// the window reads it); `None` once it was handed out.
+    due: Vec<Option<usize>>,
+    br: usize,
+}
+
+impl StripeLives {
+    fn new(window: &[BlockTask], br: usize, bc: usize) -> StripeLives {
+        let mut due = vec![Some(0); br + bc];
+        for (k, t) in window.iter().enumerate() {
+            due[t.r] = Some(k + 1);
+            due[br + t.c] = Some(k + 1);
+        }
+        StripeLives { due, br }
+    }
+
+    /// The stripes, `(is_a, index)`, that may go once the first `done`
+    /// tasks of the window have had their sparse phase; each is handed out
+    /// once.
+    fn take_due(&mut self, done: usize) -> Vec<(bool, usize)> {
+        let br = self.br;
+        let mut out = Vec::new();
+        for (j, d) in self.due.iter_mut().enumerate() {
+            if d.is_some_and(|d| d <= done) {
+                *d = None;
+                out.push(if j < br { (true, j) } else { (false, j - br) });
+            }
+        }
+        out
+    }
+}
+
+/// Drop the stripes in `due`, whose last reader's sparse phase has
+/// returned; the count of those dropped. Under a memory budget a stripe
+/// goes only when its verified spill copy is on disk, so the output
+/// assembly can still restore it to recompute a damaged block; one without
+/// a copy stays resident. A release writes nothing.
+fn release_stripes(
+    bs: &mut KmerSumma,
+    due: &[(bool, usize)],
+    spill: Option<&SpillCtx>,
+    a_evicted: &mut [bool],
+    b_evicted: &mut [bool],
+) -> u64 {
+    let mut released = 0;
+    for &(is_a, i) in due {
+        let evicted = if is_a {
+            &mut *a_evicted
+        } else {
+            &mut *b_evicted
+        };
+        if evicted[i] {
+            continue;
+        }
+        let gone = match spill {
+            Some(ctx) => ctx.drop_spilled_stripe(bs, is_a, i, evicted),
+            None => {
+                release_stripe(bs, is_a, i);
+                evicted[i] = true;
+                true
+            }
+        };
+        released += u64::from(gone);
+    }
+    released
+}
+
+fn release_stripe(bs: &mut KmerSumma, is_a: bool, i: usize) {
+    if is_a {
+        bs.release_a_stripe(i);
+    } else {
+        bs.release_b_stripe(i);
+    }
 }
 
 /// The spill/readback machinery of a budgeted run: the accountant, the
@@ -352,7 +471,35 @@ impl SpillCtx<'_> {
         }
     }
 
+    /// Drop resident stripe `i` if a verified copy of it is already on
+    /// disk, returning its bytes to the accountant; whether it went.
+    fn drop_spilled_stripe(
+        &self,
+        bs: &mut KmerSumma,
+        is_a: bool,
+        i: usize,
+        evicted: &mut [bool],
+    ) -> bool {
+        let slot = if is_a { i } else { bs.br() + i };
+        if !self.stripe_on_disk.borrow()[slot] {
+            return false;
+        }
+        let bytes = if is_a {
+            bs.a_stripe_bytes(i)
+        } else {
+            bs.b_stripe_bytes(i)
+        };
+        release_stripe(bs, is_a, i);
+        evicted[i] = true;
+        self.accountant.release(bytes);
+        true
+    }
+
     fn try_evict_stripe(&self, bs: &mut KmerSumma, is_a: bool, i: usize, evicted: &mut [bool]) {
+        if self.drop_spilled_stripe(bs, is_a, i, evicted) {
+            self.recorder.add_counter(names::CTR_SPILL_BLOCKS_OUT, 1.0);
+            return;
+        }
         let bytes = if is_a {
             bs.a_stripe_bytes(i)
         } else {
@@ -364,12 +511,6 @@ impl SpillCtx<'_> {
         } else {
             bs.evict_b_stripe(i)
         };
-        if self.stripe_on_disk.borrow()[slot] {
-            evicted[i] = true;
-            self.accountant.release(bytes);
-            self.recorder.add_counter(names::CTR_SPILL_BLOCKS_OUT, 1.0);
-            return;
-        }
         // Written by its nonempty rows; read back as the CSR it was.
         let shard = IndexShard::from_csr(self.fingerprint, self.rank, is_a, i, block);
         let frame = shard.to_bytes();
@@ -521,26 +662,28 @@ pub fn kmer_summa<C: Communicator>(
     let (br, bc) = (blocks(params.block_rows), blocks(params.block_cols));
     if world.size() == 1 {
         // One rank's ids are the union and its operands are the stripes:
-        // row stripes of `A`, and for `Aᵀ` their transposes (or, uncut,
-        // `Aᵀ` as the builder made it), so that neither matrix is held
-        // whole beside both sets of stripes.
+        // for `Aᵀ` the transposes of `A`'s row stripes, cut one at a time
+        // (or, uncut, `Aᵀ` as the builder made it), then `A` cut into its
+        // row stripes by consuming it (or, uncut, `A` itself), so that no
+        // matrix is held whole beside a copy of itself.
         let inner_dim = gathered[0].len().max(1);
         drop(gathered);
         let a = at.transpose();
-        let row_stripes = |parts: usize| {
+        let bounds = |parts: usize| {
             let d = BlockDist1D::new(n, parts);
-            let stripe = |s| a.extract_rows(d.part_offset(s), d.part_offset(s + 1));
-            (0..parts).map(stripe).collect::<Vec<_>>()
+            (0..=parts).map(|s| d.part_offset(s)).collect::<Vec<_>>()
         };
         let b_stripes = if bc == 1 {
             vec![at]
         } else {
             drop(at);
-            let cut = row_stripes(bc);
-            cut.iter().map(CsrMatrix::transpose).collect()
+            let cut = bounds(bc);
+            let stripe = |w: &[usize]| a.extract_rows(w[0], w[1]).transpose();
+            cut.windows(2).map(stripe).collect()
         };
+        let a_stripes = a.into_row_stripes(&bounds(br));
         let dims = (n, inner_dim, n);
-        let bs = BlockedSumma::from_local_stripes(grid, dims, row_stripes(br), b_stripes);
+        let bs = BlockedSumma::from_local_stripes(grid, dims, a_stripes, b_stripes);
         return (bs, a_nnz, inner_dim);
     }
     let mut col_map = gathered.concat();
@@ -617,10 +760,13 @@ pub fn run_search_traced<C: Communicator + Sync>(
     let my_end = my_begin + slice.part_len(rank);
 
     // --- 1. Non-blocking sequence exchange: send now, receive at need.
-    let my_slice = SeqSlice::from_store(store, my_begin, my_end);
-    for dst in 0..p {
-        if dst != rank {
-            world.send_to(dst, my_slice.clone(), my_slice.bytes());
+    // What is sent is dropped here; this rank's own slice is cut from the
+    // store when the set is assembled, so no copy of it is held through
+    // the k-mer build.
+    if p > 1 {
+        let mine = SeqSlice::from_store(store, my_begin, my_end);
+        for dst in (0..p).filter(|&dst| dst != rank) {
+            world.send_to(dst, mine.clone(), mine.bytes());
         }
     }
 
@@ -767,27 +913,26 @@ pub fn run_search_traced<C: Communicator + Sync>(
 
     // --- 3. Assemble the exchanged sequences (the cwait component).
     let t1 = Instant::now();
-    let seqs: Vec<Vec<u8>> = {
+    let seqs = {
         let _recv_span = span!(recorder, Component::CommWait, names::SPAN_SEQ_EXCHANGE_RECV, {
             peers: p.saturating_sub(1) as u64,
         });
-        let mut unpacked = vec![Vec::new(); n];
-        my_slice.unpack_into(&mut unpacked);
+        let mut set = SeqSet::with_capacity(n);
         let op_timeout = params.op_timeout_ms.map(Duration::from_millis);
         for src in 0..p {
-            if src != rank {
-                // With a deadline, a lost peer surfaces as a typed error
-                // here instead of hanging the whole world in cwait.
-                let s: SeqSlice = match op_timeout {
-                    None => world.recv_from(src),
-                    Some(t) => world
-                        .recv_from_deadline(src, t)
-                        .map_err(|e| format!("sequence exchange failed: {e}"))?,
-                };
-                s.unpack_into(&mut unpacked);
-            }
+            // With a deadline, a lost peer surfaces as a typed error here
+            // instead of hanging the whole world in cwait.
+            let s: SeqSlice = match op_timeout {
+                _ if src == rank => SeqSlice::from_store(store, my_begin, my_end),
+                None => world.recv_from(src),
+                Some(t) => world
+                    .recv_from_deadline(src, t)
+                    .map_err(|e| format!("sequence exchange failed: {e}"))?,
+            };
+            set.append(s);
         }
-        unpacked
+        set.residues.shrink_to_fit();
+        set
     };
     times.record(Component::CommWait, t1.elapsed().as_secs_f64());
     if let Some(ctx) = &spill_ctx {
@@ -795,7 +940,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
         // (alignment needs random access); charge them up front so a
         // budget below the irreducible working set fails here, naming
         // the phase, instead of thrashing later.
-        let seq_bytes: u64 = seqs.iter().map(|s| s.len() as u64 + 24).sum();
+        let seq_bytes = seqs.bytes();
         let protect: Vec<BlockTask> = plan.tasks.iter().take(2).copied().collect();
         let charged = ctx.charge(
             "sequence store",
@@ -965,7 +1110,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
                 seed_r: pt.seed_r,
             })
             .collect();
-        let lookup = |id: u32| -> &[u8] { &seqs[id as usize] };
+        let lookup = |id: u32| seqs.seq(id);
         let mut edges = Vec::new();
         let cells;
         let cpu_seconds;
@@ -983,7 +1128,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
                 batch_span.push_arg("lane_promotions", stats.lane_promotions);
                 batch_span.push_arg("padded_cells", stats.padded_cells);
                 for (pt, res) in pairs.iter().zip(&results) {
-                    let (qlen, rlen) = (seqs[pt.i as usize].len(), seqs[pt.j as usize].len());
+                    let (qlen, rlen) = (seqs.seq(pt.i).len(), seqs.seq(pt.j).len());
                     if filter.passes(res, qlen, rlen) {
                         edges.push(SimilarityEdge {
                             i: pt.i,
@@ -1001,7 +1146,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
                 cells = stats.cells;
                 cpu_seconds = stats.seconds;
                 for (pt, res) in pairs.iter().zip(&results) {
-                    let (q, r) = (&seqs[pt.i as usize], &seqs[pt.j as usize]);
+                    let (q, r) = (seqs.seq(pt.i), seqs.seq(pt.j));
                     if let Some(e) = banded_edge(pt, res.score, q, r, &filter) {
                         edges.push(e);
                     }
@@ -1016,7 +1161,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
                 batch_span.push_arg("lane_promotions", stats.lane_promotions);
                 batch_span.push_arg("padded_cells", stats.padded_cells);
                 for (pt, res) in pairs.iter().zip(&results) {
-                    let (q, r) = (&seqs[pt.i as usize], &seqs[pt.j as usize]);
+                    let (q, r) = (seqs.seq(pt.i), seqs.seq(pt.j));
                     if let Some(e) = banded_edge(pt, res.score, q, r, &filter) {
                         edges.push(e);
                     }
@@ -1168,6 +1313,17 @@ pub fn run_search_traced<C: Communicator + Sync>(
     // must stay uniform across the world.
     let mut deferred_oom: Option<String> = None;
     let mut pressure_hint = false;
+    // A stripe lives until the sparse phase of its last reader in this
+    // window has returned; one that no task of the window reads (after a
+    // resume, or under the triangular schedule) goes before the first
+    // multiply. `done` counts the window's tasks whose sparse phase ran.
+    let mut lives = StripeLives::new(&tasks[start_idx..stop_idx], bs.br(), bs.bc());
+    let mut release_due =
+        |bs: &mut KmerSumma, a_evicted: &mut [bool], b_evicted: &mut [bool], done: usize| {
+            let due = lives.take_due(done);
+            release_stripes(bs, &due, spill_ctx.as_ref(), a_evicted, b_evicted)
+        };
+    let mut stripes_released = release_due(&mut bs, &mut a_evicted, &mut b_evicted, 0);
     for idx in start_idx..stop_idx {
         if let Some(ctx) = &spill_ctx {
             ctx.cursor.set(idx);
@@ -1236,7 +1392,12 @@ pub fn run_search_traced<C: Communicator + Sync>(
         }
         let batch = match pending.take() {
             Some(b) => b,
-            None => compute_sparse(&bs, tasks[idx], overlap_on),
+            None => {
+                let b = compute_sparse(&bs, tasks[idx], overlap_on);
+                let done = idx + 1 - start_idx;
+                stripes_released += release_due(&mut bs, &mut a_evicted, &mut b_evicted, done);
+                b
+            }
         };
         let (outcome, next_batch) = std::thread::scope(|scope| {
             let bs_ref = &bs;
@@ -1250,6 +1411,10 @@ pub fn run_search_traced<C: Communicator + Sync>(
         });
         // All staged buffers are dropped once the multiplies return.
         accountant.release(staging_held);
+        if next_batch.is_some() {
+            let done = idx + 2 - start_idx;
+            stripes_released += release_due(&mut bs, &mut a_evicted, &mut b_evicted, done);
+        }
         pending = next_batch;
         let edges = apply(batch, outcome, &mut times, &mut stats, &mut per_block);
         if let Some(ctx) = &spill_ctx {
@@ -1470,6 +1635,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
     recorder.add_counter(names::CTR_ALIGN_SECONDS, times.get(Component::Align));
     recorder.add_counter(names::CTR_SPARSE_SECONDS, times.sparse_all());
     recorder.add_counter(names::CTR_ALIGN_CPU_SECONDS, stats.align_cpu_seconds);
+    recorder.add_counter(names::CTR_MEM_STRIPES_RELEASED, stripes_released as f64);
     if budgeted {
         // The accountant's high-water mark: peak live bytes across
         // sequences, stripes, staged broadcast buffers, and output
@@ -1667,6 +1833,92 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn stripe_lives_release_each_stripe_right_after_its_last_reader() {
+        use crate::LoadBalance;
+        let ranges = |n: usize, parts: usize| {
+            let d = BlockDist1D::new(n, parts);
+            move |s: usize| (d.part_offset(s), d.part_offset(s + 1))
+        };
+        for br in 1..=4 {
+            for bc in 1..=4 {
+                for lb in [LoadBalance::Triangular, LoadBalance::IndexBased] {
+                    let plan = BlockPlan::new(lb, br, bc, ranges(12, br), ranges(12, bc));
+                    let tasks = &plan.tasks;
+                    for start in 0..=tasks.len() {
+                        for stop in start..=tasks.len() {
+                            let window = &tasks[start..stop];
+                            let what = format!("{br}x{bc} {lb:?} [{start}, {stop})");
+                            let reads = |(is_a, i): (bool, usize), t: &BlockTask| {
+                                if is_a {
+                                    t.r == i
+                                } else {
+                                    t.c == i
+                                }
+                            };
+                            let mut lives = StripeLives::new(window, br, bc);
+                            let mut seen = Vec::new();
+                            for done in 0..=window.len() {
+                                for s in lives.take_due(done) {
+                                    // No task still to run reads it ...
+                                    assert!(
+                                        !window[done..].iter().any(|t| reads(s, t)),
+                                        "{what}: {s:?} released at {done} before a reader"
+                                    );
+                                    // ... and it was read by the task just
+                                    // finished, or by none at all.
+                                    let last = window.iter().rposition(|t| reads(s, t));
+                                    assert_eq!(
+                                        last.map_or(0, |k| k + 1),
+                                        done,
+                                        "{what}: {s:?} held past its last reader"
+                                    );
+                                    seen.push(s);
+                                }
+                            }
+                            seen.sort_unstable();
+                            let all: Vec<(bool, usize)> = (0..bc)
+                                .map(|c| (false, c))
+                                .chain((0..br).map(|r| (true, r)))
+                                .collect();
+                            assert_eq!(seen, all, "{what}: each stripe released once");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn released_stripes_hold_nothing() {
+        let store = tiny_store();
+        let params = SearchParams::test_defaults().with_blocking(2, 3);
+        let grid = ProcessGrid::square(pastis_comm::SelfComm::new());
+        let (mut bs, _, _) = kmer_summa(&grid, &store, &params);
+        let empty = pastis_sparse::csr_payload_bytes(0, 0, 4) as u64;
+        let (mut a_ev, mut b_ev) = (vec![false; 2], vec![false; 3]);
+        let due = [(true, 1), (false, 0), (false, 2)];
+        assert!(due.iter().all(|&(a, i)| (if a {
+            bs.a_stripe_bytes(i)
+        } else {
+            bs.b_stripe_bytes(i)
+        }) > empty));
+        assert_eq!(
+            release_stripes(&mut bs, &due, None, &mut a_ev, &mut b_ev),
+            3
+        );
+        assert_eq!(bs.a_stripe_bytes(1), empty);
+        assert_eq!((bs.b_stripe_bytes(0), bs.b_stripe_bytes(2)), (empty, empty));
+        assert!(bs.a_stripe_bytes(0) > empty && bs.b_stripe_bytes(1) > empty);
+        assert_eq!((a_ev, b_ev), (vec![false, true], vec![true, false, true]));
+        // A stripe already gone is not released twice.
+        let (mut a_ev, mut b_ev) = (vec![false, true], vec![true, false, true]);
+        assert_eq!(
+            release_stripes(&mut bs, &due, None, &mut a_ev, &mut b_ev),
+            0
+        );
     }
 
     #[test]

@@ -121,6 +121,56 @@ impl<T> CsrMatrix<T> {
     pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<Index>, Vec<T>) {
         (self.nrows, self.ncols, self.rowptr, self.colind, self.vals)
     }
+
+    /// The row stripes `[bounds[s], bounds[s + 1])`, consuming the matrix
+    /// (`bounds` runs from 0 to `nrows`). The stripes are split off its
+    /// storage from the last one back, and what is left is shrunk after
+    /// each, so the entries are held about once, not once in the matrix
+    /// and once more in its stripes; one stripe is the matrix itself.
+    pub fn into_row_stripes(self, bounds: &[usize]) -> Vec<CsrMatrix<T>> {
+        assert!(
+            bounds.len() >= 2
+                && bounds[0] == 0
+                && bounds[bounds.len() - 1] == self.nrows
+                && bounds.windows(2).all(|w| w[0] <= w[1]),
+            "row stripes must cover the rows in order"
+        );
+        if bounds.len() == 2 {
+            return vec![self];
+        }
+        let CsrMatrix {
+            ncols,
+            rowptr,
+            mut colind,
+            mut vals,
+            ..
+        } = self;
+        let mut stripes: Vec<CsrMatrix<T>> = bounds
+            .windows(2)
+            .rev()
+            .map(|w| {
+                let (start, end) = (w[0], w[1]);
+                let base = rowptr[start];
+                let (cols, vs) = if base == 0 {
+                    (std::mem::take(&mut colind), std::mem::take(&mut vals))
+                } else {
+                    let tail = (colind.split_off(base), vals.split_off(base));
+                    colind.shrink_to_fit();
+                    vals.shrink_to_fit();
+                    tail
+                };
+                CsrMatrix {
+                    nrows: end - start,
+                    ncols,
+                    rowptr: rowptr[start..=end].iter().map(|p| p - base).collect(),
+                    colind: cols,
+                    vals: vs,
+                }
+            })
+            .collect();
+        stripes.reverse();
+        stripes
+    }
 }
 
 impl<T: Clone> CsrMatrix<T> {
@@ -406,6 +456,30 @@ mod tests {
         assert_eq!(sub.nnz(), 2);
         let empty = m.extract_rows(1, 1);
         assert_eq!(empty.nnz(), 0);
+    }
+
+    #[test]
+    fn into_row_stripes_equal_extract_rows() {
+        // Stripes of every width, empty ones and empty rows included.
+        for bounds in [
+            vec![0, 3],
+            vec![0, 1, 3],
+            vec![0, 0, 2, 2, 3],
+            vec![0, 1, 2, 3],
+            vec![0, 3, 3],
+        ] {
+            let want: Vec<_> = bounds
+                .windows(2)
+                .map(|w| sample().extract_rows(w[0], w[1]))
+                .collect();
+            assert_eq!(sample().into_row_stripes(&bounds), want, "{bounds:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cover the rows")]
+    fn into_row_stripes_refuses_a_partial_cover() {
+        sample().into_row_stripes(&[0, 2]);
     }
 
     #[test]

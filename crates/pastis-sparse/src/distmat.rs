@@ -238,29 +238,39 @@ impl<T: DistElem> DistSparseMatrix<T> {
         self.local.payload_bytes()
     }
 
-    /// Take the local block out, leaving an empty block of the same local
-    /// dimensions — the eviction half of spill-to-disk. The caller owns
-    /// serializing the returned CSR; [`DistSparseMatrix::restore_local`]
-    /// puts an identical block back. Purely local (no communication), so
-    /// ranks may evict independently.
+    /// Take the local block out — the eviction half of spill-to-disk. The
+    /// caller owns serializing the returned CSR;
+    /// [`DistSparseMatrix::restore_local`] puts an identical block back.
+    /// Purely local (no communication), so ranks may evict independently.
     pub fn evict_local(&mut self) -> CsrMatrix<T> {
-        let empty = Arc::new(CsrMatrix::empty(self.local.nrows(), self.local.ncols()));
-        let old = std::mem::replace(&mut self.local, empty);
+        let old = self.release_local();
         // After the collectives that shared this Arc complete, this rank is
         // the only holder; a still-shared handle (mid-broadcast) falls back
         // to a copy rather than corrupting a peer's view.
         Arc::try_unwrap(old).unwrap_or_else(|arc| (*arc).clone())
     }
 
-    /// Put an evicted local block back. Must match the local dimensions
-    /// (asserted) — the round trip through
+    /// Drop this rank's handle on the local block (a peer still reading a
+    /// broadcast of it drops the last one). What stays is a 0 × 0 block, no
+    /// row pointer over the local rows, so until
+    /// [`DistSparseMatrix::restore_local`] the matrix holds nothing and
+    /// must not be multiplied.
+    pub fn release_local(&mut self) -> Arc<CsrMatrix<T>> {
+        std::mem::replace(&mut self.local, Arc::new(CsrMatrix::empty(0, 0)))
+    }
+
+    /// Put an evicted local block back. Must have the local dimensions of
+    /// this rank's grid position (asserted) — the round trip through
     /// [`DistSparseMatrix::evict_local`] and a bit-exact serializer leaves
     /// the matrix indistinguishable from one that never spilled.
     pub fn restore_local(&mut self, block: CsrMatrix<T>) {
         assert_eq!(
             (block.nrows(), block.ncols()),
-            (self.local.nrows(), self.local.ncols()),
-            "restored block dimensions disagree with the eviction"
+            (
+                self.row_dist.part_len(self.my_row),
+                self.col_dist.part_len(self.my_col)
+            ),
+            "restored block dimensions disagree with the grid distribution"
         );
         self.local = Arc::new(block);
     }

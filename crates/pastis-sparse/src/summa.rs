@@ -333,11 +333,24 @@ impl<A: DistElem, B: DistElem> BlockedSumma<A, B> {
     }
 
     /// Evict this rank's local block of A stripe `r` (for spill-to-disk);
-    /// see [`DistSparseMatrix::evict_local`]. The stripe multiplies as
-    /// all-zero until [`BlockedSumma::restore_a_stripe`] puts the block
-    /// back, so callers must restore before the stripe's next block.
+    /// see [`DistSparseMatrix::evict_local`]. The stripe holds nothing
+    /// until [`BlockedSumma::restore_a_stripe`] puts the block back, so
+    /// callers must restore before the stripe's next block.
     pub fn evict_a_stripe(&mut self, r: usize) -> CsrMatrix<A> {
         self.a_stripes[r].evict_local()
+    }
+
+    /// Drop this rank's local block of A stripe `r` without handing it
+    /// out: no block still to be formed reads it, or a copy is kept
+    /// elsewhere to restore it from.
+    pub fn release_a_stripe(&mut self, r: usize) {
+        self.a_stripes[r].release_local();
+    }
+
+    /// Drop this rank's local block of B stripe `c`; see
+    /// [`BlockedSumma::release_a_stripe`].
+    pub fn release_b_stripe(&mut self, c: usize) {
+        self.b_stripes[c].release_local();
     }
 
     /// Restore an evicted A stripe block.
@@ -992,6 +1005,11 @@ mod tests {
         let b_blocks: Vec<_> = (0..2).map(|c| bs.evict_b_stripe(c)).collect();
         for r in 0..3 {
             assert_eq!(bs.a_stripe(r).nnz_local(), 0, "evicted stripe is empty");
+            // Not even a row pointer over the stripe's rows stays behind.
+            assert_eq!(
+                bs.a_stripe_bytes(r),
+                crate::csr_payload_bytes(0, 0, 8) as u64
+            );
         }
         for (r, blk) in a_blocks.into_iter().enumerate() {
             bs.restore_a_stripe(r, blk);

@@ -232,6 +232,10 @@ pub const CTR_SPILL_CRC_REJECTS: &str = "spill.crc_rejects";
 pub const CTR_SPILL_RECOMPUTES: &str = "spill.recomputes";
 /// Peak live bytes the memory accountant observed on this rank.
 pub const CTR_MEM_HIGH_WATER: &str = "mem.high_water";
+/// Index stripes dropped after the sparse phase of the last scheduled
+/// block that reads them (under a budget, only those with a verified spill
+/// copy on disk).
+pub const CTR_MEM_STRIPES_RELEASED: &str = "mem.stripes_released";
 /// Blocks run with broadcast prefetch paused under budget pressure.
 pub const CTR_MEM_BACKPRESSURE_PREFETCH_PAUSED: &str = "mem.backpressure.prefetch_paused";
 /// Align batches split into smaller sequential slices under pressure.
@@ -298,6 +302,7 @@ pub const KNOWN_COUNTERS: &[&str] = &[
     CTR_SPILL_CRC_REJECTS,
     CTR_SPILL_RECOMPUTES,
     CTR_MEM_HIGH_WATER,
+    CTR_MEM_STRIPES_RELEASED,
     CTR_MEM_BACKPRESSURE_PREFETCH_PAUSED,
     CTR_MEM_BACKPRESSURE_BATCH_SHRUNK,
     CTR_FAULT_SPILL_CORRUPTS,
