@@ -29,8 +29,6 @@
 //!   AVX2/SSE2 (`core::arch::x86_64`, runtime-detected), NEON (aarch64)
 //!   and portable scalar-array implementations, plus backend
 //!   detection/selection ([`simd::SimdBackend`], [`simd::SimdPolicy`]).
-//! * [`semiglobal`] — free-end-gap overlap alignment (containment /
-//!   suffix-prefix detection, PASTIS's global-alignment option).
 //! * [`parallel`] — the intra-rank parallel engine: a worker pool
 //!   executing batches as atomically-claimed chunks across `t` threads
 //!   (bit-identical to the serial driver for any thread count), with a
@@ -40,10 +38,6 @@
 //!   paper's load-balance metric (Figure 7b) is the *sum of DP-matrix
 //!   sizes*, and its headline kernel metric is cell updates per second
 //!   (CUPs), both of which come from these counters.
-//! * [`device`] — an ADEPT-style multi-GPU device model: batches are
-//!   packed, dispatched round-robin across the node's GPUs, and timed with
-//!   a calibrated GCUPS rate, reproducing ADEPT's driver behaviour for the
-//!   performance-model plane while the actual DP runs on the CPU.
 //!
 //! # Example
 //!
@@ -61,20 +55,16 @@
 
 pub mod banded;
 pub mod batch;
-pub mod device;
 pub mod matrices;
 pub mod multilane;
 pub mod parallel;
-pub mod semiglobal;
 pub mod simd;
 pub mod sw;
 pub mod tblanes;
 
 pub use batch::{AlignTask, BatchAligner, BatchStats};
-pub use device::{host_simd, DeviceModel, HostSimd};
 pub use matrices::{encode, Blosum62, MatchMismatch, Scoring, AA_ALPHABET};
 pub use multilane::{sw_score_batch_simd, sw_score_lanes, LaneScores, LaneTable};
 pub use parallel::{AlignPool, ScoreResult};
-pub use semiglobal::{semiglobal_score, SemiGlobalResult};
 pub use simd::{SimdBackend, SimdPolicy};
 pub use sw::{sw_align, sw_score_only, AlignmentResult, GapPenalties};

@@ -27,8 +27,7 @@ use std::cell::{Cell, RefCell};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use pastis_align::batch::AlignTask;
-use pastis_align::matrices::{Blosum62, Scoring};
+use pastis_align::batch::{AlignTask, BatchStats};
 use pastis_align::parallel::AlignPool;
 
 use pastis_comm::grid::{BlockDist1D, ProcessGrid};
@@ -39,7 +38,7 @@ use pastis_sparse::{BlockedSumma, SpGemmPool};
 use pastis_trace::{names, span, Recorder};
 
 use crate::checkpoint::{self, Checkpoint, IndexShard, SpillShard};
-use crate::filter::{candidate_passes, EdgeFilter};
+use crate::filter::{align_candidates, collect_candidates, EdgeFilter};
 use crate::kmer::KmerMatrix;
 use crate::loadbalance::{BlockPlan, BlockTask};
 use crate::membudget::MemBudget;
@@ -186,22 +185,64 @@ impl SeqSet {
     }
 }
 
-/// One candidate pair to align (global sequence ids). Shared with the
-/// serving path ([`crate::serve`]), whose edge construction must be
-/// expression-for-expression identical to the batch pipeline's.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PairTask {
-    pub(crate) i: u32,
-    pub(crate) j: u32,
-    pub(crate) seed_q: u32,
-    pub(crate) seed_r: u32,
-    pub(crate) count: u32,
+/// The intra-rank worker pools of a search or a serve run.
+pub(crate) struct Pools {
+    /// The unified worker pool (`--threads`): one team of persistent
+    /// workers serves SpGEMM row chunks *and* alignment units, so an idle
+    /// sparse worker steals alignment work and vice versa. Per-engine caps
+    /// reproduce the old static split as an upper bound. `None` keeps the
+    /// legacy per-engine scoped teams.
+    pub(crate) unified: Option<WorkPool>,
+    /// Each local multiplication picks a kernel (hash/heap/parallel) per
+    /// `params.spgemm` and runs row chunks across `spgemm_threads` workers,
+    /// stitched in row order: the overlap matrix is bit-identical for every
+    /// kernel and worker count.
+    pub(crate) spgemm: SpGemmPool,
+    /// Batches execute as atomically-claimed chunks across `align_threads`
+    /// workers, traceback and score-only ones on the `--simd` backend, with
+    /// results in task order: bit-identical for every worker count and
+    /// backend. Workers never touch the communicator, so under pre-blocking
+    /// the concurrent sparse thread is the only one issuing collectives.
+    pub(crate) align: AlignPool,
+}
+
+impl Pools {
+    pub(crate) fn new(params: &SearchParams, recorder: &Recorder) -> Pools {
+        let simd = params
+            .simd
+            .resolve()
+            .expect("validate() checked the SIMD policy");
+        let unified = params.threads.map(|t| {
+            let wp = WorkPool::sized(t);
+            wp.set_cap(Engine::Align, params.align_cap);
+            wp.set_cap(Engine::Sparse, params.spgemm_cap);
+            wp
+        });
+        let mut spgemm = SpGemmPool::new(params.spgemm_threads)
+            .with_kind(params.spgemm)
+            .with_recorder(recorder.clone());
+        let mut align = AlignPool::new(params.align_threads)
+            .with_recorder(recorder.clone())
+            .with_simd(simd);
+        if let Some(wp) = &unified {
+            spgemm = spgemm.with_workers(wp.clone());
+            align = align.with_workers(wp.clone());
+        }
+        Pools {
+            unified,
+            spgemm,
+            align,
+        }
+    }
 }
 
 /// The sparse phase's product for one block.
 struct CandidateBatch {
     task: BlockTask,
-    pairs: Vec<PairTask>,
+    /// The block's pairs to align (global ids) and their common-k-mer
+    /// counts, index for index.
+    tasks: Vec<AlignTask>,
+    counts: Vec<u32>,
     candidates: u64,
     products: u64,
     spgemm_seconds: f64,
@@ -956,28 +997,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
 
     // --- 4. The incremental blocked search.
     let sr = OverlapSemiring;
-    // The unified intra-rank worker pool (`--threads`): one team of
-    // persistent workers serves SpGEMM row chunks *and* alignment units,
-    // so an idle sparse worker steals alignment work and vice versa.
-    // Per-engine caps reproduce the old static split as an upper bound.
-    // `None` keeps the legacy per-engine scoped teams.
-    let unified = params.threads.map(|t| {
-        let wp = WorkPool::sized(t);
-        wp.set_cap(Engine::Align, params.align_cap);
-        wp.set_cap(Engine::Sparse, params.spgemm_cap);
-        wp
-    });
-    // The intra-rank SpGEMM pool: each SUMMA stage's local multiplication
-    // picks a kernel (hash/heap/parallel) per `params.spgemm` and runs row
-    // chunks across `spgemm_threads` workers, stitched in row order — the
-    // overlap matrix is bit-identical for every kernel and worker count.
-    let mut spgemm_pool = SpGemmPool::new(params.spgemm_threads)
-        .with_kind(params.spgemm)
-        .with_recorder(recorder.clone());
-    if let Some(wp) = &unified {
-        spgemm_pool = spgemm_pool.with_workers(wp.clone());
-    }
-    let spgemm_pool = spgemm_pool;
+    let pools = Pools::new(params, recorder);
     // `bs` is passed in (not captured) so the drive loop can evict and
     // restore stripes between calls under a memory budget. Budgeted runs
     // cover the staged broadcast buffers with a reservation held across
@@ -997,7 +1017,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
         let acc_before = recorder.is_enabled().then(acc_rows);
         let t_mult = Instant::now();
         let (cblock, gemm_stats) =
-            bs.multiply_block(grid, &sr, task.r, task.c, &spgemm_pool, overlap_on);
+            bs.multiply_block(grid, &sr, task.r, task.c, &pools.spgemm, overlap_on);
         let spgemm_seconds = t_mult.elapsed().as_secs_f64();
         if let Some(before) = acc_before {
             let after = acc_rows();
@@ -1011,59 +1031,26 @@ pub fn run_search_traced<C: Communicator + Sync>(
         let col_offset = bs.col_range(task.c).0 + cblock.col_offset();
         let candidates = cblock.nnz_local() as u64;
         let pruned = plan.prune_local(task, cblock.local(), row_offset, col_offset);
-        // No capacity from `pruned.nnz()`: the threshold passes a fraction
-        // of a percent of the kept entries.
-        let mut pairs = Vec::new();
-        for (li, lj, ck) in pruned.iter() {
-            if !candidate_passes(ck, params.common_kmer_threshold) {
-                continue;
-            }
-            let (sq, srr) = ck.first_seed().unwrap_or((0, 0));
-            // Lossless narrowing: global ids are store indices, and
-            // `SeqStore::push` refuses to assign an id past u32::MAX,
-            // so `local + offset` here is always within u32 range.
-            let (gi, gj) = (
-                (li as usize + row_offset) as u32,
-                (lj as usize + col_offset) as u32,
-            );
-            // Canonical alignment orientation: always query = lower id.
-            // The parity scheme keeps some pairs as their lower-triangle
-            // entry (gi > gj); traceback tie-breaking is not symmetric
-            // under swapping the sequences, so without this both
-            // load-balance schemes — and the serving path, which always
-            // aligns (query, reference) — could disagree on the identity
-            // of a tie-sensitive pair. `C(j,i)`'s combined seed is
-            // `C(i,j)`'s with the positions swapped (both orientations
-            // pick the same minimum k-mer id), so the swap is exact.
-            let pt = if gi <= gj {
-                PairTask {
-                    i: gi,
-                    j: gj,
-                    seed_q: sq,
-                    seed_r: srr,
-                    count: ck.count,
-                }
-            } else {
-                PairTask {
-                    i: gj,
-                    j: gi,
-                    seed_q: srr,
-                    seed_r: sq,
-                    count: ck.count,
-                }
-            };
-            pairs.push(pt);
-        }
+        // Lossless narrowing: global ids are store indices, and
+        // `SeqStore::push` refuses to assign an id past u32::MAX, so
+        // `local + offset` here is always within u32 range.
+        let entries = pruned.iter().map(|(li, lj, ck)| {
+            let gi = (li as usize + row_offset) as u32;
+            let gj = (lj as usize + col_offset) as u32;
+            (gi, gj, ck)
+        });
+        let (tasks, counts) = collect_candidates(entries, params.common_kmer_threshold);
         // Freeing the block belongs to this window: the replay's filter
         // span ends after the same drop.
         drop(cblock);
         let other_seconds = t_other.elapsed().as_secs_f64();
         block_span.push_arg(names::CTR_CANDIDATES, candidates);
         block_span.push_arg("products", gemm_stats.products);
-        block_span.push_arg("pairs", pairs.len() as u64);
+        block_span.push_arg("pairs", tasks.len() as u64);
         CandidateBatch {
             task,
-            pairs,
+            tasks,
+            counts,
             candidates,
             products: gemm_stats.products,
             spgemm_seconds,
@@ -1071,156 +1058,79 @@ pub fn run_search_traced<C: Communicator + Sync>(
         }
     };
 
-    // The intra-rank alignment pool: batches execute as atomically-claimed
-    // chunks across `align_threads` workers (the calling thread included),
-    // with results in task order — output is bit-identical for every
-    // worker count. Workers never touch the communicator, so under
-    // pre-blocking the concurrent sparse thread remains the only thread
-    // issuing collectives. Traceback and score-only batches dispatch
-    // through the `--simd`-selected vector backend; like the thread count,
-    // the choice never changes the graph (both kernels are bit-identical
-    // to their scalar references).
-    let simd_backend = params
-        .simd
-        .resolve()
-        .expect("validate() checked the SIMD policy");
-    let mut pool = AlignPool::new(params.align_threads)
-        .with_recorder(recorder.clone())
-        .with_simd(simd_backend);
-    if let Some(wp) = &unified {
-        pool = pool.with_workers(wp.clone());
-    }
-    let pool = pool;
     let filter = EdgeFilter::from_params(params);
+    // Traceback and score-only run on the `--simd` lanes, banded is scalar.
+    let on_lanes = !matches!(params.align_kind, AlignKind::Banded(_));
+    let lookup = |id: u32| seqs.seq(id);
+    // One block's (or backpressure quarter's) alignment; its `wall_seconds`
+    // covers the edge construction too.
     let align_pairs = |task: BlockTask,
-                       pairs: &[PairTask]|
-     -> (Vec<SimilarityEdge>, u64, f64, f64) {
+                       tasks: &[AlignTask],
+                       counts: &[u32]|
+     -> (Vec<SimilarityEdge>, BatchStats) {
         let t = Instant::now();
         let mut batch_span = span!(recorder, Component::Align, names::SPAN_ALIGN_BATCH, {
             r: task.r as u64,
             c: task.c as u64,
-            pairs: pairs.len() as u64,
+            pairs: tasks.len() as u64,
         });
-        let tasks: Vec<AlignTask> = pairs
-            .iter()
-            .map(|pt| AlignTask {
-                query: pt.i,
-                reference: pt.j,
-                seed_q: pt.seed_q,
-                seed_r: pt.seed_r,
-            })
-            .collect();
-        let lookup = |id: u32| seqs.seq(id);
-        let mut edges = Vec::new();
-        let cells;
-        let cpu_seconds;
-        match params.align_kind {
-            AlignKind::FullSw => {
-                // Traceback on the `--simd` lanes, a pair per lane where
-                // the chunk's masks fit the per-thread bound (in row
-                // blocks if need be) and an anti-diagonal per vector
-                // elsewhere; results equal the scalar kernel's in every
-                // field.
-                let (results, stats) = pool.run_traceback(&tasks, lookup, &Blosum62, params.gaps);
-                cells = stats.cells;
-                cpu_seconds = stats.seconds;
-                batch_span.push_arg("simd", stats.simd.id());
-                batch_span.push_arg("lane_promotions", stats.lane_promotions);
-                batch_span.push_arg("padded_cells", stats.padded_cells);
-                for (pt, res) in pairs.iter().zip(&results) {
-                    let (qlen, rlen) = (seqs.seq(pt.i).len(), seqs.seq(pt.j).len());
-                    if filter.passes(res, qlen, rlen) {
-                        edges.push(SimilarityEdge {
-                            i: pt.i,
-                            j: pt.j,
-                            score: res.score,
-                            ani: res.identity() as f32,
-                            coverage: res.coverage_min(qlen, rlen) as f32,
-                            common_kmers: pt.count,
-                        });
-                    }
-                }
-            }
-            AlignKind::Banded(w) => {
-                let (results, stats) = pool.run_banded(&tasks, lookup, &Blosum62, params.gaps, w);
-                cells = stats.cells;
-                cpu_seconds = stats.seconds;
-                for (pt, res) in pairs.iter().zip(&results) {
-                    let (q, r) = (seqs.seq(pt.i), seqs.seq(pt.j));
-                    if let Some(e) = banded_edge(pt, res.score, q, r, &filter) {
-                        edges.push(e);
-                    }
-                }
-            }
-            AlignKind::ScoreOnly => {
-                // Exact scores through the multilane vector kernel.
-                let (results, stats) = pool.run_score_only(&tasks, lookup, &Blosum62, params.gaps);
-                cells = stats.cells;
-                cpu_seconds = stats.seconds;
-                batch_span.push_arg("simd", stats.simd.id());
-                batch_span.push_arg("lane_promotions", stats.lane_promotions);
-                batch_span.push_arg("padded_cells", stats.padded_cells);
-                for (pt, res) in pairs.iter().zip(&results) {
-                    let (q, r) = (seqs.seq(pt.i), seqs.seq(pt.j));
-                    if let Some(e) = banded_edge(pt, res.score, q, r, &filter) {
-                        edges.push(e);
-                    }
-                }
-            }
+        let (edges, mut stats) =
+            align_candidates(tasks, counts, lookup, params, &pools.align, &filter);
+        if on_lanes {
+            batch_span.push_arg("simd", stats.simd.id());
+            batch_span.push_arg("lane_promotions", stats.lane_promotions);
+            batch_span.push_arg("padded_cells", stats.padded_cells);
         }
-        batch_span.push_arg(names::CTR_CELLS, cells);
+        batch_span.push_arg(names::CTR_CELLS, stats.cells);
         batch_span.push_arg("edges", edges.len() as u64);
         drop(batch_span);
-        (edges, cells, t.elapsed().as_secs_f64(), cpu_seconds)
+        stats.wall_seconds = t.elapsed().as_secs_f64();
+        (edges, stats)
     };
     // Memory backpressure's second stage: run the block's pairs in
     // quarters, sequentially, shrinking the peak intermediate alignment
     // state. Results are per-pair and stitched in task order, so the
     // edges are bit-identical to the unshrunk batch.
-    let align_batch =
-        |batch: &CandidateBatch, shrink: bool| -> (Vec<SimilarityEdge>, u64, f64, f64) {
-            if !shrink || batch.pairs.len() <= 1 {
-                return align_pairs(batch.task, &batch.pairs);
-            }
-            recorder.add_counter(names::CTR_MEM_BACKPRESSURE_BATCH_SHRUNK, 1.0);
-            let chunk = batch.pairs.len().div_ceil(4);
-            let (mut edges, mut cells, mut wall, mut cpu) = (Vec::new(), 0u64, 0f64, 0f64);
-            for part in batch.pairs.chunks(chunk) {
-                let (e, cl, w, cp) = align_pairs(batch.task, part);
-                edges.extend(e);
-                cells += cl;
-                wall += w;
-                cpu += cp;
-            }
-            (edges, cells, wall, cpu)
-        };
+    let align_batch = |batch: &CandidateBatch, shrink: bool| -> (Vec<SimilarityEdge>, BatchStats) {
+        if !shrink || batch.tasks.len() <= 1 {
+            return align_pairs(batch.task, &batch.tasks, &batch.counts);
+        }
+        recorder.add_counter(names::CTR_MEM_BACKPRESSURE_BATCH_SHRUNK, 1.0);
+        let chunk = batch.tasks.len().div_ceil(4);
+        let (mut edges, mut total) = (Vec::new(), BatchStats::default());
+        for (tasks, counts) in batch.tasks.chunks(chunk).zip(batch.counts.chunks(chunk)) {
+            let (e, st) = align_pairs(batch.task, tasks, counts);
+            edges.extend(e);
+            total.merge(&st);
+        }
+        (edges, total)
+    };
 
     let mut graph = SimilarityGraph::new(n);
     let mut per_block = Vec::with_capacity(plan.tasks.len());
     let apply = |batch: CandidateBatch,
-                 outcome: (Vec<SimilarityEdge>, u64, f64, f64),
+                 (edges, align): (Vec<SimilarityEdge>, BatchStats),
                  times: &mut TimeBreakdown,
                  stats: &mut SearchStats,
                  per_block: &mut Vec<BlockTiming>|
      -> Vec<SimilarityEdge> {
-        let (edges, cells, align_seconds, align_cpu_seconds) = outcome;
         times.record(Component::SpGemm, batch.spgemm_seconds);
         times.record(Component::SparseOther, batch.other_seconds);
-        times.record(Component::Align, align_seconds);
+        times.record(Component::Align, align.wall_seconds);
         stats.candidates += batch.candidates;
         stats.spgemm_products += batch.products;
-        stats.aligned_pairs += batch.pairs.len() as u64;
-        stats.cells += cells;
+        stats.aligned_pairs += batch.tasks.len() as u64;
+        stats.cells += align.cells;
         stats.similar_pairs += edges.len() as u64;
-        stats.align_kernel_seconds += align_seconds;
-        stats.align_cpu_seconds += align_cpu_seconds;
+        stats.align_kernel_seconds += align.wall_seconds;
+        stats.align_cpu_seconds += align.seconds;
         per_block.push(BlockTiming {
             r: batch.task.r,
             c: batch.task.c,
             sparse_seconds: batch.spgemm_seconds + batch.other_seconds,
-            align_seconds,
+            align_seconds: align.wall_seconds,
             candidates: batch.candidates,
-            aligned_pairs: batch.pairs.len() as u64,
+            aligned_pairs: batch.tasks.len() as u64,
         });
         edges
     };
@@ -1570,7 +1480,7 @@ pub fn run_search_traced<C: Communicator + Sync>(
             let batch = compute_sparse(&bs, t, false);
             accountant.release(staging);
             if failed.contains(&idx) {
-                let (edges, _cells, _wall, _cpu) = align_pairs(t, &batch.pairs);
+                let (edges, _) = align_pairs(t, &batch.tasks, &batch.counts);
                 recorder.add_counter(names::CTR_SPILL_RECOMPUTES, 1.0);
                 match ctx.charge(
                     "output assembly",
@@ -1643,16 +1553,19 @@ pub fn run_search_traced<C: Communicator + Sync>(
         // stays at or under the budget.
         recorder.add_counter(names::CTR_MEM_HIGH_WATER, accountant.high_water() as f64);
     }
-    if let Some(wp) = &unified {
+    if let Some(wp) = &pools.unified {
         // Cross-engine steals: how often a persistent pool worker switched
         // between sparse and alignment jobs — the utilization the unified
         // pool recovers over the old static thread split.
         recorder.add_counter(names::CTR_POOL_STEALS, wp.steals() as f64);
     }
-    if !matches!(params.align_kind, AlignKind::Banded(_)) {
+    if on_lanes {
         // Which vector backend the traceback or score-only batches ran on
         // (stable id: scalar 0, sse2 1, avx2 2, neon 3). Once per run.
-        recorder.add_counter(names::CTR_ALIGN_SIMD_BACKEND, simd_backend.id() as f64);
+        recorder.add_counter(
+            names::CTR_ALIGN_SIMD_BACKEND,
+            pools.align.simd().id() as f64,
+        );
     }
     Ok(SearchResult {
         graph,
@@ -1663,33 +1576,6 @@ pub fn run_search_traced<C: Communicator + Sync>(
         resumed_from_block,
         stragglers,
         mem_high_water: budgeted.then(|| accountant.high_water()),
-    })
-}
-
-/// Edge construction for the banded (score-only) kernel: the ANI threshold
-/// applies to the score normalized by the shorter sequence's self-score,
-/// and coverage is not measurable (reported as the normalized score too).
-/// Shared with [`crate::serve`] so both paths compute identical edges.
-pub(crate) fn banded_edge(
-    pt: &PairTask,
-    score: i32,
-    q: &[u8],
-    r: &[u8],
-    filter: &EdgeFilter,
-) -> Option<SimilarityEdge> {
-    if score <= 0 {
-        return None;
-    }
-    let self_score = |s: &[u8]| -> i32 { s.iter().map(|&c| Blosum62.score(c, c)).sum() };
-    let denom = self_score(q).min(self_score(r)).max(1);
-    let normalized = score as f64 / denom as f64;
-    (normalized >= filter.ani_threshold).then_some(SimilarityEdge {
-        i: pt.i,
-        j: pt.j,
-        score,
-        ani: normalized as f32,
-        coverage: normalized as f32,
-        common_kmers: pt.count,
     })
 }
 
@@ -1977,22 +1863,36 @@ mod tests {
 
     #[test]
     fn schemes_agree_on_results() {
-        let store = tiny_store();
-        let tri = run_search_serial(
-            &store,
-            &SearchParams::test_defaults()
-                .with_load_balance(crate::LoadBalance::Triangular)
-                .with_blocking(3, 3),
-        )
-        .unwrap();
-        let idx = run_search_serial(
-            &store,
-            &SearchParams::test_defaults()
-                .with_load_balance(crate::LoadBalance::IndexBased)
-                .with_blocking(3, 3),
-        )
-        .unwrap();
-        assert_eq!(edges_of(&tri), edges_of(&idx));
+        // The index-based scheme keeps some pairs as their lower-triangle
+        // entry, whose seeds the canonical orientation swaps. Only the
+        // banded kernel reads seeds, so under it this is the direct check
+        // of that swap. In `shifted`, pair {0, 2} aligns 20 residues off
+        // the main diagonal and the index-based scheme keeps it as entry
+        // (2, 0): seeds the wrong way round put the band of 8 on diagonal
+        // +20 instead of -20.
+        let core = "MKVLAWYHEEGGSTPNQRCDFILKMNPQRS";
+        let mut shifted = SeqStore::new();
+        for q in [
+            core,
+            "WPWPWPWPWPWPWPWPWPWP",
+            &format!("DEDEDEDEDEDEDEDEDEDE{core}"),
+        ] {
+            shifted.push(String::new(), encode(q).unwrap());
+        }
+        for store in [&tiny_store(), &shifted] {
+            for kind in [AlignKind::FullSw, AlignKind::Banded(8)] {
+                let run = |lb| {
+                    let mut p = SearchParams::test_defaults()
+                        .with_load_balance(lb)
+                        .with_blocking(3, 3);
+                    p.align_kind = kind;
+                    graph_bits(&run_search_serial(store, &p).unwrap())
+                };
+                let tri = run(crate::LoadBalance::Triangular);
+                assert!(!tri.is_empty());
+                assert_eq!(tri, run(crate::LoadBalance::IndexBased), "{kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   relabels it into each loaded stripe's own nonempty k-mer rows by a
 //!   merge walk of the two sorted id lists (k-mers a stripe lacks cannot
 //!   match there and are dropped); runs one striped SpGEMM over those
-//!   `(A_s, B_s)` pairs ([`SpGemmPool::multiply_striped`]); and aligns
-//!   candidates through the same [`AlignPool`] kernels and edge
-//!   construction as [`crate::pipeline`].
+//!   `(A_s, B_s)` pairs ([`SpGemmPool::multiply_striped`]); and hands the
+//!   candidates to the batch pipeline's own candidate → align → edge stage
+//!   (`filter::collect_candidates`, `filter::align_candidates`).
 //!
 //! **Conformance contract** (pinned by `tests/serve_e2e.rs` and the unit
 //! tests below): serving the reference set back as queries against its own
@@ -46,21 +46,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pastis_align::batch::AlignTask;
-use pastis_align::matrices::Blosum62;
 use pastis_align::parallel::AlignPool;
 use pastis_comm::MachineModel;
-use pastis_pool::{Engine as PoolEngine, WorkPool};
 use pastis_seqio::SeqStore;
 use pastis_sparse::SpGemmPool;
 use pastis_trace::{names, span, Component, Recorder, SpanGuard, Track};
 
-use crate::filter::{candidate_passes, EdgeFilter};
+use crate::filter::{align_candidates, collect_candidates, EdgeFilter};
 use crate::index::{store_digest, PersistedIndex};
 use crate::kmer::{relabel, KmerMatrix};
 use crate::overlap::OverlapSemiring;
 use crate::params::{AlignKind, SearchParams};
-use crate::pipeline::{banded_edge, PairTask};
+use crate::pipeline::Pools;
 use crate::simgraph::{SimilarityEdge, SimilarityGraph};
 
 /// Admission batching knobs.
@@ -398,41 +395,29 @@ impl BatchEngine<'_> {
         let (c, gemm_stats) = self.spgemm.multiply_striped(&sr, bn, per_stripe);
         bspan.push_arg("products", gemm_stats.products);
 
-        // Candidate selection + seed extraction, shared predicates.
-        let mut tasks: Vec<AlignTask> = Vec::new();
-        let mut owners: Vec<(usize, u32, u32)> = Vec::new();
-        for (li, &qid) in qids.iter().enumerate() {
+        // Candidate selection, alignment and edge construction: the batch
+        // pipeline's own stage. Lookup ids are `li < bn` for a query and
+        // `bn + lj` for a reference, so the query is always the lower id
+        // and the stage's orientation rule leaves every pair as it is.
+        stats.candidates += c.nnz() as u64;
+        let self_mode = self.self_mode;
+        let entries = qids.iter().enumerate().flat_map(|(li, &qid)| {
             let (cols, vals) = c.row(li);
-            stats.candidates += cols.len() as u64;
-            for (lj, ck) in cols.iter().zip(vals) {
+            cols.iter()
+                .zip(vals)
                 // Self mode emits each unordered pair once, from its
                 // smaller id, so the other orientation is never aligned.
                 // A hit vector shared through the cache or coalescing was
                 // computed for a smaller query id (requests are answered
                 // in ascending order), so it still holds every reference
                 // above the sharing query's own id.
-                if self.self_mode && *lj <= qid {
-                    continue;
-                }
-                if !candidate_passes(ck, p.common_kmer_threshold) {
-                    continue;
-                }
-                let (sq, srr) = ck.first_seed().unwrap_or((0, 0));
-                tasks.push(AlignTask {
-                    query: li as u32,
-                    reference: bn as u32 + lj,
-                    seed_q: sq,
-                    seed_r: srr,
-                });
-                owners.push((li, *lj, ck.count));
-            }
-        }
+                .filter(move |(&lj, _)| !self_mode || lj > qid)
+                .map(move |(&lj, ck)| (li as u32, bn as u32 + lj, ck))
+        });
+        let (tasks, counts) = collect_candidates(entries, p.common_kmer_threshold);
         stats.aligned_pairs += tasks.len() as u64;
         bspan.push_arg("pairs", tasks.len() as u64);
 
-        // Batch alignment through the shared pool kernels; per-pair
-        // results are independent of batch composition, and the edge
-        // expressions are the pipeline's own.
         let refs = &self.index.refs;
         let lookup = |id: u32| -> &[u8] {
             let id = id as usize;
@@ -442,73 +427,21 @@ impl BatchEngine<'_> {
                 refs.seq(id - bn)
             }
         };
+        let (edges, bstats) =
+            align_candidates(&tasks, &counts, lookup, p, &self.align, &self.filter);
+        stats.cells += bstats.cells;
+        if !matches!(p.align_kind, AlignKind::Banded(_)) {
+            bspan.push_arg("simd", bstats.simd.id());
+        }
         let mut hits: Vec<Vec<ServeHit>> = (0..bn).map(|_| Vec::new()).collect();
-        match p.align_kind {
-            AlignKind::FullSw => {
-                let (results, bstats) = self.align.run_traceback(&tasks, lookup, &Blosum62, p.gaps);
-                stats.cells += bstats.cells;
-                bspan.push_arg("simd", bstats.simd.id());
-                for (&(li, j, count), res) in owners.iter().zip(&results) {
-                    let (qlen, rlen) = (bstore.seq(li).len(), refs.seq(j as usize).len());
-                    if self.filter.passes(res, qlen, rlen) {
-                        hits[li].push(ServeHit {
-                            j,
-                            score: res.score,
-                            ani: res.identity() as f32,
-                            coverage: res.coverage_min(qlen, rlen) as f32,
-                            common_kmers: count,
-                        });
-                    }
-                }
-            }
-            AlignKind::Banded(w) => {
-                let (results, bstats) = self.align.run_banded(&tasks, lookup, &Blosum62, p.gaps, w);
-                stats.cells += bstats.cells;
-                for (&(li, j, count), res) in owners.iter().zip(&results) {
-                    let pt = PairTask {
-                        i: 0,
-                        j,
-                        seed_q: 0,
-                        seed_r: 0,
-                        count,
-                    };
-                    let (q, r) = (bstore.seq(li), refs.seq(j as usize));
-                    if let Some(e) = banded_edge(&pt, res.score, q, r, &self.filter) {
-                        hits[li].push(ServeHit {
-                            j,
-                            score: e.score,
-                            ani: e.ani,
-                            coverage: e.coverage,
-                            common_kmers: e.common_kmers,
-                        });
-                    }
-                }
-            }
-            AlignKind::ScoreOnly => {
-                let (results, bstats) =
-                    self.align.run_score_only(&tasks, lookup, &Blosum62, p.gaps);
-                stats.cells += bstats.cells;
-                bspan.push_arg("simd", bstats.simd.id());
-                for (&(li, j, count), res) in owners.iter().zip(&results) {
-                    let pt = PairTask {
-                        i: 0,
-                        j,
-                        seed_q: 0,
-                        seed_r: 0,
-                        count,
-                    };
-                    let (q, r) = (bstore.seq(li), refs.seq(j as usize));
-                    if let Some(e) = banded_edge(&pt, res.score, q, r, &self.filter) {
-                        hits[li].push(ServeHit {
-                            j,
-                            score: e.score,
-                            ani: e.ani,
-                            coverage: e.coverage,
-                            common_kmers: e.common_kmers,
-                        });
-                    }
-                }
-            }
+        for e in edges {
+            hits[e.i as usize].push(ServeHit {
+                j: e.j - bn as u32,
+                score: e.score,
+                ani: e.ani,
+                coverage: e.coverage,
+                common_kmers: e.common_kmers,
+            });
         }
         Ok(hits)
     }
@@ -548,11 +481,8 @@ pub fn serve_queries_traced(
     params.validate()?;
     index.check_params(params.k, params.alphabet, params.substitute_kmers)?;
 
-    let simd_backend = params
-        .simd
-        .resolve()
-        .expect("validate() checked the SIMD policy");
-    let lanes = simd_backend.lanes();
+    let pools = Pools::new(params, recorder);
+    let lanes = pools.align.simd().lanes();
     // Batch-size precedence: an explicit `--batch`, then the cost model's
     // recommendation. Both are output-safe — results never depend on batch
     // boundaries.
@@ -571,33 +501,14 @@ pub fn serve_queries_traced(
         max_wait_us: cfg.max_wait_us,
     });
 
-    // The same unified/per-engine worker-pool setup as the batch pipeline.
-    let unified = params.threads.map(|t| {
-        let wp = WorkPool::sized(t);
-        wp.set_cap(PoolEngine::Align, params.align_cap);
-        wp.set_cap(PoolEngine::Sparse, params.spgemm_cap);
-        wp
-    });
-    let mut spgemm = SpGemmPool::new(params.spgemm_threads)
-        .with_kind(params.spgemm)
-        .with_recorder(recorder.clone());
-    if let Some(wp) = &unified {
-        spgemm = spgemm.with_workers(wp.clone());
-    }
-    let mut align = AlignPool::new(params.align_threads)
-        .with_recorder(recorder.clone())
-        .with_simd(simd_backend);
-    if let Some(wp) = &unified {
-        align = align.with_workers(wp.clone());
-    }
     let self_mode = store_digest(queries) == index.manifest.refs_digest;
     let mut engine = BatchEngine {
         index,
         queries,
         params,
         filter: EdgeFilter::from_params(params),
-        spgemm,
-        align,
+        spgemm: pools.spgemm,
+        align: pools.align,
         recorder,
         stripes: (0..index.manifest.n_stripes).map(|_| None).collect(),
         stripes_loaded: 0,

@@ -7,8 +7,6 @@
 //!
 //! * [`fasta`] — a robust FASTA reader/writer and the in-memory
 //!   [`SeqStore`] the pipeline works from.
-//! * [`faidx`] — a samtools-faidx-style index for O(1) random access to
-//!   records of a large FASTA file.
 //! * [`parallel_io`] — byte-range-partitioned FASTA reading (each rank
 //!   parses only its slice of the file, MPI-IO style) and partitioned
 //!   output writing.
@@ -25,14 +23,12 @@
 #![warn(missing_docs)]
 
 pub mod alphabet;
-pub mod faidx;
 pub mod fasta;
 pub mod parallel_io;
 pub mod qstream;
 pub mod synth;
 
 pub use alphabet::ReducedAlphabet;
-pub use faidx::{FaiEntry, FastaIndex};
 pub use fasta::{FastaError, FastaRecord, FastaStream, SeqStore};
 pub use qstream::QueryBatchReader;
 pub use synth::{SyntheticConfig, SyntheticDataset};

@@ -22,8 +22,6 @@
 //!   semiring-generic and bit-identical to each
 //!   other; [`SpGemmPool`] selects between them per multiplication
 //!   ([`SpGemmKind`]).
-//! * [`spmv_dense`] / [`spmv_sparse`] — semiring matrix–vector products
-//!   (the primitive the similarity graph's downstream clustering uses).
 //! * [`DistSparseMatrix`] — a matrix 2D-block-distributed over a
 //!   `√p × √p` [`pastis_comm::ProcessGrid`].
 //! * [`summa`] — 2D Sparse SUMMA (`√p` broadcast stages).
@@ -54,7 +52,6 @@ pub mod distmat;
 pub mod parallel;
 pub mod semiring;
 pub mod spgemm;
-pub mod spmv;
 pub mod spops;
 pub mod summa;
 pub mod triples;
@@ -64,8 +61,7 @@ pub use distmat::DistSparseMatrix;
 pub use parallel::{run_units, spgemm_parallel, spgemm_parallel_traced, SpGemmPool};
 pub use semiring::{AccSlot, BoolAndOr, MinPlus, PlusTimes, Semiring};
 pub use spgemm::{spgemm_dense_ref, spgemm_hash, spgemm_heap, SpGemmKind, SpGemmStats};
-pub use spmv::{spmv_dense, spmv_sparse};
-pub use spops::{spadd, spadd_into};
+pub use spops::spadd_into;
 pub use summa::{summa, BlockedSumma};
 pub use triples::{Index, Triple, Triples};
 

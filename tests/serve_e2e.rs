@@ -166,30 +166,38 @@ fn self_serve_aligns_each_pair_once_even_with_duplicate_sequences() {
 
 #[test]
 fn self_serve_score_only_matches_batch_for_scalar_and_auto_simd() {
+    // The default traceback kernel is pinned above; the two score-only
+    // kernels here. Banded is the only kernel that reads the seeds, so it
+    // checks that serve hands the shared stage the same seeds as search.
     use pastis::align::SimdPolicy;
     use pastis::core::params::AlignKind;
 
     let ds = dataset();
-    let mut p = params();
-    p.align_kind = AlignKind::ScoreOnly;
+    let p = params();
     let idx = build(&ds.store, &p, 64, "simd");
-    for simd in ["scalar", "auto"] {
-        let mut sp = p.clone();
-        sp.simd = SimdPolicy::parse(simd).unwrap();
-        let want = run_search_serial(&ds.store, &sp)
-            .unwrap()
-            .graph
-            .to_tsv_lines();
-        assert!(!want.is_empty());
-        for cache_entries in [0usize, 16] {
-            let cfg = ServeConfig {
-                params: sp.clone(),
-                max_batch: 10,
-                max_wait_us: 1_000_000,
-                cache_entries,
-            };
-            let out = serve_queries(&idx, &ds.store, &cfg).unwrap();
-            assert_eq!(out.lines, want, "simd={simd} cache={cache_entries}");
+    for kind in [AlignKind::ScoreOnly, AlignKind::Banded(8)] {
+        for simd in ["scalar", "auto"] {
+            let mut sp = p.clone();
+            sp.align_kind = kind;
+            sp.simd = SimdPolicy::parse(simd).unwrap();
+            let want = run_search_serial(&ds.store, &sp)
+                .unwrap()
+                .graph
+                .to_tsv_lines();
+            assert!(!want.is_empty());
+            for cache_entries in [0usize, 16] {
+                let cfg = ServeConfig {
+                    params: sp.clone(),
+                    max_batch: 10,
+                    max_wait_us: 1_000_000,
+                    cache_entries,
+                };
+                let out = serve_queries(&idx, &ds.store, &cfg).unwrap();
+                assert_eq!(
+                    out.lines, want,
+                    "{kind:?} simd={simd} cache={cache_entries}"
+                );
+            }
         }
     }
 }
