@@ -11,7 +11,7 @@
 
 use pastis_bench::*;
 use pastis_comm::{run_threaded, Communicator, MachineModel, ProcessGrid};
-use pastis_sparse::{BlockedSumma, PlusTimes, SpGemmPool, Triples};
+use pastis_sparse::{BlockedSumma, PlusTimes, SpGemmPool, Stitch, Triples};
 
 fn main() {
     let net = MachineModel::summit().net;
@@ -77,7 +77,10 @@ fn main() {
             let pool = SpGemmPool::serial();
             for r in 0..br {
                 for cc in 0..bc {
-                    let _ = bs.multiply_block(&grid, &PlusTimes::<f64>::new(), r, cc, &pool, true);
+                    let ncols = bs.b_stripe(cc).col_dist().part_len(grid.my_col());
+                    let (sr, stitch) = (PlusTimes::<f64>::new(), Stitch::new(ncols));
+                    let consume = |first, chunk: &mut _| stitch.push(first, chunk);
+                    let _ = bs.multiply_block(&grid, &sr, r, cc, &pool, true, consume);
                 }
             }
             let after = grid.row_comm().stats().broadcasts + grid.col_comm().stats().broadcasts;

@@ -158,10 +158,11 @@ impl BlockPlan {
         (full, partial)
     }
 
-    /// A computed block's local piece, seen through this scheme's pruning
-    /// rule: the elements it aligns, borrowed in place. `row_offset`/
-    /// `col_offset` are the global coordinates of the piece's `(0, 0)`
-    /// element (block offset + intra-block distribution offset).
+    /// A computed block's local piece, or a row chunk of it, seen through
+    /// this scheme's pruning rule: the elements it aligns, borrowed in
+    /// place. `row_offset`/`col_offset` are the global coordinates of the
+    /// piece's `(0, 0)` element (block offset + intra-block distribution
+    /// offset + the chunk's first row).
     pub fn prune_local<'a, T>(
         &self,
         task: BlockTask,
@@ -198,9 +199,10 @@ impl BlockPlan {
 }
 
 /// What [`BlockPlan::prune_local`] returns: the kept elements of a block's
-/// local piece, read where they lie. Nothing is copied; a block's kept half
-/// is some megabytes of which the k-mer threshold then passes a fraction
-/// of a percent.
+/// local piece, read where they lie. Nothing is copied; the search hands
+/// it one row chunk of the product at a time (a few hundred kilobytes in
+/// the reduced-alphabet regime), of which the k-mer threshold then passes
+/// a fraction of a percent.
 #[derive(Debug)]
 pub struct PrunedBlock<'a, T> {
     local: &'a CsrMatrix<T>,

@@ -34,7 +34,7 @@ use pastis_comm::grid::{BlockDist1D, ProcessGrid};
 use pastis_comm::{Communicator, Component, FaultPlan, FaultyStore, ReduceOp, TimeBreakdown};
 use pastis_pool::{Engine, WorkPool};
 use pastis_seqio::SeqStore;
-use pastis_sparse::{BlockedSumma, SpGemmPool};
+use pastis_sparse::{BlockedSumma, CsrMatrix, SpGemmPool};
 use pastis_trace::{names, span, Recorder};
 
 use crate::checkpoint::{self, Checkpoint, IndexShard, SpillShard};
@@ -42,7 +42,7 @@ use crate::filter::{align_candidates, collect_candidates, EdgeFilter};
 use crate::kmer::KmerMatrix;
 use crate::loadbalance::{BlockPlan, BlockTask};
 use crate::membudget::MemBudget;
-use crate::overlap::OverlapSemiring;
+use crate::overlap::{CommonKmers, OverlapSemiring};
 use crate::params::{AlignKind, SearchParams};
 use crate::simgraph::{SimilarityEdge, SimilarityGraph};
 use crate::stats::SearchStats;
@@ -1015,46 +1015,45 @@ pub fn run_search_traced<C: Communicator + Sync>(
             names::SPGEMM_ACC_COUNTERS.map(|name| counters.get(name).copied().unwrap_or(0.0))
         };
         let acc_before = recorder.is_enabled().then(acc_rows);
+        // The block is pruned and thresholded chunk by chunk as the
+        // multiply forms it, so it is never held whole.
+        let row_offset = bs.row_range(task.r).0 + bs.a_stripe(task.r).row_offset();
+        let col_offset = bs.col_range(task.c).0 + bs.b_stripe(task.c).col_offset();
+        let pairs_of = |first: usize, chunk: &mut CsrMatrix<CommonKmers>| {
+            let pruned = plan.prune_local(task, chunk, row_offset + first, col_offset);
+            // Lossless narrowing: global ids are store indices, and
+            // `SeqStore::push` refuses to assign an id past u32::MAX, so
+            // `local + offset` here is always within u32 range.
+            let (ro, co) = ((row_offset + first) as u32, col_offset as u32);
+            let entries = pruned.iter().map(|(li, lj, ck)| (li + ro, lj + co, ck));
+            collect_candidates(entries, params.common_kmer_threshold)
+        };
         let t_mult = Instant::now();
-        let (cblock, gemm_stats) =
-            bs.multiply_block(grid, &sr, task.r, task.c, &pools.spgemm, overlap_on);
-        let spgemm_seconds = t_mult.elapsed().as_secs_f64();
+        let (r, c, pool) = (task.r, task.c, &pools.spgemm);
+        let visited = bs.multiply_block(grid, &sr, r, c, pool, overlap_on, pairs_of);
+        let sparse_seconds = t_mult.elapsed().as_secs_f64();
         if let Some(before) = acc_before {
             let after = acc_rows();
             for (k, name) in names::SPGEMM_ACC_COUNTERS.into_iter().enumerate() {
                 block_span.push_arg(name, (after[k] - before[k]) as u64);
             }
         }
-
-        let t_other = Instant::now();
-        let row_offset = bs.row_range(task.r).0 + cblock.row_offset();
-        let col_offset = bs.col_range(task.c).0 + cblock.col_offset();
-        let candidates = cblock.nnz_local() as u64;
-        let pruned = plan.prune_local(task, cblock.local(), row_offset, col_offset);
-        // Lossless narrowing: global ids are store indices, and
-        // `SeqStore::push` refuses to assign an id past u32::MAX, so
-        // `local + offset` here is always within u32 range.
-        let entries = pruned.iter().map(|(li, lj, ck)| {
-            let gi = (li as usize + row_offset) as u32;
-            let gj = (lj as usize + col_offset) as u32;
-            (gi, gj, ck)
-        });
-        let (tasks, counts) = collect_candidates(entries, params.common_kmer_threshold);
-        // Freeing the block belongs to this window: the replay's filter
-        // span ends after the same drop.
-        drop(cblock);
-        let other_seconds = t_other.elapsed().as_secs_f64();
+        // Chunks come back in row order, so the pairs are in the block's
+        // row-major order; the product's nonzeros are counted per chunk.
+        let (tasks, counts): (Vec<_>, Vec<_>) = visited.results.into_iter().unzip();
+        let (tasks, counts) = (tasks.concat(), counts.concat());
+        let (candidates, products) = (visited.stats.merged_nnz, visited.stats.products);
         block_span.push_arg(names::CTR_CANDIDATES, candidates);
-        block_span.push_arg("products", gemm_stats.products);
+        block_span.push_arg("products", products);
         block_span.push_arg("pairs", tasks.len() as u64);
         CandidateBatch {
             task,
             tasks,
             counts,
             candidates,
-            products: gemm_stats.products,
-            spgemm_seconds,
-            other_seconds,
+            products,
+            spgemm_seconds: sparse_seconds - visited.consume_seconds,
+            other_seconds: visited.consume_seconds,
         }
     };
 

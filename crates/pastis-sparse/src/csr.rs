@@ -171,6 +171,21 @@ impl<T> CsrMatrix<T> {
         stripes.reverse();
         stripes
     }
+
+    /// Move `other`'s rows onto the end of this matrix, leaving `other`
+    /// with no rows but with its buffers, for reuse. Both have the same
+    /// columns; each value moves once.
+    pub fn append_rows(&mut self, other: &mut CsrMatrix<T>) {
+        assert_eq!(self.ncols, other.ncols, "appended rows have other columns");
+        let base = self.colind.len();
+        self.rowptr
+            .extend(other.rowptr[1..].iter().map(|p| p + base));
+        self.colind.append(&mut other.colind);
+        self.vals.append(&mut other.vals);
+        self.nrows += other.nrows;
+        other.rowptr.truncate(1);
+        other.nrows = 0;
+    }
 }
 
 impl<T: Clone> CsrMatrix<T> {
@@ -473,6 +488,12 @@ mod tests {
                 .map(|w| sample().extract_rows(w[0], w[1]))
                 .collect();
             assert_eq!(sample().into_row_stripes(&bounds), want, "{bounds:?}");
+            let mut back = CsrMatrix::empty(0, 3);
+            for mut stripe in want {
+                back.append_rows(&mut stripe);
+                assert_eq!(stripe, CsrMatrix::empty(0, 3));
+            }
+            assert_eq!(back, sample(), "{bounds:?}");
         }
     }
 

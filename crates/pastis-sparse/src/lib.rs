@@ -21,10 +21,13 @@
 //!   the heap merge, and the row-partitioned multithreaded kernel), all
 //!   semiring-generic and bit-identical to each
 //!   other; [`SpGemmPool`] selects between them per multiplication
-//!   ([`SpGemmKind`]).
+//!   ([`SpGemmKind`]) and runs each through one chunk driver,
+//!   [`SpGemmPool::visit`], which hands the product to a consumer 16 rows
+//!   at a time so that it need never be held whole.
 //! * [`DistSparseMatrix`] — a matrix 2D-block-distributed over a
 //!   `√p × √p` [`pastis_comm::ProcessGrid`].
-//! * [`summa`] — 2D Sparse SUMMA (`√p` broadcast stages).
+//! * [`summa`](fn@summa) — 2D Sparse SUMMA (`√p` broadcast stages), visited like
+//!   one local product.
 //! * [`BlockedSumma`] — the paper's blocked variant: the output is formed
 //!   in `br × bc` blocks so the search can run incrementally under a memory
 //!   budget.
@@ -58,7 +61,9 @@ pub mod triples;
 
 pub use csr::CsrMatrix;
 pub use distmat::DistSparseMatrix;
-pub use parallel::{run_units, spgemm_parallel, spgemm_parallel_traced, SpGemmPool};
+pub use parallel::{
+    run_units, spgemm_parallel, spgemm_parallel_traced, SpGemmPool, Stitch, Visited,
+};
 pub use semiring::{AccSlot, BoolAndOr, MinPlus, PlusTimes, Semiring};
 pub use spgemm::{spgemm_dense_ref, spgemm_hash, spgemm_heap, SpGemmKind, SpGemmStats};
 pub use spops::spadd_into;

@@ -11,16 +11,20 @@
 //!   a concurrent sparse thread already owns the communicator), and the
 //!   results are re-assembled **in unit order**. Reused by the baselines'
 //!   candidate-discovery loops.
-//! * [`spgemm_parallel`] — Gustavson's algorithm row-partitioned into
-//!   fixed-size chunks executed through [`run_units`]. Every chunk runs
-//!   the *same* row kernel as [`crate::spgemm_hash`] (literally the same
-//!   function, on a scratch the claiming worker keeps for the whole
-//!   multiply), and chunks are stitched back in ascending row order, so
-//!   the output — values *and* combine order — is bit-identical to the
-//!   serial kernel for any thread count and any semiring, including
-//!   non-commutative ones.
+//! * The chunk driver behind [`SpGemmPool::visit`] — Gustavson's algorithm
+//!   row-partitioned into chunks of `ROWS_PER_CHUNK` rows, run serially,
+//!   through [`run_units`] or on the unified [`WorkPool`]. Every chunk runs
+//!   the *same* per-row function as [`crate::spgemm_hash`] (or as
+//!   [`crate::spgemm_heap`]) on a scratch the claiming worker keeps for
+//!   the whole multiply, into a chunk buffer it reuses, and hands the
+//!   chunk to the caller's consumer inside the same unit. The consumers'
+//!   results come back in ascending row order, so a product stitched from
+//!   the chunks ([`SpGemmPool::multiply`], [`spgemm_parallel`]) — values
+//!   *and* combine order — is bit-identical to the serial kernel for any
+//!   thread count and any semiring, including non-commutative ones, and a
+//!   consumer that keeps less than the chunk never holds the product.
 //!
-//! [`SpGemmPool`] wraps kernel selection ([`SpGemmKind`]) around them: the
+//! [`SpGemmPool`] wraps kernel selection ([`SpGemmKind`]) around it: the
 //! `auto` policy picks the parallel kernel when the pool has >1 worker and
 //! enough rows to amortize chunk claims, and otherwise chooses between the
 //! serial hash and heap kernels by merge fan-in. The average number of
@@ -30,22 +34,23 @@
 //! heap's ordered merge beats hashing + sorting (Section V-B's
 //! compression-factor discussion).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use pastis_pool::{Engine, WorkPool};
 use pastis_trace::{names, Component, Recorder, Track};
 
 use crate::csr::CsrMatrix;
 use crate::semiring::Semiring;
-use crate::spgemm::{
-    spgemm_heap, spgemm_rows, AccStats, RowScratch, SpGemmKind, SpGemmStats, DENSE_ACC_LIMIT_BYTES,
-};
+use crate::spgemm::{AccStats, RowScratch, SpGemmKind, SpGemmStats, DENSE_ACC_LIMIT_BYTES};
 use crate::triples::Index;
 
 /// Rows claimed per unit of work: small enough for dynamic balance over
-/// ragged row costs, large enough to amortize the atomic claim.
-const ROWS_PER_CHUNK: usize = 16;
+/// ragged row costs and for a chunk of the product to stay in cache while
+/// its consumer reads it, large enough to amortize the atomic claim.
+pub(crate) const ROWS_PER_CHUNK: usize = 16;
 
 /// `auto` only picks the parallel kernel when there are at least this many
 /// rows (several chunks per worker); below it, chunk-claim overhead
@@ -156,9 +161,7 @@ where
     S::B: Sync,
     S::C: Send,
 {
-    let exec = Exec::Scoped(resolve_threads(threads));
-    let (c, stats, _) = spgemm_chunked(sr, a, b, exec, rec, DENSE_ACC_LIMIT_BYTES);
-    (c, stats)
+    stitched(sr, a, b, Exec::Scoped(resolve_threads(threads)), rec)
 }
 
 /// [`spgemm_parallel_traced`] executing on the unified [`WorkPool`] instead
@@ -179,39 +182,152 @@ where
     S::B: Sync,
     S::C: Send,
 {
-    let (c, stats, _) = spgemm_chunked(sr, a, b, Exec::Pool(workers), rec, DENSE_ACC_LIMIT_BYTES);
-    (c, stats)
+    stitched(sr, a, b, Exec::Pool(workers), rec)
 }
 
-/// Where the row chunks of one parallel multiply execute.
+/// The row kernel's product on `exec`, visited and stitched.
+fn stitched<S>(
+    sr: &S,
+    a: &CsrMatrix<S::A>,
+    b: &CsrMatrix<S::B>,
+    exec: Exec<'_>,
+    rec: &Recorder,
+) -> (CsrMatrix<S::C>, SpGemmStats)
+where
+    S: Semiring + Sync,
+    S::A: Sync,
+    S::B: Sync,
+    S::C: Send,
+{
+    let row = || RowScratch::new(b.ncols(), DENSE_ACC_LIMIT_BYTES);
+    let stitch = Stitch::new(b.ncols());
+    let consume = |first: usize, chunk: &mut CsrMatrix<S::C>| stitch.push(first, chunk);
+    let (visited, _) = visit_chunks(sr, a, b, exec, &row, rec, &consume);
+    (stitch.finish(), visited.stats)
+}
+
+/// What a visit of `C = A ⊗ B` leaves: the consumer's results, not `C`.
+#[derive(Debug)]
+pub struct Visited<R> {
+    /// The consumer's result for each row chunk, in row order.
+    pub results: Vec<R>,
+    /// The multiply's work counters.
+    pub stats: SpGemmStats,
+    /// The consumer's share of the visit's wall time: its seconds summed
+    /// over chunks, scaled by the wall time over the units' summed
+    /// seconds, so that chunks consumed side by side count once.
+    pub consume_seconds: f64,
+}
+
+/// The stitching consumer: joins the chunks of a visit into the product
+/// itself, in row order whatever order the units finish in. A chunk that
+/// arrives in turn is appended and leaves its buffers to its worker; one
+/// that arrives before the rows above it is taken whole until its turn.
+/// What a caller that wants the product passes to [`SpGemmPool::visit`],
+/// [`summa`](fn@crate::summa) or [`crate::BlockedSumma::multiply_block`]:
+/// `|first, chunk| stitch.push(first, chunk)`, then [`Stitch::finish`].
+#[derive(Debug)]
+pub struct Stitch<T> {
+    parts: Mutex<Parts<T>>,
+}
+
+#[derive(Debug)]
+struct Parts<T> {
+    /// The rows joined so far.
+    product: CsrMatrix<T>,
+    /// Chunks ahead of their turn, by first row.
+    early: BTreeMap<usize, CsrMatrix<T>>,
+}
+
+impl<T> Stitch<T> {
+    /// A stitch for a product of `ncols` columns.
+    pub fn new(ncols: usize) -> Stitch<T> {
+        let parts = Parts {
+            product: CsrMatrix::empty(0, ncols),
+            early: BTreeMap::new(),
+        };
+        Stitch {
+            parts: Mutex::new(parts),
+        }
+    }
+
+    /// Join the chunk whose first row is `first`.
+    pub fn push(&self, first: usize, chunk: &mut CsrMatrix<T>) {
+        let mut parts = self.parts.lock().expect("a stitched chunk panicked");
+        let Parts { product, early } = &mut *parts;
+        if first != product.nrows() {
+            let whole = std::mem::replace(chunk, CsrMatrix::empty(0, chunk.ncols()));
+            early.insert(first, whole);
+            return;
+        }
+        product.append_rows(chunk);
+        while let Some(mut next) = early.remove(&product.nrows()) {
+            product.append_rows(&mut next);
+        }
+    }
+
+    /// The product: every chunk pushed, joined in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chunk's rows do not follow the rows before it.
+    pub fn finish(self) -> CsrMatrix<T> {
+        let parts = self.parts.into_inner().expect("a stitched chunk panicked");
+        assert!(
+            parts.early.is_empty(),
+            "a chunk was pushed past a gap in the rows"
+        );
+        parts.product
+    }
+}
+
+/// Where the row chunks of one multiply execute.
 #[derive(Clone, Copy)]
 enum Exec<'a> {
+    /// On the calling thread, without chunk spans: a serial kernel.
+    Serial,
     /// This many scoped threads through [`run_units`].
     Scoped(usize),
     /// The unified pool, as [`Engine::Sparse`] units.
     Pool(&'a WorkPool),
 }
 
-/// One chunk's output: per-row lengths plus the concatenated row data.
-type Chunk<C> = (Vec<usize>, Vec<Index>, Vec<C>, SpGemmStats);
+/// One worker's state for a visit, kept for every chunk it claims: the
+/// per-row function's scratch and the chunk buffer the rows go into.
+struct ChunkWorker<S: Semiring> {
+    rows: RowScratch<S>,
+    rowptr: Vec<usize>,
+    colind: Vec<Index>,
+    vals: Vec<S::C>,
+}
 
-/// The row-partitioned kernel behind both parallel entry points: row
-/// chunks of [`ROWS_PER_CHUNK`] run the shared row kernel on `exec`, each
-/// worker keeping one [`RowScratch`] for every chunk it claims, and are
-/// stitched in ascending row order.
-fn spgemm_chunked<S>(
+/// One unit's yield: the consumer's result, the chunk's counters, and the
+/// seconds of the unit and of its consumer call.
+type Unit<R> = (R, SpGemmStats, f64, f64);
+
+/// The one chunk driver. Row chunks of [`ROWS_PER_CHUNK`] run the
+/// per-row function of the scratch `new_scratch` makes, on `exec`, into
+/// the claiming worker's reused chunk buffer; `consume` reads (or takes)
+/// each chunk with its first row inside the same unit, so `C` never
+/// exists whole unless the consumer keeps it. Results come back in row
+/// order, with the counters summed over chunks and the accumulator counts
+/// summed over workers.
+fn visit_chunks<S, R, F>(
     sr: &S,
     a: &CsrMatrix<S::A>,
     b: &CsrMatrix<S::B>,
     exec: Exec<'_>,
+    new_scratch: &(dyn Fn() -> RowScratch<S> + Sync),
     rec: &Recorder,
-    dense_limit: usize,
-) -> (CsrMatrix<S::C>, SpGemmStats, AccStats)
+    consume: &F,
+) -> (Visited<R>, AccStats)
 where
     S: Semiring + Sync,
     S::A: Sync,
     S::B: Sync,
     S::C: Send,
+    R: Send,
+    F: Fn(usize, &mut CsrMatrix<S::C>) -> R + Sync,
 {
     assert_eq!(
         a.ncols(),
@@ -222,95 +338,127 @@ where
         b.nrows(),
         b.ncols()
     );
+    let wall = Instant::now();
     let n_units = a.nrows().div_ceil(ROWS_PER_CHUNK);
-    // One scratch per worker slot, built by the first chunk the worker
+    // One worker state per slot, built by the first chunk the slot
     // claims. A slot belongs to one thread, so the locks never contend.
     let n_slots = match exec {
+        Exec::Serial => 1,
         Exec::Scoped(threads) => threads.max(1),
         Exec::Pool(wp) => wp.caller_slot(Engine::Sparse) + 1,
     };
-    let scratches: Vec<Mutex<Option<RowScratch<S>>>> =
+    let workers: Vec<Mutex<Option<ChunkWorker<S>>>> =
         (0..n_slots).map(|_| Mutex::new(None)).collect();
-    let chunk = |u: usize, slot: usize, track: Track| -> Chunk<S::C> {
-        let mut guard = scratches[slot].lock().expect("a row chunk panicked");
-        let scratch = guard.get_or_insert_with(|| RowScratch::new(b.ncols(), dense_limit));
-        row_chunk(sr, a, b, u, scratch, track, rec)
+    let unit = |u: usize, slot: usize, track: Option<Track>| -> Unit<R> {
+        let mut guard = workers[slot].lock().expect("a row chunk panicked");
+        let worker = guard.get_or_insert_with(|| ChunkWorker {
+            rows: new_scratch(),
+            rowptr: Vec::new(),
+            colind: Vec::new(),
+            vals: Vec::new(),
+        });
+        worker.chunk(
+            sr,
+            a,
+            b,
+            u,
+            track.filter(|_| rec.is_enabled()),
+            rec,
+            consume,
+        )
     };
-    let chunks: Vec<Chunk<S::C>> = match exec {
+    let units: Vec<Unit<R>> = match exec {
+        Exec::Serial => (0..n_units).map(|u| unit(u, 0, None)).collect(),
         Exec::Scoped(threads) => run_units(threads, n_units, |w, u| {
-            chunk(u, w, Track::SpGemmWorker(w as u32))
+            unit(u, w, Some(Track::SpGemmWorker(w as u32)))
         }),
         Exec::Pool(wp) => wp.run(Engine::Sparse, n_units, |u, slot| {
-            chunk(u, slot, Track::PoolWorker(slot as u32))
+            unit(u, slot, Some(Track::PoolWorker(slot as u32)))
         }),
     };
 
-    let total: usize = chunks.iter().map(|c| c.1.len()).sum();
-    let mut rowptr = Vec::with_capacity(a.nrows() + 1);
-    rowptr.push(0usize);
-    let mut colind: Vec<Index> = Vec::with_capacity(total);
-    let mut vals: Vec<S::C> = Vec::with_capacity(total);
     let mut stats = SpGemmStats::default();
-    let mut end = 0usize;
-    for (lens, ccols, cvals, cstats) in chunks {
-        for l in lens {
-            end += l;
-            rowptr.push(end);
-        }
-        colind.extend(ccols);
-        vals.extend(cvals);
-        stats.merge(cstats);
+    let (mut unit_seconds, mut consume_seconds) = (0.0, 0.0);
+    let mut results = Vec::with_capacity(units.len());
+    for (r, st, unit_s, consume_s) in units {
+        results.push(r);
+        stats.merge(st);
+        unit_seconds += unit_s;
+        consume_seconds += consume_s;
+    }
+    if unit_seconds > 0.0 {
+        consume_seconds *= wall.elapsed().as_secs_f64() / unit_seconds;
     }
     let mut acc = AccStats::default();
-    for scratch in scratches {
-        if let Some(s) = scratch.into_inner().expect("a row chunk panicked") {
-            acc.merge(s.acc);
+    for worker in workers {
+        if let Some(w) = worker.into_inner().expect("a row chunk panicked") {
+            acc.merge(w.rows.acc);
         }
     }
-    (
-        CsrMatrix::from_parts(a.nrows(), b.ncols(), rowptr, colind, vals),
+    let visited = Visited {
+        results,
         stats,
-        acc,
-    )
+        consume_seconds,
+    };
+    (visited, acc)
 }
 
-/// Compute row chunk `u` with the shared row kernel on the claiming
-/// worker's `scratch`, emitting its `spgemm.row_chunk` span on `track`
-/// when telemetry is on. The rows depend only on `u` — the determinism
-/// requirement of both execution backends.
-fn row_chunk<S>(
-    sr: &S,
-    a: &CsrMatrix<S::A>,
-    b: &CsrMatrix<S::B>,
-    u: usize,
-    scratch: &mut RowScratch<S>,
-    track: Track,
-    rec: &Recorder,
-) -> Chunk<S::C>
-where
-    S: Semiring,
-{
-    let start = u * ROWS_PER_CHUNK;
-    let end = ((u + 1) * ROWS_PER_CHUNK).min(a.nrows());
-    let mut span = rec.is_enabled().then(|| {
-        rec.span(Component::SpGemm, names::SPAN_SPGEMM_ROW_CHUNK)
-            .on_track(track)
-            .arg("rows", (end - start) as u64)
-    });
-    let mut lens = Vec::with_capacity(end - start);
-    let mut colind: Vec<Index> = Vec::new();
-    let mut vals: Vec<S::C> = Vec::new();
-    let mut stats = SpGemmStats::default();
-    for i in start..end {
-        let before = colind.len();
-        scratch.row_into(sr, a, b, i, &mut colind, &mut vals, &mut stats);
-        lens.push(colind.len() - before);
+impl<S: Semiring> ChunkWorker<S> {
+    /// Compute row chunk `u` into the chunk buffer and hand it to
+    /// `consume`, emitting the chunk's `spgemm.row_chunk` span on `track`
+    /// if one is given. The rows depend only on `u` — the determinism
+    /// requirement of every execution backend.
+    #[allow(clippy::too_many_arguments)]
+    fn chunk<R, F>(
+        &mut self,
+        sr: &S,
+        a: &CsrMatrix<S::A>,
+        b: &CsrMatrix<S::B>,
+        u: usize,
+        track: Option<Track>,
+        rec: &Recorder,
+        consume: &F,
+    ) -> Unit<R>
+    where
+        F: Fn(usize, &mut CsrMatrix<S::C>) -> R,
+    {
+        let t = Instant::now();
+        let start = u * ROWS_PER_CHUNK;
+        let end = ((u + 1) * ROWS_PER_CHUNK).min(a.nrows());
+        let mut span = track.map(|track| {
+            rec.span(Component::SpGemm, names::SPAN_SPGEMM_ROW_CHUNK)
+                .on_track(track)
+                .arg("rows", (end - start) as u64)
+        });
+        let (mut rowptr, mut colind, mut vals) = (
+            std::mem::take(&mut self.rowptr),
+            std::mem::take(&mut self.colind),
+            std::mem::take(&mut self.vals),
+        );
+        rowptr.clear();
+        colind.clear();
+        vals.clear();
+        rowptr.push(0);
+        let mut stats = SpGemmStats::default();
+        for i in start..end {
+            self.rows
+                .row_into(sr, a, b, i, &mut colind, &mut vals, &mut stats);
+            rowptr.push(colind.len());
+        }
+        if let Some(sp) = span.as_mut() {
+            sp.push_arg("nnz", colind.len() as u64);
+            sp.push_arg("products", stats.products);
+        }
+        drop(span);
+        let mut chunk = CsrMatrix::from_parts(end - start, b.ncols(), rowptr, colind, vals);
+        let t_consume = Instant::now();
+        let result = consume(start, &mut chunk);
+        let consume_seconds = t_consume.elapsed().as_secs_f64();
+        // The buffers go back for the next chunk, unless the consumer took
+        // them.
+        (_, _, self.rowptr, self.colind, self.vals) = chunk.into_parts();
+        (result, stats, t.elapsed().as_secs_f64(), consume_seconds)
     }
-    if let Some(sp) = span.as_mut() {
-        sp.push_arg("nnz", colind.len() as u64);
-        sp.push_arg("products", stats.products);
-    }
-    (lens, colind, vals, stats)
 }
 
 /// Kernel-selection wrapper around the local SpGEMM kernels: holds the
@@ -434,8 +582,58 @@ impl SpGemmPool {
         }
     }
 
+    /// Visit `C = A ⊗ B` under the configured policy, row chunk by row
+    /// chunk, without ever holding `C` whole: each chunk of at most 16 rows
+    /// (`ROWS_PER_CHUNK`) is formed in a buffer the worker reuses and
+    /// handed to `consume` with the index of its first row, inside the
+    /// unit that formed it (so a parallel kernel consumes in parallel).
+    /// The consumer may read the chunk or take it; its results come back
+    /// in row order. The chunks, and so the results, are the same for
+    /// every policy and worker count.
+    pub fn visit<S, R, F>(
+        &self,
+        sr: &S,
+        a: &CsrMatrix<S::A>,
+        b: &CsrMatrix<S::B>,
+        consume: F,
+    ) -> Visited<R>
+    where
+        S: Semiring + Sync,
+        S::A: Sync,
+        S::B: Sync,
+        S::C: Send,
+        R: Send,
+        F: Fn(usize, &mut CsrMatrix<S::C>) -> R + Sync,
+    {
+        let kind = self.select(a, b);
+        self.recorder.add_counter(kind.counter_name(), 1.0);
+        let row = || RowScratch::new(b.ncols(), DENSE_ACC_LIMIT_BYTES);
+        let (exec, new_scratch): (Exec, &(dyn Fn() -> RowScratch<S> + Sync)) = match kind {
+            SpGemmKind::Hash => (Exec::Serial, &row),
+            SpGemmKind::Heap => (Exec::Serial, &RowScratch::heap),
+            SpGemmKind::Parallel => {
+                let exec = self
+                    .workers
+                    .as_ref()
+                    .map_or(Exec::Scoped(self.threads), Exec::Pool);
+                (exec, &row)
+            }
+            SpGemmKind::Auto => unreachable!("select() never returns Auto"),
+        };
+        let (visited, acc) = visit_chunks(sr, a, b, exec, new_scratch, &self.recorder, &consume);
+        // Which accumulator the row kernel ran, once per multiply.
+        let rows = [acc.dense_rows, acc.scan_rows, acc.table_rows];
+        for (name, rows) in names::SPGEMM_ACC_COUNTERS.into_iter().zip(rows) {
+            if rows > 0 {
+                self.recorder.add_counter(name, rows as f64);
+            }
+        }
+        visited
+    }
+
     /// Multiply under the configured policy: `C = A ⊗ B`, bit-identical
-    /// for every policy and worker count.
+    /// for every policy and worker count — [`SpGemmPool::visit`] with
+    /// [`Stitch`] as the consumer.
     pub fn multiply<S>(
         &self,
         sr: &S,
@@ -448,32 +646,9 @@ impl SpGemmPool {
         S::B: Sync,
         S::C: Send,
     {
-        let kind = self.select(a, b);
-        self.recorder.add_counter(kind.counter_name(), 1.0);
-        let limit = DENSE_ACC_LIMIT_BYTES;
-        let (c, stats, acc) = match kind {
-            SpGemmKind::Hash => spgemm_rows(sr, a, b, limit),
-            SpGemmKind::Heap => {
-                let (c, stats) = spgemm_heap(sr, a, b);
-                (c, stats, AccStats::default())
-            }
-            SpGemmKind::Parallel => {
-                let exec = match &self.workers {
-                    Some(wp) => Exec::Pool(wp),
-                    None => Exec::Scoped(self.threads),
-                };
-                spgemm_chunked(sr, a, b, exec, &self.recorder, limit)
-            }
-            SpGemmKind::Auto => unreachable!("select() never returns Auto"),
-        };
-        // Which accumulator the row kernel ran, once per multiply.
-        let rows = [acc.dense_rows, acc.scan_rows, acc.table_rows];
-        for (name, rows) in names::SPGEMM_ACC_COUNTERS.into_iter().zip(rows) {
-            if rows > 0 {
-                self.recorder.add_counter(name, rows as f64);
-            }
-        }
-        (c, stats)
+        let stitch = Stitch::new(b.ncols());
+        let visited = self.visit(sr, a, b, |first, chunk| stitch.push(first, chunk));
+        (stitch.finish(), visited.stats)
     }
 
     /// The serving path's transpose-product entry point: multiply one
@@ -562,8 +737,8 @@ impl Default for SpGemmPool {
 mod tests {
     use super::*;
     use crate::semiring::PlusTimes;
-    use crate::spgemm::oracle::{random_matrix, spgemm_table_oracle, Concat};
-    use crate::spgemm::{spgemm_dense_ref, spgemm_hash};
+    use crate::spgemm::oracle::{random_matrix, row_kernel, spgemm_table_oracle, Concat};
+    use crate::spgemm::{spgemm_dense_ref, spgemm_hash, spgemm_heap};
     use crate::triples::Triples;
     use pastis_trace::TraceSession;
 
@@ -656,6 +831,103 @@ mod tests {
         let b1 = random_matrix(4, 4, 0.9, 4);
         let (got, _) = spgemm_parallel(&sr, &a1, &b1, 8);
         assert_eq!(got, spgemm_hash(&sr, &a1, &b1).0);
+    }
+
+    /// The chunk driver over `exec` with the row kernel at `dense_limit`,
+    /// stitched, with the accumulator counts.
+    fn chunked<S>(
+        sr: &S,
+        a: &CsrMatrix<S::A>,
+        b: &CsrMatrix<S::B>,
+        exec: Exec<'_>,
+        dense_limit: usize,
+    ) -> (CsrMatrix<S::C>, SpGemmStats, AccStats)
+    where
+        S: Semiring + Sync,
+        S::A: Sync,
+        S::B: Sync,
+        S::C: Send,
+    {
+        let row = || RowScratch::new(b.ncols(), dense_limit);
+        let rec = Recorder::disabled();
+        let stitch = Stitch::new(b.ncols());
+        let consume = |first: usize, chunk: &mut CsrMatrix<S::C>| stitch.push(first, chunk);
+        let (visited, acc) = visit_chunks(sr, a, b, exec, &row, &rec, &consume);
+        (stitch.finish(), visited.stats, acc)
+    }
+
+    #[test]
+    fn visited_chunks_stitch_to_the_reference_product() {
+        // Concat's slots are 24 bytes: 50 000 columns pass the dense
+        // limit, so that product runs the table.
+        let wide = random_matrix(6, 50_000, 0.001, 46);
+        let cases = [
+            (
+                "scan",
+                random_matrix(53, 12, 0.5, 41),
+                random_matrix(12, 20, 0.5, 42),
+            ),
+            (
+                "sort",
+                random_matrix(70, 30, 0.05, 43),
+                random_matrix(30, 400, 0.01, 44),
+            ),
+            ("table", random_matrix(37, 6, 0.5, 45), wide),
+            (
+                "empty rows",
+                random_matrix(45, 10, 0.4, 47).prune(|i, _, _| !(14..40).contains(&i)),
+                random_matrix(10, 30, 0.3, 48),
+            ),
+            (
+                "empty A",
+                CsrMatrix::empty(0, 9),
+                random_matrix(9, 11, 0.3, 49),
+            ),
+        ];
+        for (what, a, b) in &cases {
+            let (want, want_stats) = spgemm_heap(&Concat, a, b);
+            assert_eq!(spgemm_dense_ref(&Concat, a, b), want, "{what}");
+            let (_, _, acc) = chunked(&Concat, a, b, Exec::Scoped(2), DENSE_ACC_LIMIT_BYTES);
+            let routed = match *what {
+                "scan" => acc.scan_rows > 0,
+                "table" => acc.table_rows == a.nrows() as u64,
+                "sort" => acc.dense_rows == a.nrows() as u64 && acc.scan_rows == 0,
+                _ => acc.dense_rows == a.nrows() as u64,
+            };
+            assert!(routed, "{what}: {acc:?}");
+            for kind in [SpGemmKind::Hash, SpGemmKind::Heap, SpGemmKind::Parallel] {
+                for t in [1usize, 2, 3] {
+                    let pool = SpGemmPool::new(t).with_kind(kind);
+                    let stitch = Stitch::new(b.ncols());
+                    let visited = pool.visit(&Concat, a, b, |first, chunk| {
+                        assert!(chunk.nrows() <= ROWS_PER_CHUNK && chunk.nrows() > 0);
+                        stitch.push(first, chunk);
+                        first
+                    });
+                    let want_firsts: Vec<usize> = (0..a.nrows()).step_by(ROWS_PER_CHUNK).collect();
+                    assert_eq!(visited.results, want_firsts, "{what} {kind} t={t}");
+                    assert_eq!(stitch.finish(), want, "{what} {kind} t={t}");
+                    assert_eq!(visited.stats, want_stats, "{what} {kind} t={t}");
+                    assert_eq!(pool.multiply(&Concat, a, b), (want.clone(), want_stats));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stitch_joins_chunks_pushed_in_any_order() {
+        let want = random_matrix(50, 30, 0.2, 53);
+        let bounds = [0, 16, 32, 48, 50];
+        let mut chunks = want.clone().into_row_stripes(&bounds);
+        let stitch = Stitch::new(30);
+        for (first, chunk) in bounds.iter().zip(&mut chunks).rev() {
+            stitch.push(*first, chunk);
+        }
+        assert_eq!(stitch.finish(), want);
+        let gap = Stitch::new(30);
+        gap.push(16, &mut want.extract_rows(16, 32));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| gap.finish()));
+        assert!(refused.is_err(), "rows 0..16 were never pushed");
     }
 
     #[test]
@@ -903,22 +1175,19 @@ mod tests {
             let slot = std::mem::size_of::<<PlusTimes<u32> as Semiring>::Slot>();
             let cat_slot = std::mem::size_of::<<Concat as Semiring>::Slot>();
             for cols in [ncols - 1, ncols, DENSE_ACC_LIMIT_BYTES] {
-                let (got, stats, acc) = spgemm_rows(&sr, &a, &b, cols * slot);
+                let (got, stats, acc) = row_kernel(&sr, &a, &b, cols * slot);
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(stats, want_stats);
                 prop_assert_eq!(acc.dense_rows + acc.table_rows, nrows as u64);
                 prop_assert_eq!(acc.table_rows > 0, cols < ncols);
-                let (cat_got, _, _) = spgemm_rows(&Concat, &a, &b, cols * cat_slot);
+                let (cat_got, _, _) = row_kernel(&Concat, &a, &b, cols * cat_slot);
                 prop_assert_eq!(&cat_got, &cat_want);
-                let rec = Recorder::disabled();
                 for t in [1usize, 2, 3, 8] {
-                    let (got, stats, par_acc) =
-                        spgemm_chunked(&sr, &a, &b, Exec::Scoped(t), &rec, cols * slot);
+                    let (got, stats, par_acc) = chunked(&sr, &a, &b, Exec::Scoped(t), cols * slot);
                     prop_assert_eq!(&got, &want);
                     prop_assert_eq!(stats, want_stats);
                     prop_assert_eq!(par_acc, acc);
-                    let (cat_got, _, _) =
-                        spgemm_chunked(&Concat, &a, &b, Exec::Scoped(t), &rec, cols * cat_slot);
+                    let (cat_got, _, _) = chunked(&Concat, &a, &b, Exec::Scoped(t), cols * cat_slot);
                     prop_assert_eq!(&cat_got, &cat_want);
                 }
             }

@@ -6,9 +6,11 @@
 //! * [`spgemm_hash`] — the serial **row kernel**: one output row at a time
 //!   through a per-worker accumulator. The same per-row function serves the
 //!   row-partitioned parallel kernel ([`crate::spgemm_parallel`]) and,
-//!   through [`crate::SpGemmPool::multiply`], SUMMA and the serving path.
+//!   through [`crate::SpGemmPool::visit`], SUMMA and the serving path.
 //! * [`spgemm_heap`] — k-way merge with a binary heap; wins only when very
-//!   few `B` rows meet in each output row.
+//!   few `B` rows meet in each output row. Its per-row merge is a third
+//!   mode of the same per-row function, so the pool's chunk driver runs it
+//!   too.
 //!
 //! # The row kernel's accumulator
 //!
@@ -273,9 +275,9 @@ impl<C> HashAccumulator<C> {
     }
 }
 
-/// One worker's state for the row kernel, kept for every row and chunk of
-/// a multiply: the dense accumulator, or the table for a `B` too wide for
-/// it.
+/// One worker's state for the per-row function, kept for every row and
+/// chunk of a multiply: the dense accumulator, the table for a `B` too
+/// wide for it, or the heap kernel's merge.
 ///
 /// The dense accumulator is one [`Semiring::Slot`] per column of `B`.
 /// Draining a row `take`s every live slot, so all slots are empty between
@@ -293,6 +295,8 @@ enum Accumulator<S: Semiring> {
     /// One slot per column of `B`.
     Dense(Vec<S::Slot>),
     Table(HashAccumulator<S::C>),
+    /// No accumulator: [`spgemm_heap`]'s ordered merge.
+    Heap(HeapMerge),
 }
 
 impl<S: Semiring> RowScratch<S> {
@@ -315,13 +319,24 @@ impl<S: Semiring> RowScratch<S> {
         }
     }
 
+    /// A scratch for [`spgemm_heap`]'s per-row merge, which folds with
+    /// `multiply` + `combine` and never sees a slot.
+    pub(crate) fn heap() -> Self {
+        RowScratch {
+            accumulator: Accumulator::Heap(HeapMerge::default()),
+            touched: Vec::new(),
+            acc: AccStats::default(),
+        }
+    }
+
     /// Compute output row `i` of `A ⊗ B`, appending the sorted row to
     /// `colind`/`vals` and updating `stats`. The scratch must have been
     /// built for `b.ncols()`.
     ///
     /// Gustavson order: `A`'s row in ascending `k`, each `B` row in
     /// ascending `j`, so every output coordinate sees its products in
-    /// ascending `k` whichever accumulator holds the partial sums.
+    /// ascending `k` whichever accumulator holds the partial sums; the
+    /// heap merge pops equal columns in ascending `k` too.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn row_into(
@@ -348,6 +363,12 @@ impl<S: Semiring> RowScratch<S> {
                 }
                 stats.merged_nnz += table.occupied.len() as u64;
                 table.drain_sorted(colind, vals);
+                return;
+            }
+            Accumulator::Heap(merge) => {
+                let before = colind.len();
+                merge.row_into(sr, acols, avals, b, colind, vals, stats);
+                stats.merged_nnz += (colind.len() - before) as u64;
                 return;
             }
         };
@@ -390,13 +411,13 @@ impl<S: Semiring> RowScratch<S> {
     }
 }
 
-/// The serial row kernel over all of `A`: [`spgemm_hash`] with the dense
-/// limit as a parameter and the accumulator counts returned.
+/// A serial multiply over all of `A` with the per-row function of
+/// `scratch`, returning its accumulator counts beside the product.
 pub(crate) fn spgemm_rows<S: Semiring>(
     sr: &S,
     a: &CsrMatrix<S::A>,
     b: &CsrMatrix<S::B>,
-    dense_limit: usize,
+    mut scratch: RowScratch<S>,
 ) -> (CsrMatrix<S::C>, SpGemmStats, AccStats) {
     assert_eq!(
         a.ncols(),
@@ -412,7 +433,6 @@ pub(crate) fn spgemm_rows<S: Semiring>(
     rowptr.push(0usize);
     let mut colind: Vec<Index> = Vec::new();
     let mut vals: Vec<S::C> = Vec::new();
-    let mut scratch = RowScratch::<S>::new(b.ncols(), dense_limit);
     for i in 0..a.nrows() {
         scratch.row_into(sr, a, b, i, &mut colind, &mut vals, &mut stats);
         rowptr.push(colind.len());
@@ -435,7 +455,8 @@ pub fn spgemm_hash<S: Semiring>(
     a: &CsrMatrix<S::A>,
     b: &CsrMatrix<S::B>,
 ) -> (CsrMatrix<S::C>, SpGemmStats) {
-    let (c, stats, _) = spgemm_rows(sr, a, b, DENSE_ACC_LIMIT_BYTES);
+    let scratch = RowScratch::new(b.ncols(), DENSE_ACC_LIMIT_BYTES);
+    let (c, stats, _) = spgemm_rows(sr, a, b, scratch);
     (c, stats)
 }
 
@@ -450,36 +471,54 @@ pub fn spgemm_heap<S: Semiring>(
     a: &CsrMatrix<S::A>,
     b: &CsrMatrix<S::B>,
 ) -> (CsrMatrix<S::C>, SpGemmStats) {
-    assert_eq!(a.ncols(), b.nrows(), "SpGEMM dimension mismatch");
-    let mut stats = SpGemmStats::default();
-    let mut rowptr = Vec::with_capacity(a.nrows() + 1);
-    rowptr.push(0usize);
-    let mut colind: Vec<Index> = Vec::new();
-    let mut vals: Vec<S::C> = Vec::new();
+    let (c, stats, _) = spgemm_rows(sr, a, b, RowScratch::heap());
+    (c, stats)
+}
 
-    // Min-heap over (col, k, cursor) via Reverse ordering on (col, k).
-    #[derive(PartialEq, Eq)]
-    struct Head {
-        col: Index,
-        k: Index,
-        list: u32,
-    }
-    impl Ord for Head {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reversed for a max-heap acting as a min-heap.
-            (other.col, other.k).cmp(&(self.col, self.k))
-        }
-    }
-    impl PartialOrd for Head {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
+/// The heap kernel's per-row state: a min-heap of list heads and each
+/// list's cursor, kept across rows.
+#[derive(Default)]
+struct HeapMerge {
+    heap: BinaryHeap<Head>,
+    cursors: Vec<usize>,
+}
 
-    let mut heap: BinaryHeap<Head> = BinaryHeap::new();
-    let mut cursors: Vec<usize> = Vec::new();
-    for i in 0..a.nrows() {
-        let (acols, avals) = a.row(i);
+/// A merge list's next entry: `B` row `k`'s column at the list's cursor.
+#[derive(PartialEq, Eq)]
+struct Head {
+    col: Index,
+    k: Index,
+    list: u32,
+}
+
+impl Ord for Head {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reversed for a max-heap acting as a min-heap on (col, k).
+        (other.col, other.k).cmp(&(self.col, self.k))
+    }
+}
+
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl HeapMerge {
+    /// Merge the `B` rows `acols` selects into one sorted output row,
+    /// appended to `colind`/`vals`; counts the products in `stats`.
+    #[allow(clippy::too_many_arguments)]
+    fn row_into<S: Semiring>(
+        &mut self,
+        sr: &S,
+        acols: &[Index],
+        avals: &[S::A],
+        b: &CsrMatrix<S::B>,
+        colind: &mut Vec<Index>,
+        vals: &mut Vec<S::C>,
+        stats: &mut SpGemmStats,
+    ) {
+        let (heap, cursors) = (&mut self.heap, &mut self.cursors);
         heap.clear();
         cursors.clear();
         cursors.resize(acols.len(), 0);
@@ -496,8 +535,7 @@ pub fn spgemm_heap<S: Semiring>(
         let mut current: Option<(Index, S::C)> = None;
         while let Some(head) = heap.pop() {
             let list = head.list as usize;
-            let k = head.k as usize;
-            let (bcols, bvals) = b.row(k);
+            let (bcols, bvals) = b.row(head.k as usize);
             let pos = cursors[list];
             let product = sr.multiply(&avals[list], &bvals[pos]);
             stats.products += 1;
@@ -526,13 +564,7 @@ pub fn spgemm_heap<S: Semiring>(
             colind.push(col);
             vals.push(acc);
         }
-        rowptr.push(colind.len());
     }
-    stats.merged_nnz = colind.len() as u64;
-    (
-        CsrMatrix::from_parts(a.nrows(), b.ncols(), rowptr, colind, vals),
-        stats,
-    )
 }
 
 /// Naive dense reference SpGEMM — O(n³)-ish, for tests only.
@@ -675,6 +707,16 @@ pub(crate) mod oracle {
         )
     }
 
+    /// The row kernel with a dense limit of `dense_limit` bytes.
+    pub(crate) fn row_kernel<S: Semiring>(
+        sr: &S,
+        a: &CsrMatrix<S::A>,
+        b: &CsrMatrix<S::B>,
+        dense_limit: usize,
+    ) -> (CsrMatrix<S::C>, SpGemmStats, AccStats) {
+        spgemm_rows(sr, a, b, RowScratch::new(b.ncols(), dense_limit))
+    }
+
     /// A seeded `nrows × ncols` matrix with each entry present with
     /// probability `density`.
     pub(crate) fn random_matrix(
@@ -716,7 +758,7 @@ pub(crate) mod oracle {
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::{random_matrix, spgemm_table_oracle, Concat};
+    use super::oracle::{random_matrix, row_kernel, spgemm_table_oracle, Concat};
     use super::*;
     use crate::semiring::{BoolAndOr, CountShared, MinPlus, PlusTimes};
     use crate::triples::Triples;
@@ -826,7 +868,7 @@ mod tests {
         assert!(cols.windows(2).all(|w| w[0] < w[1]));
         // 500 columns fit the dense accumulator; a zero limit sends the
         // same row through the table, which has to grow five times.
-        let (t, t_stats, acc) = spgemm_rows(&PlusTimes::new(), &a, &b, 0);
+        let (t, t_stats, acc) = row_kernel(&PlusTimes::new(), &a, &b, 0);
         assert_eq!((t, t_stats), (c, stats));
         assert_eq!((acc.table_rows, acc.dense_rows), (1, 0));
     }
@@ -886,7 +928,7 @@ mod tests {
             let a = random_matrix(7, 6, 0.5, 21);
             let b = random_matrix(6, ncols, 0.6, 22 + ncols as u64);
             let (want, want_stats) = expect(&a, &b);
-            let (got, stats, acc) = spgemm_rows(&Concat, &a, &b, 10 * SLOT);
+            let (got, stats, acc) = row_kernel(&Concat, &a, &b, 10 * SLOT);
             assert_eq!((got, stats), (want, want_stats), "ncols={ncols}");
             let (dense, table) = if ncols <= 10 { (7, 0) } else { (0, 7) };
             assert_eq!(
@@ -937,10 +979,10 @@ mod tests {
         );
         let (want, want_stats) = expect(&a, &b);
         assert_eq!(want.get(8, 13), Some(&vec![502, 633]));
-        let (got, stats, acc) = spgemm_rows(&Concat, &a, &b, usize::MAX);
+        let (got, stats, acc) = row_kernel(&Concat, &a, &b, usize::MAX);
         assert_eq!((&got, stats), (&want, want_stats));
         assert_eq!((acc.dense_rows, acc.scan_rows, acc.table_rows), (9, 4, 0));
-        let (table, t_stats, acc) = spgemm_rows(&Concat, &a, &b, 0);
+        let (table, t_stats, acc) = row_kernel(&Concat, &a, &b, 0);
         assert_eq!((&table, t_stats), (&want, want_stats));
         assert_eq!((acc.dense_rows, acc.scan_rows, acc.table_rows), (0, 0, 9));
     }
@@ -958,7 +1000,7 @@ mod tests {
             let (want, want_stats) = expect(a, b);
             assert_eq!(want.nnz(), 0);
             for limit in [0, usize::MAX] {
-                let (got, stats, acc) = spgemm_rows(&Concat, a, b, limit);
+                let (got, stats, acc) = row_kernel(&Concat, a, b, limit);
                 assert_eq!((got, stats), (want.clone(), want_stats));
                 assert_eq!(acc.dense_rows + acc.table_rows, a.nrows() as u64);
             }

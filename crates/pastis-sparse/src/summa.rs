@@ -22,6 +22,7 @@
 //! against DIAMOND/MMseqs2.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use pastis_comm::grid::{BlockDist1D, ProcessGrid};
 use pastis_comm::Communicator;
@@ -29,7 +30,7 @@ use pastis_trace::{names, Component, Track};
 
 use crate::csr::CsrMatrix;
 use crate::distmat::{DistElem, DistSparseMatrix};
-use crate::parallel::SpGemmPool;
+use crate::parallel::{SpGemmPool, Visited, ROWS_PER_CHUNK};
 use crate::semiring::Semiring;
 use crate::spgemm::SpGemmStats;
 use crate::spops::spadd_into;
@@ -41,9 +42,19 @@ type StagePair<S> = (
     Arc<CsrMatrix<<S as Semiring>::B>>,
 );
 
-/// Distributed SpGEMM `C = A ⊗ B` via 2D Sparse SUMMA. Collective over
-/// `grid`; returns this rank's block of `C` wrapped as a distributed
-/// matrix, plus this rank's local work counters.
+/// Distributed SpGEMM `C = A ⊗ B` via 2D Sparse SUMMA, visited: collective
+/// over `grid`, it hands this rank's block of `C` to `consume` row chunk
+/// by row chunk (see [`SpGemmPool::visit`]; the first row of a chunk is a
+/// row of the local block, whose global offsets are `a.row_offset()` and
+/// `b.col_offset()`), and returns the consumer's results in row order
+/// with this rank's local work counters. A caller that wants the block
+/// itself stitches the chunks ([`crate::Stitch`]).
+///
+/// On a 1 × 1 grid there is one stage and nothing to accumulate: rows go
+/// from the row kernel's accumulator straight to the consumer, and the
+/// block is never held whole. On a larger grid a stage's partial counts
+/// must be summed with the other stages' before anything reads them, so
+/// the block is accumulated first and then handed out chunk by chunk.
 ///
 /// Each stage's block multiplication runs through `pool` (kernel selection
 /// and intra-rank worker threads); the output is bit-identical for every
@@ -75,20 +86,23 @@ type StagePair<S> = (
 /// # Panics
 ///
 /// Panics if the inner dimensions disagree or the grid is not square.
-pub fn summa<S, C>(
+pub fn summa<S, C, R, F>(
     grid: &ProcessGrid<C>,
     sr: &S,
     a: &DistSparseMatrix<S::A>,
     b: &DistSparseMatrix<S::B>,
     pool: &SpGemmPool,
     overlap: bool,
-) -> (DistSparseMatrix<S::C>, SpGemmStats)
+    consume: F,
+) -> Visited<R>
 where
     S: Semiring + Sync,
     S::A: DistElem,
     S::B: DistElem,
     S::C: DistElem,
     C: Communicator,
+    R: Send,
+    F: Fn(usize, &mut CsrMatrix<S::C>) -> R + Sync,
 {
     assert_eq!(
         a.ncols(),
@@ -137,6 +151,11 @@ where
         let b_recv = grid.col_comm().broadcast(k, b_send, b_bytes);
         (a_recv, b_recv)
     };
+    if q == 1 {
+        // One stage: its products are the block's final values.
+        let (a_recv, b_recv) = issue(0);
+        return pool.visit(sr, &a_recv, &b_recv, consume);
+    }
 
     let recorder = pool.recorder();
     // The double buffer: stage k+1's received blocks, posted while stage k
@@ -185,10 +204,31 @@ where
     // merged_nnz counted per-stage over-counts coordinates merged across
     // stages; report the final local nnz instead.
     stats.merged_nnz = c_local.nnz() as u64;
-    (
-        DistSparseMatrix::from_local_block(grid, a.nrows(), b.ncols(), c_local),
+    // The summed block, handed out in the visitor's chunks. Its storage is
+    // split from the back, so it is held about once meanwhile.
+    let firsts: Vec<usize> = (0..c_rows).step_by(ROWS_PER_CHUNK).collect();
+    let bounds: Vec<usize> = firsts.iter().copied().chain([c_rows]).collect();
+    let chunks = if firsts.is_empty() {
+        Vec::new()
+    } else {
+        c_local.into_row_stripes(&bounds)
+    };
+    let mut consume_seconds = 0.0;
+    let results = chunks
+        .into_iter()
+        .zip(firsts)
+        .map(|(mut chunk, first)| {
+            let t = Instant::now();
+            let r = consume(first, &mut chunk);
+            consume_seconds += t.elapsed().as_secs_f64();
+            r
+        })
+        .collect();
+    Visited {
+        results,
         stats,
-    )
+        consume_seconds,
+    }
 }
 
 /// The Blocked 2D Sparse SUMMA driver: `A` held as `br` row stripes and `B`
@@ -368,12 +408,14 @@ impl<A: DistElem, B: DistElem> BlockedSumma<A, B> {
         self.b_stripes[c].restore_local(block);
     }
 
-    /// Compute output block `C(r, c) = A(r,·) ⊗ B(·,c)` with one full
-    /// SUMMA (collective; see [`summa`] for `pool` and `overlap`). The
-    /// result is a `stripe_r × stripe_c` matrix distributed over the grid;
-    /// its global position is given by [`BlockedSumma::row_range`] /
-    /// [`BlockedSumma::col_range`].
-    pub fn multiply_block<S, C>(
+    /// Visit output block `C(r, c) = A(r,·) ⊗ B(·,c)` with one full SUMMA
+    /// (collective; see [`summa`] for `pool`, `overlap` and `consume`).
+    /// The block is `stripe_r × stripe_c`, distributed over the grid; this
+    /// rank's chunk rows are rows of its local piece, which starts at
+    /// [`BlockedSumma::row_range`] + `a_stripe(r).row_offset()` and
+    /// [`BlockedSumma::col_range`] + `b_stripe(c).col_offset()`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn multiply_block<S, C, R, F>(
         &self,
         grid: &ProcessGrid<C>,
         sr: &S,
@@ -381,11 +423,14 @@ impl<A: DistElem, B: DistElem> BlockedSumma<A, B> {
         c: usize,
         pool: &SpGemmPool,
         overlap: bool,
-    ) -> (DistSparseMatrix<S::C>, SpGemmStats)
+        consume: F,
+    ) -> Visited<R>
     where
         S: Semiring<A = A, B = B> + Sync,
         S::C: DistElem,
         C: Communicator,
+        R: Send,
+        F: Fn(usize, &mut CsrMatrix<S::C>) -> R + Sync,
     {
         assert!(r < self.br() && c < self.bc(), "block index out of range");
         summa(
@@ -395,6 +440,7 @@ impl<A: DistElem, B: DistElem> BlockedSumma<A, B> {
             &self.b_stripes[c],
             pool,
             overlap,
+            consume,
         )
     }
 }
@@ -430,6 +476,59 @@ mod tests {
         c.to_triples().to_sorted_tuples()
     }
 
+    /// [`summa`] with the stitching consumer: this rank's block of `C`.
+    fn summa_whole<S, C>(
+        grid: &ProcessGrid<C>,
+        sr: &S,
+        a: &DistSparseMatrix<S::A>,
+        b: &DistSparseMatrix<S::B>,
+        pool: &SpGemmPool,
+        overlap: bool,
+    ) -> (DistSparseMatrix<S::C>, SpGemmStats)
+    where
+        S: Semiring + Sync,
+        S::A: DistElem,
+        S::B: DistElem,
+        S::C: DistElem,
+        C: Communicator,
+    {
+        let stitch = crate::Stitch::new(b.col_dist().part_len(grid.my_col()));
+        let consume = |first: usize, chunk: &mut CsrMatrix<S::C>| stitch.push(first, chunk);
+        let stats = summa(grid, sr, a, b, pool, overlap, consume).stats;
+        let local = stitch.finish();
+        let c = DistSparseMatrix::from_local_block(grid, a.nrows(), b.ncols(), local);
+        (c, stats)
+    }
+
+    /// [`BlockedSumma::multiply_block`] with the stitching consumer.
+    fn block_whole<S, C>(
+        bs: &BlockedSumma<S::A, S::B>,
+        grid: &ProcessGrid<C>,
+        sr: &S,
+        r: usize,
+        c: usize,
+        pool: &SpGemmPool,
+        overlap: bool,
+    ) -> (DistSparseMatrix<S::C>, SpGemmStats)
+    where
+        S: Semiring + Sync,
+        S::A: DistElem,
+        S::B: DistElem,
+        S::C: DistElem,
+        C: Communicator,
+    {
+        // An out-of-range block is `multiply_block`'s to refuse.
+        let ncols = (c < bs.bc()).then(|| bs.b_stripe(c).col_dist().part_len(grid.my_col()));
+        let stitch = crate::Stitch::new(ncols.unwrap_or(0));
+        let consume = |first: usize, chunk: &mut CsrMatrix<S::C>| stitch.push(first, chunk);
+        let stats = bs
+            .multiply_block(grid, sr, r, c, pool, overlap, consume)
+            .stats;
+        let (a, b, local) = (bs.a_stripe(r), bs.b_stripe(c), stitch.finish());
+        let block = DistSparseMatrix::from_local_block(grid, a.nrows(), b.ncols(), local);
+        (block, stats)
+    }
+
     #[test]
     fn summa_single_rank_matches_serial() {
         let a = random_triples(10, 8, 30, 1);
@@ -438,7 +537,7 @@ mod tests {
         let grid = ProcessGrid::square(SelfComm::new());
         let da = DistSparseMatrix::from_global_triples(&grid, 10, 8, a, |_, _| {});
         let db = DistSparseMatrix::from_global_triples(&grid, 8, 12, b, |_, _| {});
-        let (c, stats) = summa(
+        let (c, stats) = summa_whole(
             &grid,
             &PlusTimes::new(),
             &da,
@@ -468,7 +567,7 @@ mod tests {
             };
             let da = DistSparseMatrix::from_global_triples(&grid, n, m, ta, |_, _| {});
             let db = DistSparseMatrix::from_global_triples(&grid, m, l, tb, |_, _| {});
-            let (cm, _) = summa(
+            let (cm, _) = summa_whole(
                 &grid,
                 &PlusTimes::new(),
                 &da,
@@ -510,7 +609,7 @@ mod tests {
             };
             let da = DistSparseMatrix::from_global_triples(&grid, n, 7, ta, |_, _| {});
             let dat = da.transpose(&grid);
-            let (cm, _) = summa(
+            let (cm, _) = summa_whole(
                 &grid,
                 &PlusTimes::new(),
                 &da,
@@ -573,11 +672,62 @@ mod tests {
                 };
                 let da = DistSparseMatrix::from_global_triples(&grid, 6, 6, a, |_, _| {});
                 let db = DistSparseMatrix::from_global_triples(&grid, 6, 6, b, |_, _| {});
-                let (cm, _) = summa(&grid, &Trace, &da, &db, &SpGemmPool::serial(), false);
+                let (cm, _) = summa_whole(&grid, &Trace, &da, &db, &SpGemmPool::serial(), false);
                 cm.gather_global(&grid).to_sorted_tuples()
             });
             for got in out {
                 assert_eq!(got, want, "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn visited_summa_stitches_the_reference_product() {
+        // 45 rows: at p = 4 a rank holds 22 or 23, one full chunk and a
+        // short one; rows 30..40 are empty. Trace exposes combine order,
+        // across stages too.
+        let (n, m, l) = (45u32, 20u32, 37u32);
+        let (mut ta, mut tb) = (Triples::new(45, 20), Triples::new(20, 37));
+        for i in (0..n).filter(|i| !(30..40).contains(i)) {
+            for j in (0..m).filter(|j| (i * 7 + j * 3) % 5 < 2) {
+                ta.push(i, j, i * 100 + j);
+            }
+        }
+        for i in 0..m {
+            for j in (0..l).filter(|j| (i + j * 11) % 4 == 0) {
+                tb.push(i, j, i * 100 + j);
+            }
+        }
+        let (am, bm) = (
+            CsrMatrix::from_triples(ta.clone()),
+            CsrMatrix::from_triples(tb.clone()),
+        );
+        let (heap, _) = crate::spgemm_heap(&Trace, &am, &bm);
+        assert_eq!(crate::spgemm_dense_ref(&Trace, &am, &bm), heap);
+        let want = heap.to_triples().to_sorted_tuples();
+        for p in [1usize, 4] {
+            for kind in [SpGemmKind::Hash, SpGemmKind::Heap, SpGemmKind::Parallel] {
+                let (ta, tb) = (ta.clone(), tb.clone());
+                let out = run_threaded(p, move |c| {
+                    let grid = ProcessGrid::square(c.split(0, c.rank()));
+                    let (a, b) = if c.rank() == 0 {
+                        (ta.clone(), tb.clone())
+                    } else {
+                        (Triples::new(45, 20), Triples::new(20, 37))
+                    };
+                    let da = DistSparseMatrix::from_global_triples(&grid, 45, 20, a, |_, _| {});
+                    let db = DistSparseMatrix::from_global_triples(&grid, 20, 37, b, |_, _| {});
+                    let pool = SpGemmPool::new(3).with_kind(kind);
+                    let firsts = summa(&grid, &Trace, &da, &db, &pool, false, |first, _| first);
+                    let rows = da.row_dist().part_len(grid.my_row());
+                    let want_firsts: Vec<usize> = (0..rows).step_by(ROWS_PER_CHUNK).collect();
+                    assert_eq!(firsts.results, want_firsts);
+                    let (cm, _) = summa_whole(&grid, &Trace, &da, &db, &pool, true);
+                    cm.gather_global(&grid).to_sorted_tuples()
+                });
+                for got in out {
+                    assert_eq!(got, want, "p={p} kind={kind}");
+                }
             }
         }
     }
@@ -605,7 +755,8 @@ mod tests {
                     let mut got: Vec<(Index, Index, f64)> = Vec::new();
                     for r in 0..bs.br() {
                         for cc in 0..bs.bc() {
-                            let (cb, _) = bs.multiply_block(
+                            let (cb, _) = block_whole(
+                                &bs,
                                 &grid,
                                 &PlusTimes::new(),
                                 r,
@@ -641,7 +792,7 @@ mod tests {
         let full = {
             let da = DistSparseMatrix::from_global_triples(&grid, n, 16, a.clone(), |_, _| {});
             let dat = da.transpose(&grid);
-            let (c, _) = summa(
+            let (c, _) = summa_whole(
                 &grid,
                 &PlusTimes::new(),
                 &da,
@@ -655,8 +806,15 @@ mod tests {
         let mut peak = 0usize;
         for r in 0..4 {
             for c in 0..4 {
-                let (cb, _) =
-                    bs.multiply_block(&grid, &PlusTimes::new(), r, c, &SpGemmPool::serial(), false);
+                let (cb, _) = block_whole(
+                    &bs,
+                    &grid,
+                    &PlusTimes::new(),
+                    r,
+                    c,
+                    &SpGemmPool::serial(),
+                    false,
+                );
                 peak = peak.max(cb.nnz_local());
             }
         }
@@ -670,7 +828,15 @@ mod tests {
         let a = random_triples(8, 8, 10, 1);
         let b = random_triples(8, 8, 10, 2);
         let bs = BlockedSumma::from_triples(&grid, a, b, 2, 2, |_, _| {}, |_, _| {});
-        let _ = bs.multiply_block(&grid, &PlusTimes::new(), 2, 0, &SpGemmPool::serial(), false);
+        let _ = block_whole(
+            &bs,
+            &grid,
+            &PlusTimes::new(),
+            2,
+            0,
+            &SpGemmPool::serial(),
+            false,
+        );
     }
 
     #[test]
@@ -684,7 +850,7 @@ mod tests {
                 DistSparseMatrix::from_global_triples(&grid, 4, 4, Triples::new(4, 4), |_, _| {});
             let db = da.clone();
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                summa(
+                summa_whole(
                     &grid,
                     &PlusTimes::new(),
                     &da,
@@ -761,7 +927,7 @@ mod tests {
                 TICK_CLONES.store(0, std::sync::atomic::Ordering::SeqCst);
             }
             grid.world().barrier();
-            let (cm, _) = summa(&grid, &TickRing, &da, &db, &SpGemmPool::serial(), false);
+            let (cm, _) = summa_whole(&grid, &TickRing, &da, &db, &SpGemmPool::serial(), false);
             grid.world().barrier();
             let clones = TICK_CLONES.load(std::sync::atomic::Ordering::SeqCst);
             (cm.nnz_local(), clones)
@@ -811,9 +977,9 @@ mod tests {
                     let bcasts =
                         || grid.row_comm().stats().broadcasts + grid.col_comm().stats().broadcasts;
                     let n0 = bcasts();
-                    let (c_off, _) = summa(&grid, &Trace, &da, &db, &pool, false);
+                    let (c_off, _) = summa_whole(&grid, &Trace, &da, &db, &pool, false);
                     let n1 = bcasts();
-                    let (c_on, _) = summa(&grid, &Trace, &da, &db, &pool, true);
+                    let (c_on, _) = summa_whole(&grid, &Trace, &da, &db, &pool, true);
                     let n2 = bcasts();
                     assert_eq!(n1 - n0, n2 - n1, "overlap changed the collective count");
                     (
@@ -864,7 +1030,7 @@ mod tests {
             let pool = SpGemmPool::new(1)
                 .with_kind(SpGemmKind::Parallel)
                 .with_workers(workers.clone());
-            let (cm, _) = summa(&grid, &Trace, &da, &db, &pool, true);
+            let (cm, _) = summa_whole(&grid, &Trace, &da, &db, &pool, true);
             cm.gather_global(&grid).to_sorted_tuples()
         });
         for got in out {
@@ -900,7 +1066,7 @@ mod tests {
                 TICK_CLONES.store(0, std::sync::atomic::Ordering::SeqCst);
             }
             grid.world().barrier();
-            let (cm, _) = summa(&grid, &TickRing, &da, &db, &SpGemmPool::serial(), true);
+            let (cm, _) = summa_whole(&grid, &TickRing, &da, &db, &SpGemmPool::serial(), true);
             grid.world().barrier();
             let clones = TICK_CLONES.load(std::sync::atomic::Ordering::SeqCst);
             (cm.nnz_local(), clones)
@@ -954,7 +1120,7 @@ mod tests {
             let da = DistSparseMatrix::from_global_triples(&grid, 6, 6, a, |_, _| {});
             let db = DistSparseMatrix::from_global_triples(&grid, 6, 6, b, |_, _| {});
             let pool = SpGemmPool::serial().with_recorder(rec);
-            let (cm, _) = summa(&grid, &SlowTrace, &da, &db, &pool, true);
+            let (cm, _) = summa_whole(&grid, &SlowTrace, &da, &db, &pool, true);
             cm.nnz_local()
         });
         assert!(out.iter().all(|&n| n > 0));
@@ -1020,9 +1186,17 @@ mod tests {
         }
         for r in 0..3 {
             for c in 0..2 {
-                let (got, _) =
-                    bs.multiply_block(&grid, &PlusTimes::new(), r, c, &SpGemmPool::serial(), false);
-                let (want, _) = reference.multiply_block(
+                let (got, _) = block_whole(
+                    &bs,
+                    &grid,
+                    &PlusTimes::new(),
+                    r,
+                    c,
+                    &SpGemmPool::serial(),
+                    false,
+                );
+                let (want, _) = block_whole(
+                    &reference,
                     &grid,
                     &PlusTimes::new(),
                     r,
@@ -1079,7 +1253,7 @@ mod tests {
                     let da = DistSparseMatrix::from_global_triples(&grid, 9, 9, a, |_, _| {});
                     let db = DistSparseMatrix::from_global_triples(&grid, 9, 9, b, |_, _| {});
                     let pool = SpGemmPool::new(threads).with_kind(kind);
-                    let (cm, _) = summa(&grid, &Trace, &da, &db, &pool, false);
+                    let (cm, _) = summa_whole(&grid, &Trace, &da, &db, &pool, false);
                     cm.gather_global(&grid).to_sorted_tuples()
                 });
                 for got in out {
